@@ -1,4 +1,4 @@
-"""Arithmetic kernel language: AST, recursive-descent parser, printer, evaluator.
+"""Arithmetic kernel language: AST, recursive-descent parser, printer, evaluators.
 
 Grammar (whitespace insignificant between tokens):
 
@@ -15,13 +15,27 @@ of an access must use component i.j; offsets must be integer literals.
 Evaluation is depth-first, left to right. Float context follows IEEE binary64
 (division by zero yields inf/nan, never an exception). Integer context uses
 wrapping 64-bit semantics for + - * and truncating division; integer division
-by zero raises EvalError.
+by zero raises EvalError. Literals and parameters in an integer expression
+must be integers in [-2**63, 2**63); task validation rejects any other value.
+
+Two evaluators share these semantics. `eval_kernel` walks the tree for one id
+and is the reference. `compile_kernel` turns a body into a numpy program that
+evaluates a whole box of ids at once, bit for bit like the reference, and
+declines (returns None) for a box on which the reference raises; `eval_box`
+then runs the reference over that box to raise its exact error. The caller
+that stores a float result stores every NaN as the canonical quiet NaN
+0x7ff8000000000000, the one JSON `NaN` parses to, because the sign bit of a
+computed NaN depends on the hardware and on which operand numpy or CPython
+propagates.
 """
 
 import math
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Union
+
+import numpy as np
 
 from .errors import EvalError, KernelNameError, KernelSyntaxError
 
@@ -329,3 +343,105 @@ def eval_kernel(expr, idx, views, params, integer=False):
             return a * b
         return _ieee_div(a, b)
     raise TypeError(f"not a kernel expression: {expr!r}")
+
+
+def eval_box(expr, box, views, params, integer=False) -> np.ndarray:
+    """eval_kernel at every id of box in row-major order, as an array of the
+    box's shape. It raises the error of the first failing id."""
+    points = product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs)))
+    values = [eval_kernel(expr, point, views, params, integer) for point in points]
+    return np.array(values, dtype=np.int64 if integer else np.float64).reshape(box.shape)
+
+
+class _Declined(Exception):
+    """The compiled program cannot reproduce the reference on this box."""
+
+
+def _postorder(expr) -> list:
+    """Nodes in evaluation order: operands left to right, then the operator.
+    Iterative, so deep trees need no recursion."""
+    order, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack.append(node.left)
+            stack.append(node.right)
+    order.reverse()
+    return order
+
+
+def _int_div(a, b):
+    """Truncating int64 division. Floor division wraps INT64_MIN / -1 to
+    INT64_MIN like wrap_i64; an inexact quotient of mixed signs then moves
+    one step toward zero."""
+    if np.any(b == 0):
+        raise _Declined
+    q = np.floor_divide(a, b)
+    return q + ((q * b != a) & ((a < 0) != (b < 0)))
+
+
+_FLOAT_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide}
+_INT_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _int_div}
+
+
+def compile_kernel(expr, integer=False):
+    """Compile a body to evaluate(box, views, params) over a whole box.
+
+    evaluate returns an array of box.shape holding eval_kernel's value for
+    every id of the box, or None when eval_kernel would raise for some id:
+    a read outside its view's mapped region or an int64 division by zero.
+    views maps accessor name to an object whose gather(mins, maxs, offsets)
+    returns the reads of every id as an array over the read buffer's axes,
+    or None when one falls outside the mapped region. A read buffer with
+    fewer axes than the kernel broadcasts along the trailing kernel axes.
+    Float division needs no special case: IEEE division by zero gives the
+    values _ieee_div spells out, up to the sign bit of a NaN.
+    """
+    dtype = np.int64 if integer else np.float64
+    convert = int if integer else float
+    ops = _INT_OPS if integer else _FLOAT_OPS
+    program = []
+    for node in _postorder(expr):
+        if isinstance(node, Num):
+            program.append((Num, dtype(convert(node.value))))
+        elif isinstance(node, BinOp):
+            program.append((BinOp, ops[node.op]))
+        elif isinstance(node, (Param, IdComponent, Read, Neg)):
+            program.append((type(node), node))
+        else:
+            raise TypeError(f"not a kernel expression: {node!r}")
+
+    def evaluate(box, views, params):
+        dims = len(box.mins)
+        stack = []
+        with np.errstate(all="ignore"):
+            try:
+                for kind, arg in program:
+                    if kind is BinOp:
+                        b = stack.pop()
+                        stack[-1] = arg(stack[-1], b)
+                    elif kind is Num:
+                        stack.append(arg)
+                    elif kind is Read:
+                        values = views[arg.accessor].gather(box.mins, box.maxs, arg.offsets)
+                        if values is None:
+                            raise _Declined
+                        trailing = (1,) * (dims - values.ndim)
+                        stack.append(values.reshape(values.shape + trailing))
+                    elif kind is IdComponent:
+                        shape = [1] * dims
+                        shape[arg.axis] = -1
+                        ids = np.arange(box.mins[arg.axis], box.maxs[arg.axis], dtype=dtype)
+                        stack.append(ids.reshape(shape))
+                    elif kind is Param:
+                        stack.append(dtype(convert(params[arg.name])))
+                    else:
+                        stack[-1] = np.negative(stack[-1])
+            except _Declined:
+                return None
+        return np.broadcast_to(stack[0], box.shape)
+
+    return evaluate

@@ -23,6 +23,17 @@ ELEMENT_KINDS = ("float64", "int64")
 ELEMENT_BYTES = 8
 
 
+INT64_RANGE = "an integer in [-2**63, 2**63)"
+
+
+def is_int64(value) -> bool:
+    """Whether value is an integer in the int64 range: an int as it is, a
+    float only when it is integral."""
+    if isinstance(value, float):
+        return value.is_integer() and -(2.0 ** 63) <= value < 2.0 ** 63
+    return isinstance(value, (int, np.integer)) and -(2 ** 63) <= value < 2 ** 63
+
+
 class AccessMode(enum.Enum):
     READ = "read"
     WRITE = "write"
@@ -91,8 +102,11 @@ class Buffer:
                 f"buffer '{self.name}': element kind must be one of {ELEMENT_KINDS}"
             )
         if self.init.kind == "constant" and self.element_kind == "int64":
-            if float(self.init.value) != int(self.init.value):
-                raise ValidationError(f"buffer '{self.name}': int64 constant init must be integral")
+            if not is_int64(self.init.value):
+                raise ValidationError(
+                    f"buffer '{self.name}': int64 constant init {self.init.value!r} "
+                    f"is not {INT64_RANGE}"
+                )
         if self.init.kind == "values":
             if len(self.init.values) != self.extent.volume():
                 raise ValidationError(
@@ -100,10 +114,11 @@ class Buffer:
                     f"does not match extent volume {self.extent.volume()}"
                 )
             if self.element_kind == "int64":
-                for v in self.init.values:
-                    if float(v) != int(v):
+                for k, v in enumerate(self.init.values):
+                    if not is_int64(v):
                         raise ValidationError(
-                            f"buffer '{self.name}': int64 init values must be integral"
+                            f"buffer '{self.name}': int64 init value {v!r} at index {k} "
+                            f"is not {INT64_RANGE}"
                         )
 
     @property
@@ -409,16 +424,17 @@ def validate_task(task: Task, buffers) -> None:
             elif isinstance(node, kernel.Param):
                 if node.name not in task.params:
                     raise ValidationError(f"task '{task.name}': unknown parameter '{node.name}'")
-                if integer and float(task.params[node.name]) != int(task.params[node.name]):
+                value = task.params[node.name]
+                if integer and not is_int64(value):
                     raise ValidationError(
-                        f"task '{task.name}': parameter '{node.name}' must be integral "
-                        f"in an int64 expression"
+                        f"task '{task.name}': parameter '{node.name}' = {value!r} in an "
+                        f"int64 expression is not {INT64_RANGE}"
                     )
             elif isinstance(node, kernel.Num):
-                if integer and float(node.value) != int(node.value):
+                if integer and not is_int64(node.value):
                     raise ValidationError(
-                        f"task '{task.name}': literal {node.value} is not integral "
-                        f"in an int64 expression"
+                        f"task '{task.name}': literal {node.value!r} in an int64 expression "
+                        f"is not {INT64_RANGE}"
                     )
 
 
@@ -426,7 +442,8 @@ class ReadView:
     """Snapshot of one accessor's readable data, bounded by its mapped region.
 
     Reads are clamped per dimension to the buffer extent; a clamped index that
-    still falls outside the mapped region raises MapperViolationError.
+    still falls outside the mapped region raises MapperViolationError. read()
+    serves one point, gather() a whole box of them.
     """
 
     __slots__ = ("accessor", "buffer", "region", "extent", "data", "context")
@@ -451,3 +468,18 @@ class ReadView:
                 f"region {self.region} of buffer '{self.buffer}'"
             )
         return self.data[q].item()
+
+    def gather(self, mins, maxs, offsets):
+        """read() at every point of the box [mins, maxs) shifted by offsets,
+        as an array over the buffer's axes; None instead of raising when any
+        clamped point falls outside the mapped region. Only the first
+        len(offsets) axes of the box are used."""
+        axes = [
+            np.clip(np.arange(lo + off, hi + off), elo, ehi - 1)
+            for lo, hi, off, elo, ehi in zip(
+                mins, maxs, offsets, self.extent.mins, self.extent.maxs)
+        ]
+        hit = Box(tuple(int(a[0]) for a in axes), tuple(int(a[-1]) + 1 for a in axes))
+        inside = any(b.contains_box(hit) for b in self.region) or \
+            self.region.contains_region(Region.from_box(hit))
+        return self.data[np.ix_(*axes)] if inside else None

@@ -11,23 +11,31 @@ Time is kept as exact rationals end to end so accounting identities hold
 structurally; values become floats only at serialization.
 
 Data movement is replayed for real: each node has its own backing array per
-buffer, a Push copies the region's cells out at push time (the payload is in
-flight from that moment), and the matching AwaitPush lands the cells in the
-destination array. Execute snapshots its read views before writing so
-in-place updates within one task see pre-task data.
+buffer. A Push copies its region out as one array slice per box when the Push
+starts (the payload is in flight from that moment), and the matching
+AwaitPush lands those slices in the destination array. Execute snapshots its
+read views before writing so in-place updates within one task see pre-task
+data.
+
+Each (task, write accessor) body is compiled once per run and evaluates a
+whole write box per call. A box the compiled program declines is re-run
+through the scalar reference, which raises the exact error of the first
+failing id. Every float result is stored with NaNs in canonical form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .energy import exec_time
 from .errors import ValidationError
-from .kernel import eval_kernel
+# bench/tracing.py counts per-cell kernel evaluations by wrapping this module's
+# eval_kernel. The simulator makes none (its error path goes through eval_box),
+# so the name stays only for that wrapper to find.
+from .kernel import compile_kernel, eval_box, eval_kernel  # noqa: F401
 from .model import ELEMENT_BYTES, ReadView
 from .scheduler import AwaitPushCommand, ExecuteCommand, Plan, PushCommand
 
@@ -73,9 +81,22 @@ class RunResult:
     plan: Plan
 
 
-def _iter_region_cells(region):
-    for box in region:
-        yield from product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs)))
+# The quiet NaN that JSON `NaN` and Python's float("nan") are.
+_CANONICAL_NAN = np.uint64(0x7FF8000000000000).view(np.float64)
+
+
+def _index(box):
+    """Array index of a box; buffer extents start at 0."""
+    return tuple(slice(lo, hi) for lo, hi in zip(box.mins, box.maxs))
+
+
+def _store(arr, box, values, integer):
+    """Write one box of kernel results: the single place where both
+    evaluators' results land, so NaNs are made canonical here."""
+    dst = arr[_index(box)]
+    dst[...] = values
+    if not integer:
+        dst[np.isnan(dst)] = _CANONICAL_NAN
 
 
 class _Storage:
@@ -117,7 +138,8 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
 
     finish_time: dict[int, Fraction] = {}
     lane_free: dict[int, Fraction] = {n: Fraction(0) for n in range(plan.node_count)}
-    payloads: dict[int, list] = {}  # push id -> [(cell index, value)]
+    payloads: dict[int, list] = {}  # push id -> [(box index, values)]
+    kernels = {}  # (task id, write accessor) -> compiled body
     trace: list[TraceEvent] = []
     done = 0
 
@@ -143,19 +165,18 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                     storage.array(bufname, node).copy(),
                     context=f"task '{task.name}'",
                 )
-            out = {
-                name: (storage.array(bufname, node), bufname, region)
-                for name, bufname, region, _v in cmd.writes
-            }
-            params = task.params
-            for wname, (arr, bufname, region) in out.items():
-                buf = buffers[bufname]
+            for wname, bufname, region, _v in cmd.writes:
                 expr = task.body[wname]
-                integer = buf.element_kind == "int64"
-                base = buf.extent.mins
-                for point in _iter_region_cells(region):
-                    val = eval_kernel(expr, point, views, params, integer=integer)
-                    arr[tuple(p - b for p, b in zip(point, base))] = val
+                integer = buffers[bufname].element_kind == "int64"
+                key = (cmd.task_id, wname)
+                if key not in kernels:
+                    kernels[key] = compile_kernel(expr, integer)
+                arr = storage.array(bufname, node)
+                for box in region:
+                    values = kernels[key](box, views, task.params)
+                    if values is None:
+                        values = eval_box(expr, box, views, task.params, integer)
+                    _store(arr, box, values, integer)
 
             trace.append(TraceEvent(
                 kind="execute", node=node, command_id=cid, start=start, duration=dur,
@@ -166,14 +187,10 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
         elif isinstance(cmd, PushCommand):
             start = dep_ready
             dur = link.transfer_time(cmd.bytes)
-            buf = buffers[cmd.buffer]
             src_arr = storage.array(cmd.buffer, cmd.src)
-            base = buf.extent.mins
-            payload = []
-            for point in _iter_region_cells(cmd.region):
-                local = tuple(p - b for p, b in zip(point, base))
-                payload.append((local, src_arr[local]))
-            payloads[cid] = payload
+            payloads[cid] = [
+                (index, src_arr[index].copy()) for index in map(_index, cmd.region)
+            ]
             trace.append(TraceEvent(
                 kind="push", node=cmd.src, command_id=cid, start=start, duration=dur,
                 bytes=cmd.bytes,
@@ -184,8 +201,8 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             start = dep_ready
             dur = Fraction(0)
             dst_arr = storage.array(cmd.buffer, cmd.dst)
-            for local, value in payloads[cmd.push_id]:
-                dst_arr[local] = value
+            for index, values in payloads.pop(cmd.push_id):
+                dst_arr[index] = values
             trace.append(TraceEvent(
                 kind="await_push", node=cmd.dst, command_id=cid, start=start, duration=dur,
                 bytes=ELEMENT_BYTES * cmd.region.volume(),
@@ -212,13 +229,10 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
         buf = buffers[name]
         out = storage.array(name, 0).copy() if buf.init.is_initialized else np.zeros(
             buf.extent.shape, dtype=buf.dtype)
-        base = buf.extent.mins
         for region, _version, holders in entries:
-            src = min(holders)
-            arr = storage.array(name, src)
-            for point in _iter_region_cells(region):
-                local = tuple(p - b for p, b in zip(point, base))
-                out[local] = arr[local]
+            arr = storage.array(name, min(holders))
+            for index in map(_index, region):
+                out[index] = arr[index]
         final[name] = out
 
     return RunResult(buffers=final, trace=trace, makespan=makespan, plan=plan)

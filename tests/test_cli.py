@@ -1,10 +1,16 @@
 """End-to-end CLI runs: artifacts on disk, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clusterq
 from clusterq import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusterq.__file__)))
 
 
 def run_cli(*argv):
@@ -92,6 +98,52 @@ def test_run_int64_dump_values_are_integers(tmp_path):
     assert dump["element_kind"] == "int64"
     assert dump["values"] == [0, 3, 6, 9, 12, 15]
     assert all(isinstance(v, int) for v in dump["values"])
+
+
+def int_body_scenario(body):
+    return {"buffers": [{"name": "z", "extent": [2], "element_kind": "int64"}],
+            "tasks": [{"name": "t", "range": [2], "writes": ["z"], "body": body}]}
+
+
+def test_run_int64_max_literal_is_accepted(tmp_path):
+    scn = write_scenario(tmp_path, int_body_scenario("9223372036854775807 - i"))
+    out = tmp_path / "out"
+    assert run_cli("run", scn, "--out", str(out)) == 0
+    assert read_json(out / "buf_z.json")["values"] == [2 ** 63 - 1, 2 ** 63 - 2]
+
+
+@pytest.mark.parametrize("body", ["18446744073709551616", "18446744073709551616 / 2"])
+def test_run_int64_literal_beyond_range_exits_2(tmp_path, capsys, body):
+    scn = write_scenario(tmp_path, int_body_scenario(body))
+    assert run_cli("run", scn, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "literal 18446744073709551616 in an int64 expression" in err
+    assert "[-2**63, 2**63)" in err
+
+
+def test_run_computed_nan_meets_nan_expectation(tmp_path):
+    data = {"buffers": [{"name": "z", "extent": [2]}],
+            "tasks": [{"name": "t", "range": [2], "writes": ["z"],
+                       "body": "1 / 0 - 1 / 0"}],
+            "expectations": [{"buffer": "z", "values": [float("nan")] * 2}]}
+    scn = write_scenario(tmp_path, data)
+    assert run_cli("run", scn, "--nodes", "2", "--out", str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("body, want", [
+    (" + ".join(["i"] * 950), [0.0, 950.0, 1900.0]),
+    ("(" * 240 + "i + 1" + ")" * 240, [1.0, 2.0, 3.0]),
+], ids=["sum_of_950_terms", "240_nested_parentheses"])
+def test_run_deep_kernels(tmp_path, body, want):
+    # A fresh interpreter, as `clusterq run` gets, not pytest's deep stack.
+    data = {"buffers": [{"name": "z", "extent": [3]}],
+            "tasks": [{"name": "t", "range": [3], "writes": ["z"], "body": body}]}
+    scn = write_scenario(tmp_path, data)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "clusterq.cli", "run", scn, "--out", str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(out / "buf_z.json")["values"] == want
 
 
 def test_run_expectation_failure_exits_2(tmp_path, capsys):

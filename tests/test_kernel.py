@@ -3,9 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from clusterq.errors import EvalError, KernelNameError, KernelSyntaxError
+from clusterq.errors import EvalError, KernelNameError, KernelSyntaxError, MapperViolationError
 from clusterq.kernel import (
     BinOp,
     IdComponent,
@@ -13,12 +14,16 @@ from clusterq.kernel import (
     Num,
     Param,
     Read,
+    compile_kernel,
+    eval_box,
     eval_kernel,
     format_kernel,
     parse_kernel,
     walk,
     wrap_i64,
 )
+from clusterq.model import ReadView
+from clusterq.region import Box, Region
 
 
 class FakeView:
@@ -240,3 +245,95 @@ def test_eval_reads_apply_offsets():
     e = parse_kernel("s[i.0+1, i.1-1]", {"s": 2}, set(), 2)
     views = {"s": FakeView({(3, 1): 42.0})}
     assert eval_kernel(e, (2, 2), views, {}) == 42.0
+
+
+# ------------------------------------------------------------- compiled kernels
+
+I64_MIN, I64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+def box_views(region=None, **arrays):
+    """Read views over whole arrays; region, when given, bounds every view."""
+    views = {}
+    for name, arr in arrays.items():
+        extent = Box.from_shape(arr.shape)
+        views[name] = ReadView(name, name, region or Region.from_box(extent), extent, arr)
+    return views
+
+
+def both(expr, box, views, params=None, integer=False):
+    """Compiled and reference values over box; the compiled ones must exist."""
+    got = compile_kernel(expr, integer)(box, views, params or {})
+    assert got is not None
+    assert got.shape == box.shape
+    return got, eval_box(expr, box, views, params or {}, integer)
+
+
+def test_compiled_matches_reference_on_a_clamped_stencil():
+    views = box_views(s=np.arange(20.0).reshape(4, 5))
+    e = parse_kernel("s[i.0-1, i.1] + s[i.0+1, i.1] * s[i.0, i.1-2] - i.1 / 3 * p",
+                     {"s": 2}, {"p"}, 2)
+    for box in (Box((0, 0), (4, 5)), Box((1, 2), (3, 5))):
+        got, want = both(e, box, views, {"p": 1.5})
+        assert got.tobytes() == want.tobytes()
+
+
+def test_compiled_read_with_fewer_axes_broadcasts():
+    views = box_views(v=np.array([1.0, 2.0, 3.0]))
+    e = parse_kernel("v[i.0] * 10 + i.1", {"v": 1}, set(), 2)
+    got, want = both(e, Box((1, 0), (3, 4)), views)
+    assert got.tolist() == want.tolist() == [[20, 21, 22, 23], [30, 31, 32, 33]]
+
+
+def test_compiled_int_division_truncates_and_wraps():
+    pairs = [(7, 2), (-7, 2), (7, -2), (-7, -2), (I64_MIN, -1), (I64_MIN, 3),
+             (I64_MAX, -1), (I64_MIN, I64_MIN), (5, I64_MIN), (0, -3)]
+    views = box_views(a=np.array([a for a, _ in pairs]), b=np.array([b for _, b in pairs]))
+    e = parse_kernel("a[i] / b[i]", {"a": 1, "b": 1}, set(), 1)
+    got, want = both(e, Box((0,), (len(pairs),)), views, integer=True)
+    assert got.tolist() == want.tolist() == [3, -3, -3, 3, I64_MIN, -3074457345618258602,
+                                             -I64_MAX, 1, 0, 0]
+
+
+def test_compiled_int_arithmetic_wraps():
+    e = parse_kernel("-(p * 4) + (9223372036854775807 + 1) - i", set(), {"p"}, 1)
+    got, want = both(e, Box((0,), (3,)), {}, {"p": 2 ** 62}, integer=True)
+    assert got.tolist() == want.tolist() == [I64_MIN, I64_MAX, I64_MAX - 1]
+
+
+def test_compiled_float_division_matches_ieee_div():
+    vals = np.array([1.0, -1.0, 0.0, -0.0, math.inf, 2.0])
+    views = box_views(a=vals, b=np.array([0.0, 0.0, 0.0, -0.0, -0.0, 3.0]))
+    e = parse_kernel("a[i] / b[i]", {"a": 1, "b": 1}, set(), 1)
+    got, want = both(e, Box((0,), (6,)), views)
+    same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all()
+
+
+def test_compiled_constant_body_fills_the_box():
+    got, want = both(parse_kernel("2 * 3", {}, set(), 2), Box((0, 0), (2, 3)), {},
+                     integer=True)
+    assert got.tolist() == want.tolist() == [[6, 6, 6], [6, 6, 6]]
+
+
+def test_compiled_declines_where_reference_raises():
+    box = Box((0,), (4,))
+    views = box_views(b=np.array([1, 2, 0, 4]))
+    e = parse_kernel("8 / b[i]", {"b": 1}, set(), 1)
+    assert compile_kernel(e, integer=True)(box, views, {}) is None
+    with pytest.raises(EvalError, match=r"at id \(2,\)"):
+        eval_box(e, box, views, {}, integer=True)
+
+    views = box_views(Region(1, [Box((0,), (3,))]), x=np.arange(4.0))
+    e = parse_kernel("x[i+1]", {"x": 1}, set(), 1)
+    assert compile_kernel(e)(box, views, {}) is None
+    with pytest.raises(MapperViolationError, match=r"read \(3,\)"):
+        eval_box(e, box, views, {})
+
+
+def test_compiled_deep_tree_needs_no_recursion():
+    e = Num(1)
+    for _ in range(5000):
+        e = BinOp("-", e, Neg(Num(1)))
+    got = compile_kernel(e, integer=True)(Box((0,), (2,)), {}, {})
+    assert got.tolist() == [5001, 5001]

@@ -1,6 +1,7 @@
 """Buffers, range mappers, task validation, and runtime read views."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,40 @@ def test_init_validation():
         Buffer("b", EXTENT8, "float64", BufferInit.explicit([1, 2]))  # wrong length
     with pytest.raises(ValidationError):
         Buffer("b", EXTENT8, "complex", BufferInit.zeros())
+
+
+def test_int64_init_accepts_exactly_the_int64_range():
+    top, bottom = 2 ** 63 - 1, -(2 ** 63)
+    for value in (top, bottom, 3.0, -(2.0 ** 63)):
+        arr = Buffer("b", EXTENT8, "int64", BufferInit.constant(value)).init.materialize(
+            EXTENT8, "int64")
+        assert arr.tolist() == [int(value)] * 8
+    vals = [top, bottom, 2.0 ** 62, 0, -1, 5, 6, 7]
+    arr = Buffer("b", EXTENT8, "int64", BufferInit.explicit(vals)).init.materialize(
+        EXTENT8, "int64")
+    assert arr.tolist() == [int(v) for v in vals]
+    for value in (2 ** 63, bottom - 1, 2.0 ** 63, 0.5, float("nan"), "3"):
+        with pytest.raises(ValidationError, match=r"constant init .* is not an integer"):
+            Buffer("b", EXTENT8, "int64", BufferInit.constant(value))
+        with pytest.raises(ValidationError, match=rf"init value {re.escape(repr(value))} "
+                                                  r"at index 3"):
+            Buffer("b", EXTENT8, "int64", BufferInit.explicit([0, 1, 2, value] + [0] * 4))
+
+
+def test_validate_int64_params_and_literals_in_range():
+    bufs = std_buffers(x="int64", z="int64")
+    reads = [("x", "x", OneToOne())]
+    ok = make_task("x[i] * p + 9223372036854775807", reads=reads,
+                   params={"p": -(2 ** 63)}, buffers=bufs)
+    validate_task(ok, bufs)
+    for params, text, named in (
+            ({"p": 2 ** 63}, "x[i] * p", "parameter 'p' = 9223372036854775808"),
+            ({"p": 2.5}, "x[i] * p", "parameter 'p' = 2.5"),
+            ({}, "x[i] * 18446744073709551616", "literal 18446744073709551616"),
+            ({}, "x[i] * 1.5", "literal 1.5")):
+        t = make_task(text, reads=reads, params=params, buffers=bufs)
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            validate_task(t, bufs)
 
 
 def test_uninitialized_flag():
