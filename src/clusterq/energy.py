@@ -40,7 +40,6 @@ class DeviceModel:
     p_dyn_ref_w: float = 10.0
     alpha_exp: float = 3.0
     throughput_ref: float = 1e9  # elements per second at f_ref
-    node: Optional[int] = None
 
     def __post_init__(self):
         levels = tuple(float(f) for f in self.levels_ghz)

@@ -93,12 +93,6 @@ class TaskGraph:
     def predecessors(self, tid: int) -> list[int]:
         return sorted({e.src for e in self.edges if e.dst == tid})
 
-    def full_reads(self, tid: int) -> dict[str, Region]:
-        return self._reads[tid]
-
-    def full_writes(self, tid: int) -> dict[str, Region]:
-        return self._writes[tid]
-
     def topological_order(self) -> list[int]:
         """Submission order; edges always point forward."""
         return [t.id for t in self.tasks]

@@ -160,11 +160,16 @@ class _Parser:
         m = _NUMBER.match(self.text, self.pos)
         if not m:
             raise KernelSyntaxError("malformed number", self.pos)
-        self.pos = m.end()
+        start, self.pos = self.pos, m.end()
         tok = m.group(0)
         if "." in tok or "e" in tok or "E" in tok:
             return float(tok)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # more digits than the interpreter converts
+            raise KernelSyntaxError(
+                f"integer literal of {len(tok)} digits is too long", start
+            ) from None
 
     def id_axis(self, start):
         """Axis for an `i` already consumed; handles the 1D bare-i shorthand."""
@@ -231,9 +236,14 @@ def parse_kernel(text, reads, params, dims) -> Expr:
     """Parse kernel text against declared read accessors and parameters.
 
     reads maps accessor name to its index arity; params is the set of scalar
-    parameter names; dims is the kernel's iteration dimensionality.
+    parameter names; dims is the kernel's iteration dimensionality. Text
+    nested too deeply for the interpreter's stack is a syntax error.
     """
-    return _Parser(text, reads, params, dims).parse()
+    parser = _Parser(text, reads, params, dims)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise KernelSyntaxError("expression nested too deeply", parser.pos) from None
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -277,13 +287,18 @@ def format_kernel(expr) -> str:
 
 
 def walk(expr):
-    """Yield every node of the expression tree, depth first."""
-    yield expr
-    if isinstance(expr, Neg):
-        yield from walk(expr.operand)
-    elif isinstance(expr, BinOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
+    """Yield every node of the expression tree, depth first, each node before
+    its operands and left before right. Iterative, so deep trees need no
+    recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 _I64_HALF = 1 << 63

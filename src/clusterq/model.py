@@ -24,6 +24,7 @@ ELEMENT_BYTES = 8
 
 
 INT64_RANGE = "an integer in [-2**63, 2**63)"
+BINARY64_RANGE = "within the binary64 range"
 
 
 def is_int64(value) -> bool:
@@ -32,6 +33,15 @@ def is_int64(value) -> bool:
     if isinstance(value, float):
         return value.is_integer() and -(2.0 ** 63) <= value < 2.0 ** 63
     return isinstance(value, (int, np.integer)) and -(2 ** 63) <= value < 2 ** 63
+
+
+def is_binary64(value) -> bool:
+    """Whether value converts to a binary64 float; a large int overflows."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 class AccessMode(enum.Enum):
@@ -435,6 +445,11 @@ def validate_task(task: Task, buffers) -> None:
                     raise ValidationError(
                         f"task '{task.name}': literal {node.value!r} in an int64 expression "
                         f"is not {INT64_RANGE}"
+                    )
+                if not integer and not is_binary64(node.value):
+                    raise ValidationError(
+                        f"task '{task.name}': literal {node.value!r} in a float64 expression "
+                        f"is not {BINARY64_RANGE}"
                     )
 
 

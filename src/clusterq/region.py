@@ -106,10 +106,6 @@ def _require_same_dims(a, b):
         raise DimensionError(f"dimension mismatch: {a.dims} vs {b.dims}")
 
 
-def box_intersect(a: Box, b: Box):
-    return a.intersect(b)
-
-
 def box_subtract(a: Box, b: Box) -> list[Box]:
     """Disjoint boxes covering the cells of a not in b.
 
@@ -294,22 +290,6 @@ def _from_disjoint(dims: int, boxes: list[Box]) -> Region:
     object.__setattr__(r, "dims", dims)
     object.__setattr__(r, "boxes", _canonical(dims, boxes))
     return r
-
-
-def region_union(a: Region, b: Region) -> Region:
-    return a.union(b)
-
-
-def region_intersect(a: Region, b: Region) -> Region:
-    return a.intersect(b)
-
-
-def region_difference(a: Region, b: Region) -> Region:
-    return a.difference(b)
-
-
-def region_volume(r: Region) -> int:
-    return r.volume()
 
 
 def normalize(r: Region) -> Region:

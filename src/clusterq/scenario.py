@@ -5,10 +5,13 @@ bodies as text, and optionally the machine shape (node count, device models,
 link) plus a queue-wide frequency target and expected output values for
 self-checking runs. Parsing is strict: unknown keys, bad dimensions and
 kernel grammar errors are reported with the JSON path of the offending field.
+Each kind of JSON object is declared once, as a table of its fields that
+gives each field's parser and default.
 """
 
 import json
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Optional
 
@@ -22,6 +25,7 @@ from .model import (
     Accessor,
     AccessMode,
     All,
+    BINARY64_RANGE,
     Buffer,
     BufferInit,
     Fixed,
@@ -29,6 +33,7 @@ from .model import (
     OneToOne,
     Slice,
     Task,
+    is_binary64,
 )
 from .region import Box, Region
 from .scheduler import Plan, generate_commands
@@ -46,54 +51,111 @@ class Scenario:
     expectations: list[tuple[str, list]] = field(default_factory=list)
 
 
-def _type_name(value):
-    return type(value).__name__
+REQUIRED = object()  # the default of a field that must be given
 
 
-def _req(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ScenarioError(f"{path}: missing required field '{key}'")
-    return obj[key]
+def _of_type(types, noun):
+    """Parser that accepts instances of types, but never a bool."""
+    def parse(value, path: str):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ScenarioError(f"{path}: expected {noun}, got {type(value).__name__}")
+        return value
+    return parse
 
 
-def _check_keys(obj: dict, allowed: set, path: str):
+_as_int = _of_type(int, "an integer")
+_as_number = _of_type((int, float), "a number")
+_as_str = _of_type(str, "a string")
+_as_list = _of_type(list, "a list")
+_as_dict = _of_type(dict, "an object")
+
+
+def _number(value, path: str):
+    # The simulator computes in binary64, so every number must convert to it.
+    if not is_binary64(_as_number(value, path)):
+        raise ScenarioError(f"{path}: integer is not {BINARY64_RANGE}")
+    return value
+
+
+def _list_of(parse):
+    """Parser for a list whose items parse reads."""
+    def parse_list(value, path: str) -> list:
+        return [parse(item, f"{path}[{i}]") for i, item in enumerate(_as_list(value, path))]
+    return parse_list
+
+
+def _optional(parse):
+    """Parser that reads null as None."""
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _make(build, path: str, **kwargs):
+    """build(**kwargs), with a value it rejects (as Box does, by ValueError) named by path."""
+    try:
+        return build(**kwargs)
+    except (ClusterqError, ValueError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _read(value, path: str, table: dict) -> dict:
+    """Read a JSON object by its field table, which maps every allowed key,
+    in the order the fields are checked, to (parse, default). A given field
+    is parse(value, path); an absent one takes a copy of default, or is an
+    error when default is REQUIRED."""
+    obj = _as_dict(value, path)
     for key in obj:
-        if key not in allowed:
+        if key not in table:
             raise ScenarioError(f"{path}.{key}: unknown field")
+    out = {}
+    for key, (parse, default) in table.items():
+        if key in obj:
+            out[key] = parse(obj[key], f"{path}.{key}")
+        elif default is REQUIRED:
+            raise ScenarioError(f"{path}: missing required field '{key}'")
+        else:
+            out[key] = copy(default)
+    return out
 
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}: expected an integer, got {_type_name(value)}")
-    return value
+def _object(build, table: dict):
+    """Parser that reads an object by table and passes its fields to build."""
+    return lambda value, path: _make(build, path, **_read(value, path, table))
 
 
-def _as_number(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {_type_name(value)}")
-    return value
+def _tagged(what: str, kinds: dict, shorthand_error):
+    """Parser for an object {"kind": k, ...} whose other fields kinds[k] =
+    (table, build) declares. A kind without other fields may be written as
+    the bare string k, and null stands for the first such kind."""
+    shorthands = [kind for kind, (table, _) in kinds.items() if not table]
+
+    def parse(value, path: str):
+        if value is None:
+            value = shorthands[0]
+        if isinstance(value, str):
+            if value not in shorthands:
+                raise ScenarioError(f"{path}: {shorthand_error(value, shorthands)}")
+            value = {"kind": value}
+        obj = _as_dict(value, path)
+        if "kind" not in obj:
+            raise ScenarioError(f"{path}: missing required field 'kind'")
+        kind = _as_str(obj["kind"], f"{path}.kind")
+        if kind not in kinds:
+            raise ScenarioError(f"{path}.kind: unknown {what} kind '{kind}'")
+        table, build = kinds[kind]
+        kwargs = _read({key: v for key, v in obj.items() if key != "kind"}, path, table)
+        return _make(build, path, **kwargs)
+    return parse
 
 
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}: expected a string, got {_type_name(value)}")
-    return value
-
-
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected a list, got {_type_name(value)}")
-    return value
-
-
-def _as_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: expected an object, got {_type_name(value)}")
-    return value
+def _positive(value, path: str) -> int:
+    count = _as_int(value, path)
+    if count < 1:
+        raise ScenarioError(f"{path}: must be at least 1, got {count}")
+    return count
 
 
 def _shape_box(value, path: str) -> Box:
-    sizes = [_as_int(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+    sizes = _list_of(_as_int)(value, path)
     if not 1 <= len(sizes) <= 3:
         raise ScenarioError(f"{path}: expected 1 to 3 sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
@@ -101,357 +163,216 @@ def _shape_box(value, path: str) -> Box:
     return Box.from_shape(tuple(sizes))
 
 
-def _init_from_json(value, path: str) -> BufferInit:
-    if value is None:
-        return BufferInit.zeros()
-    if isinstance(value, str):
-        kinds = {
-            "zeros": BufferInit.zeros,
-            "iota": BufferInit.iota,
-            "uninitialized": BufferInit.uninitialized,
-        }
-        if value not in kinds:
-            raise ScenarioError(
-                f"{path}: unknown init shorthand '{value}' "
-                f"(expected one of {sorted(kinds)})"
-            )
-        return kinds[value]()
-    obj = _as_dict(value, path)
-    kind = _as_str(_req(obj, "kind", path), f"{path}.kind")
-    if kind == "zeros":
-        _check_keys(obj, {"kind"}, path)
-        return BufferInit.zeros()
-    if kind == "iota":
-        _check_keys(obj, {"kind"}, path)
-        return BufferInit.iota()
-    if kind == "uninitialized":
-        _check_keys(obj, {"kind"}, path)
-        return BufferInit.uninitialized()
-    if kind == "constant":
-        _check_keys(obj, {"kind", "value"}, path)
-        return BufferInit.constant(_as_number(_req(obj, "value", path), f"{path}.value"))
-    if kind == "values":
-        _check_keys(obj, {"kind", "values"}, path)
-        values = _as_list(_req(obj, "values", path), f"{path}.values")
-        vals = [_as_number(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
-        return BufferInit.explicit(vals)
-    raise ScenarioError(f"{path}.kind: unknown init kind '{kind}'")
-
-
-def _buffer_from_json(obj, path: str) -> Buffer:
-    obj = _as_dict(obj, path)
-    _check_keys(obj, {"name", "extent", "element_kind", "init"}, path)
-    name = _as_str(_req(obj, "name", path), f"{path}.name")
-    extent = _shape_box(_req(obj, "extent", path), f"{path}.extent")
-    kind = obj.get("element_kind", "float64")
-    kind = _as_str(kind, f"{path}.element_kind")
-    init = _init_from_json(obj.get("init"), f"{path}.init")
+def _target(value, path: str) -> EnergyTarget:
     try:
-        return Buffer(name=name, extent=extent, element_kind=kind, init=init)
-    except ClusterqError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        return EnergyTarget(_as_str(value, path))
+    except ValueError:
+        raise ScenarioError(
+            f"{path}: unknown target '{value}' "
+            f"(expected one of {[t.value for t in EnergyTarget]})"
+        ) from None
 
 
-def _region_from_json(value, path: str) -> Region:
-    boxes = []
-    for i, item in enumerate(_as_list(value, path)):
-        bpath = f"{path}[{i}]"
-        obj = _as_dict(item, bpath)
-        _check_keys(obj, {"min", "max"}, bpath)
-        mins = [_as_int(v, f"{bpath}.min[{j}]")
-                for j, v in enumerate(_as_list(_req(obj, "min", bpath), f"{bpath}.min"))]
-        maxs = [_as_int(v, f"{bpath}.max[{j}]")
-                for j, v in enumerate(_as_list(_req(obj, "max", bpath), f"{bpath}.max"))]
-        try:
-            boxes.append(Box(tuple(mins), tuple(maxs)))
-        except ClusterqError as exc:
-            raise ScenarioError(f"{bpath}: {exc}") from exc
+INIT_KINDS = {
+    "zeros": ({}, BufferInit.zeros),
+    "iota": ({}, BufferInit.iota),
+    "uninitialized": ({}, BufferInit.uninitialized),
+    "constant": ({"value": (_number, REQUIRED)}, BufferInit.constant),
+    "values": ({"values": (_list_of(_number), REQUIRED)}, BufferInit.explicit),
+}
+_init = _tagged("init", INIT_KINDS, lambda value, names: (
+    f"unknown init shorthand '{value}' (expected one of {sorted(names)})"
+))
+
+
+def _region(value, path: str) -> Region:
+    boxes = _list_of(_object(lambda **box: Box(box["min"], box["max"]), {
+        "min": (_list_of(_as_int), REQUIRED),
+        "max": (_list_of(_as_int), REQUIRED),
+    }))(value, path)
     if not boxes:
         raise ScenarioError(f"{path}: fixed region needs at least one box")
-    try:
-        return Region(boxes[0].dims, boxes)
-    except ClusterqError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return _make(Region, path, dims=boxes[0].dims, boxes=boxes)
 
 
-def _mapper_from_json(value, path: str):
-    if value is None:
-        return OneToOne()
-    if isinstance(value, str):
-        names = {"one_to_one": OneToOne, "all": All}
-        if value not in names:
-            raise ScenarioError(
-                f"{path}: unknown mapper '{value}' (shorthand accepts "
-                f"'one_to_one' or 'all'; others need an object with 'kind')"
-            )
-        return names[value]()
-    obj = _as_dict(value, path)
-    kind = _as_str(_req(obj, "kind", path), f"{path}.kind")
-    if kind == "one_to_one":
-        _check_keys(obj, {"kind"}, path)
-        return OneToOne()
-    if kind == "all":
-        _check_keys(obj, {"kind"}, path)
-        return All()
-    if kind == "neighborhood":
-        _check_keys(obj, {"kind", "radius", "radii"}, path)
-        if "radii" in obj:
-            radii = [_as_int(v, f"{path}.radii[{i}]")
-                     for i, v in enumerate(_as_list(obj["radii"], f"{path}.radii"))]
-        elif "radius" in obj:
-            radii = [_as_int(obj["radius"], f"{path}.radius")]
-        else:
-            raise ScenarioError(f"{path}: neighborhood needs 'radius' or 'radii'")
-        try:
-            return Neighborhood(tuple(radii))
-        except ClusterqError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-    if kind == "fixed":
-        _check_keys(obj, {"kind", "region"}, path)
-        return Fixed(_region_from_json(_req(obj, "region", path), f"{path}.region"))
-    if kind == "slice":
-        _check_keys(obj, {"kind", "dim"}, path)
-        dim = _as_int(_req(obj, "dim", path), f"{path}.dim")
-        try:
-            return Slice(dim)
-        except ClusterqError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.kind: unknown mapper kind '{kind}'")
+def _neighborhood(radii, radius) -> Neighborhood:
+    if radii is None and radius is None:
+        raise ScenarioError("neighborhood needs 'radius' or 'radii'")
+    return Neighborhood(tuple(radii) if radii is not None else (radius,))
 
 
-def _accessor_from_json(obj, mode: AccessMode, path: str) -> Accessor:
-    if isinstance(obj, str):
-        return Accessor(buffer=obj, mode=mode)
-    obj = _as_dict(obj, path)
-    _check_keys(obj, {"buffer", "name", "mapper"}, path)
-    buffer = _as_str(_req(obj, "buffer", path), f"{path}.buffer")
-    name = obj.get("name")
-    if name is not None:
-        name = _as_str(name, f"{path}.name")
-    mapper = _mapper_from_json(obj.get("mapper"), f"{path}.mapper")
-    return Accessor(buffer=buffer, mode=mode, mapper=mapper, name=name or buffer)
+_mapper = _tagged("mapper", {
+    "one_to_one": ({}, OneToOne),
+    "all": ({}, All),
+    "neighborhood": (
+        {"radii": (_list_of(_as_int), None), "radius": (_as_int, None)}, _neighborhood
+    ),
+    "fixed": ({"region": (_region, REQUIRED)}, Fixed),
+    "slice": ({"dim": (_as_int, REQUIRED)}, lambda dim: Slice(dim)),
+}, lambda value, names: (
+    f"unknown mapper '{value}' (shorthand accepts {' or '.join(map(repr, names))}; "
+    f"others need an object with 'kind')"
+))
+
+BUFFER = {
+    "name": (_as_str, REQUIRED),
+    "extent": (_shape_box, REQUIRED),
+    "element_kind": (_as_str, "float64"),
+    "init": (_init, BufferInit.zeros()),
+}
+
+ACCESSOR = {
+    "buffer": (_as_str, REQUIRED),
+    "name": (_optional(_as_str), None),
+    "mapper": (_mapper, OneToOne()),
+}
 
 
-def _task_from_json(obj, path: str, buffers_by_name: dict) -> Task:
-    obj = _as_dict(obj, path)
-    _check_keys(
-        obj, {"name", "range", "reads", "writes", "body", "params", "beta", "target"}, path
-    )
-    name = _as_str(_req(obj, "name", path), f"{path}.name")
-    rng = _shape_box(_req(obj, "range", path), f"{path}.range")
-    reads = [
-        _accessor_from_json(a, AccessMode.READ, f"{path}.reads[{i}]")
-        for i, a in enumerate(_as_list(obj.get("reads", []), f"{path}.reads"))
-    ]
-    writes = [
-        _accessor_from_json(a, AccessMode.WRITE, f"{path}.writes[{i}]")
-        for i, a in enumerate(_as_list(_req(obj, "writes", path), f"{path}.writes"))
-    ]
-    params = {}
-    for pname, pval in _as_dict(obj.get("params", {}), f"{path}.params").items():
-        params[pname] = _as_number(pval, f"{path}.params.{pname}")
-    beta = _as_number(obj.get("beta", 0.0), f"{path}.beta")
-    target = None
-    if obj.get("target") is not None:
-        tname = _as_str(obj["target"], f"{path}.target")
-        try:
-            target = EnergyTarget(tname)
-        except ValueError:
-            raise ScenarioError(
-                f"{path}.target: unknown target '{tname}' "
-                f"(expected one of {[t.value for t in EnergyTarget]})"
-            ) from None
+def _accessor(mode: AccessMode):
+    """Parser for an accessor object, or a bare buffer name, of this mode."""
+    def parse(value, path: str) -> Accessor:
+        f = _read({"buffer": value} if isinstance(value, str) else value, path, ACCESSOR)
+        return Accessor(f["buffer"], mode, f["mapper"], name=f["name"] or f["buffer"])
+    return parse
 
-    body_json = _req(obj, "body", path)
-    if isinstance(body_json, str):
+
+def _params(value, path: str) -> dict:
+    return {name: _number(v, f"{path}.{name}") for name, v in _as_dict(value, path).items()}
+
+
+def _body(value, path: str):
+    """A bare expression string, or an object of them by write accessor."""
+    return value if isinstance(value, str) else _as_dict(value, path)
+
+
+TASK = {
+    "name": (_as_str, REQUIRED),
+    "range": (_shape_box, REQUIRED),
+    "reads": (_list_of(_accessor(AccessMode.READ)), []),
+    "writes": (_list_of(_accessor(AccessMode.WRITE)), REQUIRED),
+    "params": (_params, {}),
+    "beta": (_number, 0.0),
+    "target": (_optional(_target), None),
+    "body": (_body, REQUIRED),
+}
+
+
+def _task(value, path: str, buffers: dict) -> Task:
+    f = _read(value, path, TASK)
+    reads, writes, body = f["reads"], f["writes"], f["body"]
+    if isinstance(body, str):
         if len(writes) != 1:
             raise ScenarioError(
                 f"{path}.body: a bare expression string needs exactly one "
                 f"write accessor, task has {len(writes)}"
             )
-        body_json = {writes[0].name: body_json}
-    body_json = _as_dict(body_json, f"{path}.body")
+        body = {writes[0].name: body}
 
-    read_arity = {}
-    for acc in reads:
-        buf = buffers_by_name.get(acc.buffer)
-        if buf is None:
-            raise ScenarioError(f"{path}.reads: unknown buffer '{acc.buffer}'")
-        read_arity[acc.name] = buf.dims
-    for acc in writes:
-        if acc.buffer not in buffers_by_name:
-            raise ScenarioError(f"{path}.writes: unknown buffer '{acc.buffer}'")
+    for key, accessors in (("reads", reads), ("writes", writes)):
+        for acc in accessors:
+            if acc.buffer not in buffers:
+                raise ScenarioError(f"{path}.{key}: unknown buffer '{acc.buffer}'")
+    read_arity = {acc.name: buffers[acc.buffer].dims for acc in reads}
 
-    body = {}
-    for wname, text in body_json.items():
+    kernels = {}
+    for wname, text in body.items():
         text = _as_str(text, f"{path}.body.{wname}")
-        try:
-            body[wname] = parse_kernel(text, read_arity, set(params), rng.dims)
-        except ClusterqError as exc:
-            raise ScenarioError(f"{path}.body.{wname}: {exc}") from exc
-
-    return Task(
-        name=name,
-        global_range=rng,
-        accessors=reads + writes,
-        body=body,
-        params=params,
-        beta=beta,
-        target=target,
-    )
+        kernels[wname] = _make(parse_kernel, f"{path}.body.{wname}", text=text,
+                               reads=read_arity, params=set(f["params"]), dims=f["range"].dims)
+    return Task(name=f["name"], global_range=f["range"], accessors=reads + writes, body=kernels,
+                params=f["params"], beta=f["beta"], target=f["target"])
 
 
-def _device_from_json(obj, path: str) -> DeviceModel:
-    obj = _as_dict(obj, path)
-    allowed = {
-        "levels_ghz", "f_ref_ghz", "p_static_w", "p_dyn_ref_w",
-        "alpha_exp", "throughput_ref",
-    }
-    _check_keys(obj, allowed, path)
-    kwargs = {}
-    if "levels_ghz" in obj:
-        levels = _as_list(obj["levels_ghz"], f"{path}.levels_ghz")
-        kwargs["levels_ghz"] = tuple(
-            _as_number(v, f"{path}.levels_ghz[{i}]") for i, v in enumerate(levels)
+def _model_table(model, parsers: dict) -> dict:
+    """Table of a model dataclass's fields and defaults, read as numbers or by parsers."""
+    return {f.name: (parsers.get(f.name, _number), f.default) for f in fields(model)}
+
+
+DEVICE = _model_table(DeviceModel, {"levels_ghz": _list_of(_number)})
+LINK = _model_table(LinkModel, {})
+
+
+def _devices(value, path: str) -> list:
+    devices = _list_of(_object(DeviceModel, DEVICE))(value, path)
+    if not devices:
+        raise ScenarioError(f"{path}: must not be empty")
+    return devices
+
+
+def _expectation(value, path: str, buffers: dict) -> tuple[str, list]:
+    f = _read(value, path, {
+        "buffer": (_as_str, REQUIRED),
+        "values": (_list_of(_number), REQUIRED),
+    })
+    name, values = f["buffer"], f["values"]
+    if name not in buffers:
+        raise ScenarioError(f"{path}.buffer: unknown buffer '{name}'")
+    volume = buffers[name].extent.volume()
+    if len(values) != volume:
+        raise ScenarioError(
+            f"{path}.values: expected {volume} values for buffer '{name}', got {len(values)}"
         )
-    for key in ("f_ref_ghz", "p_static_w", "p_dyn_ref_w", "alpha_exp", "throughput_ref"):
-        if key in obj:
-            kwargs[key] = _as_number(obj[key], f"{path}.{key}")
-    try:
-        return DeviceModel(**kwargs)
-    except ClusterqError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return name, values
+
+
+SCENARIO = {
+    "nodes": (_optional(_positive), None),
+    "device": (_optional(_object(DeviceModel, DEVICE)), None),
+    "devices": (_optional(_devices), None),
+    "link": (_optional(_object(LinkModel, LINK)), None),
+    "target": (_optional(_target), None),
+    "queue_target": (_optional(_target), None),
+    "buffers": (_list_of(_object(Buffer, BUFFER)), []),
+    # Task and expectation items name buffers, so they are read once the
+    # buffer table is known.
+    "tasks": (_as_list, []),
+    "expectations": (_as_list, []),
+}
 
 
 def scenario_from_dict(data: dict, path: str = "scenario") -> Scenario:
     data = _as_dict(data, path)
-    allowed = {
-        "nodes", "device", "devices", "link", "target", "queue_target",
-        "buffers", "tasks", "expectations",
-    }
-    _check_keys(data, allowed, path)
+    for one, other in (("device", "devices"), ("target", "queue_target")):
+        if one in data and other in data:
+            raise ScenarioError(f"{path}: give either '{one}' or '{other}', not both")
+    f = _read(data, path, SCENARIO)
 
-    nodes = None
-    if data.get("nodes") is not None:
-        nodes = _as_int(data["nodes"], f"{path}.nodes")
-        if nodes < 1:
-            raise ScenarioError(f"{path}.nodes: must be at least 1, got {nodes}")
-
-    devices = None
-    if "device" in data and "devices" in data:
-        raise ScenarioError(f"{path}: give either 'device' or 'devices', not both")
-    if data.get("device") is not None:
-        devices = [_device_from_json(data["device"], f"{path}.device")]
-    elif data.get("devices") is not None:
-        items = _as_list(data["devices"], f"{path}.devices")
-        if not items:
-            raise ScenarioError(f"{path}.devices: must not be empty")
-        devices = [
-            _device_from_json(d, f"{path}.devices[{i}]") for i, d in enumerate(items)
-        ]
-
-    link = None
-    if data.get("link") is not None:
-        lobj = _as_dict(data["link"], f"{path}.link")
-        _check_keys(lobj, {"latency_s", "bandwidth_bytes_per_s"}, f"{path}.link")
-        try:
-            link = LinkModel(
-                latency_s=_as_number(lobj.get("latency_s", 1e-6), f"{path}.link.latency_s"),
-                bandwidth_bytes_per_s=_as_number(
-                    lobj.get("bandwidth_bytes_per_s", 1e9),
-                    f"{path}.link.bandwidth_bytes_per_s",
-                ),
-            )
-        except ClusterqError as exc:
-            raise ScenarioError(f"{path}.link: {exc}") from exc
-
-    if "target" in data and "queue_target" in data:
-        raise ScenarioError(f"{path}: give either 'target' or 'queue_target', not both")
-    target_json = data.get("target", data.get("queue_target"))
-    queue_target = None
-    if target_json is not None:
-        tname = _as_str(target_json, f"{path}.target")
-        try:
-            queue_target = EnergyTarget(tname)
-        except ValueError:
-            raise ScenarioError(
-                f"{path}.target: unknown target '{tname}' "
-                f"(expected one of {[t.value for t in EnergyTarget]})"
-            ) from None
-
-    buffers = [
-        _buffer_from_json(b, f"{path}.buffers[{i}]")
-        for i, b in enumerate(_as_list(data.get("buffers", []), f"{path}.buffers"))
-    ]
-    by_name = {}
-    for i, buf in enumerate(buffers):
-        if buf.name in by_name:
+    buffers = {}
+    for i, buf in enumerate(f["buffers"]):
+        if buf.name in buffers:
             raise ScenarioError(f"{path}.buffers[{i}]: duplicate buffer name '{buf.name}'")
-        by_name[buf.name] = buf
+        buffers[buf.name] = buf
 
-    tasks = [
-        _task_from_json(t, f"{path}.tasks[{i}]", by_name)
-        for i, t in enumerate(_as_list(data.get("tasks", []), f"{path}.tasks"))
-    ]
+    tasks = [_task(t, f"{path}.tasks[{i}]", buffers) for i, t in enumerate(f["tasks"])]
+    expectations = [_expectation(e, f"{path}.expectations[{i}]", buffers)
+                    for i, e in enumerate(f["expectations"])]
+    return Scenario(buffers=f["buffers"], tasks=tasks, nodes=f["nodes"],
+                    devices=[f["device"]] if f["device"] is not None else f["devices"],
+                    link=f["link"], queue_target=f["target"] or f["queue_target"],
+                    expectations=expectations)
 
-    expectations = []
-    for i, item in enumerate(_as_list(data.get("expectations", []), f"{path}.expectations")):
-        epath = f"{path}.expectations[{i}]"
-        obj = _as_dict(item, epath)
-        _check_keys(obj, {"buffer", "values"}, epath)
-        bname = _as_str(_req(obj, "buffer", epath), f"{epath}.buffer")
-        if bname not in by_name:
-            raise ScenarioError(f"{epath}.buffer: unknown buffer '{bname}'")
-        values = [
-            _as_number(v, f"{epath}.values[{j}]")
-            for j, v in enumerate(_as_list(_req(obj, "values", epath), f"{epath}.values"))
-        ]
-        if len(values) != by_name[bname].extent.volume():
-            raise ScenarioError(
-                f"{epath}.values: expected {by_name[bname].extent.volume()} values "
-                f"for buffer '{bname}', got {len(values)}"
-            )
-        expectations.append((bname, values))
 
-    return Scenario(
-        buffers=buffers,
-        tasks=tasks,
-        nodes=nodes,
-        devices=devices,
-        link=link,
-        queue_target=queue_target,
-        expectations=expectations,
-    )
+def _model_to_json(obj, table: dict) -> dict:
+    """The fields of obj that table declares, as JSON values."""
+    values = {key: getattr(obj, key) for key in table}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
 
 def _init_to_json(init: BufferInit):
-    if init.kind == "zeros":
-        return "zeros"
-    if init.kind == "iota":
-        return "iota"
-    if init.kind == "uninitialized":
-        return "uninitialized"
-    if init.kind == "constant":
-        return {"kind": "constant", "value": init.value}
-    return {"kind": "values", "values": list(init.values)}
+    table = INIT_KINDS[init.kind][0]
+    return {"kind": init.kind, **_model_to_json(init, table)} if table else init.kind
 
 
 def _mapper_to_json(mapper):
-    if isinstance(mapper, OneToOne):
-        return "one_to_one"
-    if isinstance(mapper, All):
-        return "all"
+    if isinstance(mapper, (OneToOne, All)):
+        return str(mapper)
     if isinstance(mapper, Neighborhood):
         return {"kind": "neighborhood", "radii": list(mapper.radii)}
     if isinstance(mapper, Slice):
         return {"kind": "slice", "dim": mapper.axis}
     if isinstance(mapper, Fixed):
-        return {
-            "kind": "fixed",
-            "region": [
-                {"min": list(b.mins), "max": list(b.maxs)} for b in mapper.region
-            ],
-        }
+        region = [{"min": list(b.mins), "max": list(b.maxs)} for b in mapper.region]
+        return {"kind": "fixed", "region": region}
     raise ScenarioError(f"cannot serialize mapper {type(mapper).__name__}")
 
 
@@ -471,22 +392,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if scenario.nodes is not None:
         data["nodes"] = scenario.nodes
     if scenario.devices is not None:
-        data["devices"] = [
-            {
-                "levels_ghz": list(d.levels_ghz),
-                "f_ref_ghz": d.f_ref_ghz,
-                "p_static_w": d.p_static_w,
-                "p_dyn_ref_w": d.p_dyn_ref_w,
-                "alpha_exp": d.alpha_exp,
-                "throughput_ref": d.throughput_ref,
-            }
-            for d in scenario.devices
-        ]
+        data["devices"] = [_model_to_json(d, DEVICE) for d in scenario.devices]
     if scenario.link is not None:
-        data["link"] = {
-            "latency_s": scenario.link.latency_s,
-            "bandwidth_bytes_per_s": scenario.link.bandwidth_bytes_per_s,
-        }
+        data["link"] = _model_to_json(scenario.link, LINK)
     if scenario.queue_target is not None:
         data["target"] = scenario.queue_target.value
     data["buffers"] = [
@@ -527,7 +435,7 @@ def load_scenario(path) -> Scenario:
         text = fh.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(data, path=str(path))
 

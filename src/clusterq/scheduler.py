@@ -226,13 +226,11 @@ def generate_commands(
     node_count: int,
     devices=None,
     queue_target: EnergyTarget = EnergyTarget.MAX_PERF,
-    table: Optional[RegionMapTable] = None,
 ) -> Plan:
     if node_count < 1:
         raise ValidationError("node count must be at least 1")
     devices = _resolve_devices(devices, node_count)
-    if table is None:
-        table = RegionMapTable(graph.buffers)
+    table = RegionMapTable(graph.buffers)
 
     commands: list[Command] = []
     exec_ids_by_task: dict[int, list[int]] = {}

@@ -146,6 +146,36 @@ def test_run_deep_kernels(tmp_path, body, want):
     assert read_json(out / "buf_z.json")["values"] == want
 
 
+@pytest.mark.parametrize("body, rc, message", [
+    (" + ".join(["i"] * 1500), 0, ""),
+    ("(" * 1200 + "i" + ")" * 1200, 2, "scn.json.tasks[0].body.z: expression nested too deeply"),
+], ids=["sum_of_1500_terms", "1200_nested_parentheses"])
+def test_run_deeper_kernels_end_without_traceback(tmp_path, body, rc, message):
+    data = {"buffers": [{"name": "z", "extent": [3]}],
+            "tasks": [{"name": "t", "range": [3], "writes": ["z"], "body": body}]}
+    scn = write_scenario(tmp_path, data)
+    proc = subprocess.run([sys.executable, "-m", "clusterq.cli", "run", scn,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == rc, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"link": {"latency_s": 10 ** 400}},
+     "link.latency_s: integer is not within the binary64 range"),
+    ({"expectations": [{"buffer": "z", "values": [10 ** 400] + [0] * 5}]},
+     "expectations[0].values[0]: integer is not within the binary64 range"),
+    ({"tasks": [{"name": "t", "range": [6], "writes": ["z"], "body": "1" + "0" * 400}],
+      "buffers": [{"name": "z", "extent": [6]}], "expectations": []},
+     "literal 1" + "0" * 400 + " in a float64 expression is not within the binary64 range"),
+], ids=["link_latency", "int64_expectation", "float_literal"])
+def test_run_number_beyond_binary64_exits_2(tmp_path, capsys, change, message):
+    scn = write_scenario(tmp_path, {**INT_SCENARIO, "nodes": 1, **change})
+    assert run_cli("run", scn, "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_expectation_failure_exits_2(tmp_path, capsys):
     data = dict(INT_SCENARIO)
     data["expectations"] = [{"buffer": "z", "values": [0, 3, 6, 9, 12, 99]}]

@@ -139,8 +139,21 @@ def test_parse_syntax_error_positions():
 def test_walk_visits_all_nodes():
     e = parse1("alpha * x[i] + 1", reads={"x": 1}, params={"alpha"})
     kinds = [type(n).__name__ for n in walk(e)]
-    assert kinds.count("BinOp") == 2
-    assert "Param" in kinds and "Read" in kinds and "Num" in kinds
+    assert kinds == ["BinOp", "BinOp", "Param", "Read", "Num"]
+
+
+def test_walk_deep_tree_needs_no_recursion():
+    e = parse1(" + ".join(["i"] * 5000))
+    nodes = list(walk(e))
+    assert len(nodes) == 9999
+    assert isinstance(nodes[0], BinOp) and isinstance(nodes[-1], IdComponent)
+
+
+def test_parse_rejects_what_the_parser_cannot_hold():
+    with pytest.raises(KernelSyntaxError, match="nested too deeply"):
+        parse1("(" * 5000 + "1" + ")" * 5000)
+    with pytest.raises(KernelSyntaxError, match="integer literal of 5001 digits is too long"):
+        parse1("1" + "0" * 5000)
 
 
 def test_format_round_trip_fixed_cases():

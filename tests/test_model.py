@@ -118,6 +118,16 @@ def test_validate_int64_params_and_literals_in_range():
             validate_task(t, bufs)
 
 
+def test_validate_float_literal_must_fit_binary64():
+    bufs = std_buffers()
+    largest = int(1.7976931348623157e308)
+    validate_task(make_task(f"1e999 + {largest}", buffers=bufs), bufs)
+    t = make_task(str(10 ** 400), buffers=bufs)
+    with pytest.raises(ValidationError, match=r"literal 10+ in a float64 expression is not "
+                                              r"within the binary64 range"):
+        validate_task(t, bufs)
+
+
 def test_uninitialized_flag():
     assert not BufferInit.uninitialized().is_initialized
     assert BufferInit.zeros().is_initialized

@@ -1,9 +1,13 @@
 """Scenario JSON parsing, serialization round-trips, and scenario runs."""
 
+import copy
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterq.energy import EnergyTarget
 from clusterq.errors import ScenarioError
@@ -205,6 +209,50 @@ def test_mapper_and_init_error_paths():
         r"fixed region needs at least one box")
 
 
+def test_error_paths_name_the_exact_key():
+    err({**MINIMAL, "link": {"latency_s": "fast"}},
+        r"^scenario\.link\.latency_s: expected a number, got str$")
+    err({**MINIMAL, "link": {"latency_s": -1.0}},
+        r"^scenario\.link: link latency must be nonnegative$")
+    err({**MINIMAL, "queue_target": "TURBO"},
+        r"^scenario\.queue_target: unknown target 'TURBO'")
+    err({**MINIMAL, "queue_target": 3},
+        r"^scenario\.queue_target: expected a string, got int$")
+
+
+def test_numbers_must_fit_binary64():
+    huge = 10 ** 400
+    task = MINIMAL["tasks"][0]
+    buffer = MINIMAL["buffers"][0]
+    for data, path in (
+            ({**MINIMAL, "tasks": [{**task, "params": {"p": huge}}]}, "tasks[0].params.p"),
+            ({**MINIMAL, "tasks": [{**task, "beta": huge}]}, "tasks[0].beta"),
+            ({"buffers": [{**buffer, "init": {"kind": "constant", "value": huge}}]},
+             "buffers[0].init.value"),
+            ({"buffers": [{**buffer, "element_kind": "int64",
+                           "init": {"kind": "values", "values": [0, huge, 0, 0]}}]},
+             "buffers[0].init.values[1]"),
+            ({**MINIMAL, "expectations": [{"buffer": "x", "values": [huge, 0, 0, 0]}]},
+             "expectations[0].values[0]"),
+            ({**MINIMAL, "device": {"p_static_w": huge}}, "device.p_static_w"),
+            ({**MINIMAL, "device": {"levels_ghz": [1.0, huge]}}, "device.levels_ghz[1]"),
+            ({**MINIMAL, "link": {"latency_s": huge}}, "link.latency_s")):
+        err(data, rf"^{re.escape('scenario.' + path)}: integer is not within the binary64 range$")
+    # The largest integer binary64 holds is accepted.
+    big = int(1.7976931348623157e308)
+    s = scenario_from_dict({**MINIMAL, "tasks": [{**task, "params": {"p": big}}]})
+    assert s.tasks[0].params == {"p": big}
+
+
+def test_fixed_box_with_min_above_max_names_the_box():
+    data = {"buffers": [{"name": "x", "extent": [4]}, {"name": "z", "extent": [4]}],
+            "tasks": [{"name": "t", "range": [4], "writes": ["z"], "body": "1.0",
+                       "reads": [{"buffer": "x", "mapper": {
+                           "kind": "fixed", "region": [{"min": [2], "max": [1]}]}}]}]}
+    err(data, r"^scenario\.tasks\[0\]\.reads\[0\]\.mapper\.region\[0\]: "
+              r"box bound 2 exceeds 1$")
+
+
 def test_expectation_validation():
     base = {"buffers": [{"name": "x", "extent": [4]}]}
     err({**base, "expectations": [{"buffer": "y", "values": [0, 0, 0, 0]}]},
@@ -216,6 +264,10 @@ def test_expectation_validation():
 def test_load_rejects_invalid_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ScenarioError, match="invalid JSON"):
+        load_scenario(p)
+    # An integer with more digits than the interpreter converts.
+    p.write_text('{"nodes": 1' + "0" * 5000 + "}", encoding="utf-8")
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario(p)
 
@@ -256,6 +308,61 @@ def test_bundled_saxpy_contents():
     assert all(b.extent.volume() == 8 for b in s.buffers)
     assert len(s.tasks) == 1 and s.tasks[0].params == {"alpha": 2}
     assert s.expectations and s.expectations[0][0] == "z"
+
+
+# --------------------------------------------------------------- mutated input
+
+def _bundled(name):
+    with open(bundled_scenario_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+BUNDLED = {name: _bundled(name) for name in ("saxpy", "stencil", "pipeline")}
+ODD_VALUES = (None, True, 0, -1, 2, 2 ** 63, 10 ** 400, 0.5, -0.0, math.nan, math.inf,
+              "", "x", "MIN_EDP", "all", [], [0], [1, 2], {}, {"kind": "x"})
+KEYS = sorted({"bogus", "nodes", "device", "devices", "link", "target", "queue_target",
+               "buffers", "tasks", "expectations", "name", "extent", "element_kind", "init",
+               "kind", "value", "values", "range", "reads", "writes", "body", "params",
+               "beta", "buffer", "mapper", "radius", "radii", "dim", "region", "min", "max",
+               "levels_ghz", "f_ref_ghz", "p_static_w", "latency_s"})
+
+
+def _containers(node, path=()):
+    """Paths to every object and list in a JSON document."""
+    if isinstance(node, (dict, list)):
+        yield path
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _containers(child, path + (key,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BUNDLED)), data=st.data())
+def test_mutated_bundled_scenario_parses_or_raises_scenario_error(name, data):
+    # Parse only: a mutated extent could ask the simulator for any amount of memory.
+    doc = copy.deepcopy(BUNDLED[name])
+    path = data.draw(st.sampled_from(list(_containers(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    value = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES)))
+    if isinstance(node, list):
+        if node:
+            node[data.draw(st.integers(0, len(node) - 1))] = value
+    elif node and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(node)))
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = value
+    else:
+        node[data.draw(st.sampled_from(KEYS))] = value
+    try:
+        first = scenario_to_dict(scenario_from_dict(doc))
+    except ScenarioError:
+        return
+    again = scenario_to_dict(scenario_from_dict(first))
+    assert json.dumps(again) == json.dumps(first)
 
 
 # ------------------------------------------------------------------------ runs
