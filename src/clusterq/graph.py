@@ -8,6 +8,11 @@ always point from an earlier to a later submission, so the graph is acyclic by
 construction and submission order is a topological order. Host initialization
 is a virtual task with id 0; it seeds the scheduler's region table rather than
 appearing as a graph node.
+
+Each task also records its predecessor set and its ancestors as a bitset (a
+Python int with bit p set for every task p it transitively depends on), so
+the predecessors that no other predecessor already implies are found without
+walking the graph.
 """
 
 import enum
@@ -43,6 +48,9 @@ class TaskGraph:
         # Full-range mapped regions per task id, split by mode.
         self._reads: dict[int, dict[str, Region]] = {}
         self._writes: dict[int, dict[str, Region]] = {}
+        # Predecessor ids and ancestor bitset per task id; index 0 is unused.
+        self._preds: list[set[int]] = [set()]
+        self._ancestors: list[int] = [0]
 
     def submit(self, task: Task) -> int:
         validate_task(task, self.buffers)
@@ -64,34 +72,49 @@ class TaskGraph:
             else:
                 target[acc.buffer] = mapped
 
+        preds = set()
         for earlier in self.tasks:
             eid = earlier.id
             for buffer in sorted(set(self._reads[eid]) | set(self._writes[eid])):
                 ew = self._writes[eid].get(buffer)
                 er = self._reads[eid].get(buffer)
-                if ew is not None and buffer in reads:
-                    conflict = ew.intersect(reads[buffer])
-                    if conflict:
-                        self.edges.append(Edge(eid, tid, DepKind.RAW, buffer, conflict))
-                if er is not None and buffer in writes:
-                    conflict = er.intersect(writes[buffer])
-                    if conflict:
-                        self.edges.append(Edge(eid, tid, DepKind.WAR, buffer, conflict))
-                if ew is not None and buffer in writes:
-                    conflict = ew.intersect(writes[buffer])
-                    if conflict:
-                        self.edges.append(Edge(eid, tid, DepKind.WAW, buffer, conflict))
+                for kind, old, new in (
+                    (DepKind.RAW, ew, reads), (DepKind.WAR, er, writes), (DepKind.WAW, ew, writes)
+                ):
+                    if old is not None and buffer in new and old.overlaps(new[buffer]):
+                        conflict = old.intersect(new[buffer])
+                        self.edges.append(Edge(eid, tid, kind, buffer, conflict))
+                        preds.add(eid)
 
+        ancestors = 0
+        for p in preds:
+            ancestors |= (1 << p) | self._ancestors[p]
         self.tasks.append(task)
         self._reads[tid] = reads
         self._writes[tid] = writes
+        self._preds.append(preds)
+        self._ancestors.append(ancestors)
         return tid
 
     def task(self, tid: int) -> Task:
         return self.tasks[tid - 1]
 
     def predecessors(self, tid: int) -> list[int]:
-        return sorted({e.src for e in self.edges if e.dst == tid})
+        return sorted(self._preds[tid])
+
+    def reduced_predecessors(self, tid: int) -> list[int]:
+        """Predecessors that are not an ancestor of another predecessor: the
+        edges into tid that survive transitive reduction."""
+        covered = 0
+        kept = []
+        # Edges point forward, so a predecessor can only be reached through
+        # one with a higher id: walk them from the highest down.
+        for p in sorted(self._preds[tid], reverse=True):
+            if not (covered >> p) & 1:
+                kept.append(p)
+                covered |= self._ancestors[p]
+        kept.reverse()
+        return kept
 
     def topological_order(self) -> list[int]:
         """Submission order; edges always point forward."""
@@ -102,6 +125,8 @@ class TaskGraph:
         for t in self.tasks:
             lines.append(f'  T{t.id} [label="T{t.id}: {t.name}"];')
         for e in self.edges:
-            lines.append(f'  T{e.src} -> T{e.dst} [label="{e.kind.value} {e.buffer}"];')
+            lines.append(
+                f'  T{e.src} -> T{e.dst} [label="{e.kind.value} {e.buffer} {e.region}"];'
+            )
         lines.append("}")
         return "\n".join(lines) + "\n"

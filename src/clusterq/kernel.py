@@ -258,32 +258,37 @@ def _prec(expr) -> int:
 
 
 def format_kernel(expr) -> str:
-    """Canonical text for an expression; reparsing yields an identical tree."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Param):
-        return expr.name
-    if isinstance(expr, IdComponent):
-        return f"i.{expr.axis}"
-    if isinstance(expr, Read):
-        idx = ", ".join(
-            f"i.{j}" if off == 0 else f"i.{j}{off:+d}" for j, off in enumerate(expr.offsets)
-        )
-        return f"{expr.accessor}[{idx}]"
-    if isinstance(expr, Neg):
-        inner = format_kernel(expr.operand)
-        if _prec(expr.operand) < 4:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, BinOp):
-        left = format_kernel(expr.left)
-        if _prec(expr.left) < _PREC[expr.op]:
-            left = f"({left})"
-        right = format_kernel(expr.right)
-        if _prec(expr.right) <= _PREC[expr.op]:
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
-    raise TypeError(f"not a kernel expression: {expr!r}")
+    """Canonical text for an expression; reparsing yields an identical tree.
+    Iterative, so deep trees need no recursion."""
+    texts = []  # the text of each operand not yet consumed
+    for node in _postorder(expr):
+        if isinstance(node, Num):
+            texts.append(repr(node.value))
+        elif isinstance(node, Param):
+            texts.append(node.name)
+        elif isinstance(node, IdComponent):
+            texts.append(f"i.{node.axis}")
+        elif isinstance(node, Read):
+            idx = ", ".join(
+                f"i.{j}" if off == 0 else f"i.{j}{off:+d}" for j, off in enumerate(node.offsets)
+            )
+            texts.append(f"{node.accessor}[{idx}]")
+        elif isinstance(node, Neg):
+            inner = texts[-1]
+            if _prec(node.operand) < 4:
+                inner = f"({inner})"
+            texts[-1] = f"-{inner}"
+        elif isinstance(node, BinOp):
+            right = texts.pop()
+            if _prec(node.right) <= _PREC[node.op]:
+                right = f"({right})"
+            left = texts[-1]
+            if _prec(node.left) < _PREC[node.op]:
+                left = f"({left})"
+            texts[-1] = f"{left} {node.op} {right}"
+        else:
+            raise TypeError(f"not a kernel expression: {node!r}")
+    return texts[0]
 
 
 def walk(expr):
@@ -319,52 +324,65 @@ def _ieee_div(a: float, b: float) -> float:
 
 def eval_kernel(expr, idx, views, params, integer=False):
     """Evaluate one element. idx is the global id tuple; views maps accessor
-    name to a read view exposing read(point); params maps name to value."""
-    if isinstance(expr, Num):
-        return int(expr.value) if integer else float(expr.value)
-    if isinstance(expr, Param):
-        v = params[expr.name]
-        return int(v) if integer else float(v)
-    if isinstance(expr, IdComponent):
-        v = idx[expr.axis]
-        return v if integer else float(v)
-    if isinstance(expr, Read):
-        point = tuple(idx[j] + off for j, off in enumerate(expr.offsets))
-        v = views[expr.accessor].read(point)
-        return int(v) if integer else float(v)
-    if isinstance(expr, Neg):
-        v = eval_kernel(expr.operand, idx, views, params, integer)
-        return wrap_i64(-v) if integer else -v
-    if isinstance(expr, BinOp):
-        a = eval_kernel(expr.left, idx, views, params, integer)
-        b = eval_kernel(expr.right, idx, views, params, integer)
-        op = expr.op
-        if integer:
-            if op == "+":
-                return wrap_i64(a + b)
-            if op == "-":
-                return wrap_i64(a - b)
-            if op == "*":
-                return wrap_i64(a * b)
-            if b == 0:
-                raise EvalError(f"integer division by zero at id {idx}")
-            q = abs(a) // abs(b)
-            return wrap_i64(-q if (a < 0) != (b < 0) else q)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return _ieee_div(a, b)
-    raise TypeError(f"not a kernel expression: {expr!r}")
+    name to a read view exposing read(point); params maps name to value.
+    Iterative, so deep trees need no recursion."""
+    return _eval(_postorder(expr), idx, views, params, integer)
+
+
+def _eval(order, idx, views, params, integer):
+    """eval_kernel over the nodes in _postorder's evaluation order."""
+    stack = []
+    for node in order:
+        if isinstance(node, BinOp):
+            b = stack.pop()
+            a = stack[-1]
+            op = node.op
+            if integer:
+                if op == "+":
+                    v = wrap_i64(a + b)
+                elif op == "-":
+                    v = wrap_i64(a - b)
+                elif op == "*":
+                    v = wrap_i64(a * b)
+                elif b == 0:
+                    raise EvalError(f"integer division by zero at id {idx}")
+                else:
+                    q = abs(a) // abs(b)
+                    v = wrap_i64(-q if (a < 0) != (b < 0) else q)
+            elif op == "+":
+                v = a + b
+            elif op == "-":
+                v = a - b
+            elif op == "*":
+                v = a * b
+            else:
+                v = _ieee_div(a, b)
+            stack[-1] = v
+        elif isinstance(node, Neg):
+            stack[-1] = wrap_i64(-stack[-1]) if integer else -stack[-1]
+        elif isinstance(node, Num):
+            stack.append(int(node.value) if integer else float(node.value))
+        elif isinstance(node, Param):
+            v = params[node.name]
+            stack.append(int(v) if integer else float(v))
+        elif isinstance(node, IdComponent):
+            v = idx[node.axis]
+            stack.append(v if integer else float(v))
+        elif isinstance(node, Read):
+            point = tuple(idx[j] + off for j, off in enumerate(node.offsets))
+            v = views[node.accessor].read(point)
+            stack.append(int(v) if integer else float(v))
+        else:
+            raise TypeError(f"not a kernel expression: {node!r}")
+    return stack[0]
 
 
 def eval_box(expr, box, views, params, integer=False) -> np.ndarray:
     """eval_kernel at every id of box in row-major order, as an array of the
     box's shape. It raises the error of the first failing id."""
+    order = _postorder(expr)
     points = product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs)))
-    values = [eval_kernel(expr, point, views, params, integer) for point in points]
+    values = [_eval(order, point, views, params, integer) for point in points]
     return np.array(values, dtype=np.int64 if integer else np.float64).reshape(box.shape)
 
 

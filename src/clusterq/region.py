@@ -59,11 +59,12 @@ class Box:
     def intersect(self, other: "Box"):
         """Intersection box, or None when it has zero volume."""
         _require_same_dims(self, other)
-        mins = tuple(max(a, b) for a, b in zip(self.mins, other.mins))
-        maxs = tuple(min(a, b) for a, b in zip(self.maxs, other.maxs))
-        if any(lo >= hi for lo, hi in zip(mins, maxs)):
-            return None
-        return Box(mins, maxs)
+        mins = tuple(map(max, self.mins, other.mins))
+        maxs = tuple(map(min, self.maxs, other.maxs))
+        for lo, hi in zip(mins, maxs):
+            if lo >= hi:
+                return None
+        return _box(mins, maxs)
 
     def contains_box(self, other: "Box") -> bool:
         _require_same_dims(self, other)
@@ -106,6 +107,15 @@ def _require_same_dims(a, b):
         raise DimensionError(f"dimension mismatch: {a.dims} vs {b.dims}")
 
 
+def _box(mins: tuple, maxs: tuple) -> Box:
+    """Box from int tuples an internal operation derived from valid boxes,
+    built without the checks of Box.__post_init__."""
+    b = object.__new__(Box)
+    object.__setattr__(b, "mins", mins)
+    object.__setattr__(b, "maxs", maxs)
+    return b
+
+
 def box_subtract(a: Box, b: Box) -> list[Box]:
     """Disjoint boxes covering the cells of a not in b.
 
@@ -123,9 +133,9 @@ def box_subtract(a: Box, b: Box) -> list[Box]:
         lo_post = a.mins[k + 1 :]
         hi_post = a.maxs[k + 1 :]
         if a.mins[k] < ib.mins[k]:
-            out.append(Box(lo_pre + (a.mins[k],) + lo_post, hi_pre + (ib.mins[k],) + hi_post))
+            out.append(_box(lo_pre + (a.mins[k],) + lo_post, hi_pre + (ib.mins[k],) + hi_post))
         if ib.maxs[k] < a.maxs[k]:
-            out.append(Box(lo_pre + (ib.maxs[k],) + lo_post, hi_pre + (a.maxs[k],) + hi_post))
+            out.append(_box(lo_pre + (ib.maxs[k],) + lo_post, hi_pre + (a.maxs[k],) + hi_post))
     return out
 
 
@@ -142,7 +152,7 @@ def _merge_axis(boxes: list[Box], axis: int):
         cur = group[0]
         for nxt in group[1:]:
             if cur.maxs[axis] == nxt.mins[axis]:
-                cur = Box(cur.mins, cur.maxs[:axis] + (nxt.maxs[axis],) + cur.maxs[axis + 1 :])
+                cur = _box(cur.mins, cur.maxs[:axis] + (nxt.maxs[axis],) + cur.maxs[axis + 1 :])
                 changed = True
             else:
                 out.append(cur)
@@ -152,7 +162,9 @@ def _merge_axis(boxes: list[Box], axis: int):
 
 
 def _canonical(dims: int, boxes) -> tuple[Box, ...]:
-    boxes = [b for b in boxes if not b.is_empty()]
+    """Canonical form of pairwise disjoint, non-empty boxes."""
+    if len(boxes) < 2:
+        return tuple(boxes)
     # Greedy per-dimension merging can expose new adjacencies in earlier
     # dimensions, so iterate to a fixed point; that makes normalization
     # idempotent by construction.
@@ -231,6 +243,19 @@ class Region:
             pieces = [q for p in pieces for q in box_subtract(p, b)]
         return _from_disjoint(self.dims, pieces)
 
+    def overlaps(self, other: "Region") -> bool:
+        """Whether the regions share a cell; bool(self.intersect(other)),
+        without building the intersection."""
+        self._check(other)
+        for a in self.boxes:
+            for b in other.boxes:
+                for alo, ahi, blo, bhi in zip(a.mins, a.maxs, b.mins, b.maxs):
+                    if alo >= bhi or blo >= ahi:
+                        break
+                else:
+                    return True
+        return False
+
     def intersect_box(self, box: Box) -> "Region":
         return self.intersect(Region.from_box(box))
 
@@ -285,7 +310,8 @@ class Region:
 
 
 def _from_disjoint(dims: int, boxes: list[Box]) -> Region:
-    """Build a Region from boxes already known to be pairwise disjoint."""
+    """Build a Region from non-empty boxes already known to be pairwise
+    disjoint."""
     r = Region.__new__(Region)
     object.__setattr__(r, "dims", dims)
     object.__setattr__(r, "boxes", _canonical(dims, boxes))

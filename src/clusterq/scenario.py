@@ -52,6 +52,9 @@ class Scenario:
 
 
 REQUIRED = object()  # the default of a field that must be given
+# Cells in one buffer at most: 128 MiB of 8-byte elements, and any node may
+# come to hold a full copy of every buffer.
+MAX_EXTENT_VOLUME = 2 ** 24
 
 
 def _of_type(types, noun):
@@ -163,6 +166,13 @@ def _shape_box(value, path: str) -> Box:
     return Box.from_shape(tuple(sizes))
 
 
+def _extent(value, path: str) -> Box:
+    box = _shape_box(value, path)
+    if box.volume() > MAX_EXTENT_VOLUME:
+        raise ScenarioError(f"{path}: more than the maximum of {MAX_EXTENT_VOLUME} cells")
+    return box
+
+
 def _target(value, path: str) -> EnergyTarget:
     try:
         return EnergyTarget(_as_str(value, path))
@@ -216,7 +226,7 @@ _mapper = _tagged("mapper", {
 
 BUFFER = {
     "name": (_as_str, REQUIRED),
-    "extent": (_shape_box, REQUIRED),
+    "extent": (_extent, REQUIRED),
     "element_kind": (_as_str, "float64"),
     "init": (_init, BufferInit.zeros()),
 }

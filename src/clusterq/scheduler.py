@@ -10,10 +10,14 @@ Execute per chunk. After a task, written regions get a bumped version with the
 writer as sole holder, and transferred regions gain the destination as holder,
 so re-reading resident data never produces a second transfer.
 
-An Execute depends on its AwaitPushes, on every Execute of each task-graph
-predecessor, and on same-task Pushes leaving its node whose region overlaps
-the Execute's writes (the data must leave before it is overwritten in place).
-A Push depends on the command that produced its data on the source node.
+An Execute depends on its AwaitPushes, on every Execute of each direct
+task-graph predecessor, and on same-task Pushes leaving its node whose region
+overlaps the Execute's writes (the data must leave before it is overwritten in
+place). A Push depends on the command that produced its data on the source
+node. A predecessor task that is an ancestor of another predecessor adds no
+dependency: every task has at least one Execute, so the other predecessor's
+Executes already wait for its Executes. Reachability is unchanged, and the
+number of dependencies grows linearly with the queue length.
 """
 
 from dataclasses import dataclass, field
@@ -118,12 +122,17 @@ class _Entry:
 
 
 class RegionMapTable:
-    """Tracks buffer sub-regions to (version, holder nodes)."""
+    """Tracks buffer sub-regions to (version, holder nodes).
+
+    The covered region of a buffer, the union of its entries, is computed
+    once and kept until add_holder or write changes the buffer's entries.
+    """
 
     def __init__(self, buffers):
         self.buffers = dict(buffers)
         self.entries: dict[str, list[_Entry]] = {}
         self.version_counter: dict[str, int] = {}
+        self._covered: dict[str, Region] = {}
         for name, buf in self.buffers.items():
             if buf.init.is_initialized:
                 full = Region.from_box(buf.extent)
@@ -142,20 +151,21 @@ class RegionMapTable:
         return out
 
     def covered_region(self, buffer: str) -> Region:
-        dims = self.buffers[buffer].dims
-        out = Region.empty(dims)
-        for e in self.entries[buffer]:
-            out = out.union(e.region)
-        return out
+        if buffer not in self._covered:
+            out = Region.empty(self.buffers[buffer].dims)
+            for e in self.entries[buffer]:
+                out = out.union(e.region)
+            self._covered[buffer] = out
+        return self._covered[buffer]
 
     def add_holder(self, buffer: str, region: Region, node: int, producer: Optional[int]):
         """Record that `node` now also holds `region` at its current version."""
         new_entries = []
         for e in self.entries[buffer]:
-            part = e.region.intersect(region)
-            if part.is_empty():
+            if not e.region.overlaps(region):
                 new_entries.append(e)
                 continue
+            part = e.region.intersect(region)
             rest = e.region.difference(part)
             if not rest.is_empty():
                 new_entries.append(_Entry(rest, e.version, dict(e.holders)))
@@ -163,15 +173,20 @@ class RegionMapTable:
             holders[node] = producer
             new_entries.append(_Entry(part, e.version, holders))
         self.entries[buffer] = new_entries
+        self._covered.pop(buffer, None)
 
     def write(self, buffer: str, region: Region, version: int, node: int, producer: int):
         new_entries = []
         for e in self.entries[buffer]:
+            if not e.region.overlaps(region):
+                new_entries.append(e)
+                continue
             rest = e.region.difference(region)
             if not rest.is_empty():
                 new_entries.append(_Entry(rest, e.version, e.holders))
         new_entries.append(_Entry(region, version, {node: producer}))
         self.entries[buffer] = new_entries
+        self._covered.pop(buffer, None)
 
     def bump_version(self, buffer: str) -> int:
         self.version_counter[buffer] += 1
@@ -244,7 +259,7 @@ def generate_commands(
         target = resolve_target(queue_target, task.target)
 
         pred_exec_ids = []
-        for pred in graph.predecessors(tid):
+        for pred in graph.reduced_predecessors(tid):
             pred_exec_ids.extend(exec_ids_by_task.get(pred, ()))
 
         written_buffers = []
@@ -282,9 +297,9 @@ def generate_commands(
                         f"'{buffer}' which was never written or host-initialized"
                     )
                 for entry in table.entries[buffer]:
-                    part = entry.region.intersect(missing)
-                    if part.is_empty():
+                    if not entry.region.overlaps(missing):
                         continue
+                    part = entry.region.intersect(missing)
                     src = min(entry.holders)
                     producer = entry.holders[src]
                     push = PushCommand(
@@ -339,7 +354,7 @@ def generate_commands(
                 if push.src != exe.node:
                     continue
                 for _, buffer, region, _v in exe.writes:
-                    if buffer == push.buffer and region.intersect(push.region):
+                    if buffer == push.buffer and region.overlaps(push.region):
                         extra.add(push.id)
                         break
             if extra:

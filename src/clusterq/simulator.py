@@ -13,9 +13,10 @@ structurally; values become floats only at serialization.
 Data movement is replayed for real: each node has its own backing array per
 buffer. A Push copies its region out as one array slice per box when the Push
 starts (the payload is in flight from that moment), and the matching
-AwaitPush lands those slices in the destination array. Execute snapshots its
-read views before writing so in-place updates within one task see pre-task
-data.
+AwaitPush lands those slices in the destination array. An Execute that reads
+a buffer it also writes snapshots that read view before writing, so in-place
+updates within one task see pre-task data; a view of a buffer the Execute
+does not write wraps the live array, which nothing changes while it runs.
 
 Each (task, write accessor) body is compiled once per run and evaluates a
 whole write box per call. A box the compiled program declines is re-run
@@ -157,12 +158,13 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             dur = exec_time(t_ref, task.beta, device.f_ref_ghz, cmd.frequency_ghz)
             lane_free[node] = start + dur
 
+            written = {bufname for _w, bufname, _r, _v in cmd.writes}
             views = {}
             for name, bufname, region in cmd.reads:
-                buf = buffers[bufname]
+                data = storage.array(bufname, node)
                 views[name] = ReadView(
-                    name, bufname, region, buf.extent,
-                    storage.array(bufname, node).copy(),
+                    name, bufname, region, buffers[bufname].extent,
+                    data.copy() if bufname in written else data,
                     context=f"task '{task.name}'",
                 )
             for wname, bufname, region, _v in cmd.writes:

@@ -161,6 +161,22 @@ def test_run_deeper_kernels_end_without_traceback(tmp_path, body, rc, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_run_deep_int64_kernel_error_ends_without_traceback(tmp_path):
+    # The compiled program declines the box, and the scalar reference that
+    # names the failing id walks all 1,500 levels of the sum.
+    data = {"buffers": [{"name": "x", "extent": [3], "element_kind": "int64", "init": "iota"},
+                        {"name": "z", "extent": [3], "element_kind": "int64"}],
+            "tasks": [{"name": "t", "range": [3], "reads": ["x"], "writes": ["z"],
+                       "body": " + ".join(["x[i]"] * 1500) + " + 1 / 0"}]}
+    scn = write_scenario(tmp_path, data)
+    proc = subprocess.run([sys.executable, "-m", "clusterq.cli", "run", scn,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 2, proc.stderr
+    assert "integer division by zero at id (0,)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("change, message", [
     ({"link": {"latency_s": 10 ** 400}},
      "link.latency_s: integer is not within the binary64 range"),

@@ -1,5 +1,7 @@
-"""The compiled box evaluator against the scalar reference, through the
-simulator: bit-identical buffers and identical error messages."""
+"""Fast paths against their slow references: the compiled box evaluator
+against the scalar one, through the simulator (bit-identical buffers and
+identical error messages), and Execute dependencies on the transitively
+reduced task predecessors against dependencies on all of them."""
 
 import contextlib
 import math
@@ -136,3 +138,44 @@ def test_nan_of_either_sign_is_stored_canonically():
         (_dtype, raw), = outcome(plan, reference).values()
         assert np.frombuffer(raw, np.uint64).tolist() == [0x7FF8000000000000] * 3
 
+
+def _ancestors(plan):
+    """Every command's transitive dependencies as a bitset over command ids.
+    An Execute may wait on a Push of its own task with a higher id, so the
+    commands are visited in dependency order rather than by id."""
+    deps = {c.id: c.deps for c in plan.commands}
+    reach = {}
+    while len(reach) < len(deps):
+        ready = [cid for cid, cdeps in deps.items()
+                 if cid not in reach and all(d in reach for d in cdeps)]
+        assert ready, "the command graph has a cycle"
+        for cid in ready:
+            bits = 0
+            for d in deps[cid]:
+                bits |= (1 << d) | reach[d]
+            reach[cid] = bits
+    return reach
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 5))
+def test_reduced_dependencies_match_full_dependencies(seed, nodes):
+    buffers, tasks = random_workload(random.Random(seed))
+    graph = TaskGraph(buffers)
+    for task in tasks:
+        graph.submit(task)
+    for task in graph.tasks:
+        scanned = sorted({e.src for e in graph.edges if e.dst == task.id})
+        assert graph.predecessors(task.id) == scanned
+    reduced = generate_commands(graph, nodes)
+    with mock.patch.object(graph, "reduced_predecessors", graph.predecessors):
+        full = generate_commands(graph, nodes)
+    assert [c.id for c in reduced.commands] == [c.id for c in full.commands]
+    assert all(set(r.deps) <= set(f.deps) for r, f in zip(reduced.commands, full.commands))
+    assert _ancestors(reduced) == _ancestors(full)
+
+    got, want = simulator.run(reduced), simulator.run(full)
+    assert got.trace == want.trace
+    assert got.makespan == want.makespan
+    assert {name: (arr.dtype.str, arr.tobytes()) for name, arr in got.buffers.items()} == \
+        {name: (arr.dtype.str, arr.tobytes()) for name, arr in want.buffers.items()}

@@ -189,5 +189,41 @@ def test_to_dot_format():
     assert dot.startswith("digraph tasks {")
     assert 'T1 [label="T1: make"]' in dot
     assert 'T2 [label="T2: use"]' in dot
-    assert 'T1 -> T2 [label="RAW z"]' in dot
+    assert 'T1 -> T2 [label="RAW z {[0,8)}"]' in dot
     assert dot.rstrip().endswith("}")
+
+
+def test_to_dot_labels_the_conflict_region():
+    g = TaskGraph({"x": buf("x"), "z": buf("z")})
+    g.submit(task("head", writes=("z",), n=3))
+    g.submit(task("tail", reads=("x",), writes=("z",), n=8,
+                  read_mappers={"x": Fixed(Region.from_box(Box((1,), (2,))))},
+                  body_src="1"))
+    assert 'T1 -> T2 [label="WAW z {[0,3)}"]' in g.to_dot()
+
+
+def test_reduced_predecessors_drop_implied_edges():
+    # T1 -> T2 -> T3 and T1 -> T3: T1 is implied through T2. T4 has edges
+    # from T1, T2 and T3; T3 implies the other two.
+    g = TaskGraph({"a": buf("a"), "b": buf("b"), "c": buf("c")})
+    g.submit(task("t1", reads=("a",), writes=("b",)))
+    g.submit(task("t2", reads=("b",), writes=("c",)))
+    g.submit(task("t3", reads=("b", "c"), writes=("a",)))
+    g.submit(task("t4", reads=("b", "a"), writes=("c",)))
+    assert g.predecessors(3) == [1, 2]
+    assert g.reduced_predecessors(3) == [2]
+    assert g.predecessors(4) == [1, 2, 3]
+    assert g.reduced_predecessors(4) == [3]
+    assert g.reduced_predecessors(1) == []
+
+
+def test_reduced_predecessors_follow_ancestors_transitively():
+    # T1 -> T2 -> T3 -> T4 and T1 -> T4, where T1 is no predecessor of T3.
+    g = TaskGraph({name: buf(name) for name in "abcd"})
+    g.submit(task("t1", writes=("a",)))
+    g.submit(task("t2", reads=("a",), writes=("b",)))
+    g.submit(task("t3", reads=("b",), writes=("c",)))
+    g.submit(task("t4", reads=("c", "a"), writes=("d",)))
+    assert g.predecessors(3) == [2]
+    assert g.predecessors(4) == [1, 3]
+    assert g.reduced_predecessors(4) == [3]

@@ -152,6 +152,26 @@ def test_region_ops_oracle():
         assert a.volume() == int(oa.sum())
 
 
+def test_overlaps_oracle():
+    rng = random.Random(5)
+    for _ in range(250):
+        dims = rng.choice((1, 2, 3))
+        shape = {1: (16,), 2: (12, 9), 3: (6, 5, 4)}[dims]
+        a = random_region(rng, shape)
+        b = random_region(rng, shape)
+        overlapping = bool((region_bitmap(a, shape) & region_bitmap(b, shape)).any())
+        assert a.overlaps(b) == overlapping == bool(a.intersect(b))
+        if not overlapping:
+            # The scheduler keeps a disjoint piece as it is instead of
+            # subtracting: both give the same boxes.
+            assert a.difference(b).boxes == a.boxes
+    touching = Region(2, [Box((0, 0), (2, 2))])
+    assert not touching.overlaps(Region(2, [Box((2, 0), (4, 2)), Box((0, 2), (2, 4))]))
+    assert touching.overlaps(Region(2, [Box((1, 1), (3, 3))]))
+    with pytest.raises(DimensionError):
+        touching.overlaps(Region(1, [Box((0,), (1,))]))
+
+
 def test_inclusion_exclusion():
     rng = random.Random(11)
     for _ in range(200):

@@ -3,17 +3,22 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clusterq
 from clusterq.energy import EnergyTarget
 from clusterq.errors import ScenarioError
 from clusterq.model import All, Fixed, Neighborhood, OneToOne, Slice
 from clusterq.region import Box, Region
 from clusterq.scenario import (
+    MAX_EXTENT_VOLUME,
     Scenario,
     bundled_scenario_path,
     check_expectations,
@@ -25,6 +30,8 @@ from clusterq.scenario import (
     validate_against_serial,
 )
 
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusterq.__file__)))
 
 MINIMAL = {
     "buffers": [{"name": "x", "extent": [4]}],
@@ -253,6 +260,16 @@ def test_fixed_box_with_min_above_max_names_the_box():
               r"box bound 2 exceeds 1$")
 
 
+def test_extent_volume_is_capped():
+    cap = MAX_EXTENT_VOLUME
+    # Parsing builds no array, so a declared extent at the cap costs nothing.
+    s = scenario_from_dict({"buffers": [{"name": "x", "extent": [cap // 4, 4]}]})
+    assert s.buffers[0].extent.volume() == cap
+    for extent in ([cap + 1], [cap // 4, 4, 2], [2, 10 ** 300, 3]):
+        err({"buffers": [{"name": "a", "extent": [2]}, {"name": "x", "extent": extent}]},
+            rf"^scenario\.buffers\[1\]\.extent: more than the maximum of {cap} cells$")
+
+
 def test_expectation_validation():
     base = {"buffers": [{"name": "x", "extent": [4]}]}
     err({**base, "expectations": [{"buffer": "y", "values": [0, 0, 0, 0]}]},
@@ -293,6 +310,24 @@ def test_file_round_trip(tmp_path):
     assert scenario_to_dict(again) == scenario_to_dict(s)
     text = out.read_text(encoding="utf-8")
     assert text.endswith("\n")
+
+
+def test_deep_kernel_round_trips_in_a_fresh_interpreter(tmp_path):
+    # A fresh interpreter, as a user's program gets, not pytest's deep stack.
+    data = {"buffers": [{"name": "x", "extent": [3], "element_kind": "int64"},
+                        {"name": "z", "extent": [3], "element_kind": "int64"}],
+            "tasks": [{"name": "t", "range": [3], "reads": ["x"], "writes": ["z"],
+                       "body": " + ".join(["x[i]"] * 1500) + " + 1 / 0"}]}
+    src, out = tmp_path / "deep.json", tmp_path / "copy.json"
+    src.write_text(json.dumps(data), encoding="utf-8")
+    code = ("import sys\n"
+            "from clusterq.scenario import load_scenario, save_scenario\n"
+            "save_scenario(load_scenario(sys.argv[1]), sys.argv[2])\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(src), str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    body = json.loads(out.read_text(encoding="utf-8"))["tasks"][0]["body"]
+    assert body == {"z": " + ".join(["x[i.0]"] * 1500) + " + 1 / 0"}
 
 
 def test_bundled_scenario_lookup():
