@@ -14,7 +14,6 @@ examples (saxpy, stencil, pipeline).
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,6 +27,7 @@ from .scenario import (
     load_scenario,
     run_scenario,
     validate_against_serial,
+    write_json,
 )
 from .scheduler import generate_commands, export_command_graph
 from .simulator import trace_to_chrome
@@ -115,12 +115,6 @@ def build_report(bundle) -> dict:
     }
 
 
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
 def _buffer_dump(name, arr, scenario: Scenario) -> dict:
     buf = next(b for b in scenario.buffers if b.name == name)
     flat = arr.reshape(-1)
@@ -139,13 +133,13 @@ def _cmd_run(args) -> int:
     bundle = run_scenario(scenario, nodes=args.nodes, target=target)
 
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "report.json"), build_report(bundle))
-    _write_json(
+    write_json(os.path.join(args.out, "report.json"), build_report(bundle))
+    write_json(
         os.path.join(args.out, "trace.json"),
         {"traceEvents": trace_to_chrome(bundle.result.trace)},
     )
     for name in sorted(bundle.result.buffers):
-        _write_json(
+        write_json(
             os.path.join(args.out, f"buf_{name}.json"),
             _buffer_dump(name, bundle.result.buffers[name], scenario),
         )

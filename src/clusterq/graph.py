@@ -22,8 +22,6 @@ from .errors import ValidationError
 from .model import AccessMode, Task, apply_mapper, static_footprint_check, validate_task
 from .region import Region
 
-INIT_TASK_ID = 0
-
 
 class DepKind(enum.Enum):
     RAW = "RAW"

@@ -450,10 +450,14 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data, path=str(path))
 
 
-def save_scenario(scenario: Scenario, path):
+def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def save_scenario(scenario: Scenario, path):
+    write_json(path, scenario_to_dict(scenario))
 
 
 def bundled_scenario_path(name: str):
@@ -508,6 +512,13 @@ def _bits(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _first_difference(a: np.ndarray, b: np.ndarray):
+    """Index of the first element whose bits differ, or None if all agree."""
+    if np.array_equal(_bits(a), _bits(b)):
+        return None
+    return tuple(int(x[0]) for x in np.nonzero(_bits(a) != _bits(b)))
+
+
 def check_expectations(scenario: Scenario, buffers: dict) -> list[str]:
     """Compare gathered buffers against declared expected values, bit-exact."""
     failures = []
@@ -516,9 +527,8 @@ def check_expectations(scenario: Scenario, buffers: dict) -> list[str]:
         buf = by_name[name]
         expected = np.array(values, dtype=buf.dtype).reshape(buf.extent.shape)
         got = buffers[name]
-        if not np.array_equal(_bits(expected), _bits(got)):
-            bad = np.nonzero(_bits(expected) != _bits(got))
-            first = tuple(int(a[0]) for a in bad)
+        first = _first_difference(expected, got)
+        if first is not None:
             failures.append(
                 f"buffer '{name}' differs from expectation at index {first}: "
                 f"expected {expected[first]}, got {got[first]}"
@@ -536,9 +546,8 @@ def validate_against_serial(
     for buf in scenario.buffers:
         a = serial.result.buffers[buf.name]
         b = dist.result.buffers[buf.name]
-        if not np.array_equal(_bits(a), _bits(b)):
-            bad = np.nonzero(_bits(a) != _bits(b))
-            first = tuple(int(x[0]) for x in bad)
+        first = _first_difference(a, b)
+        if first is not None:
             failures.append(
                 f"buffer '{buf.name}' diverges at index {first} with {nodes} nodes: "
                 f"serial {a[first]}, distributed {b[first]}"

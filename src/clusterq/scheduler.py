@@ -3,12 +3,16 @@
 Tasks are split along dimension 0 into contiguous chunks, one per node (chunk
 k runs on node k; sizes differ by at most one with larger chunks first). A
 RegionMapTable tracks, per buffer, which nodes hold which sub-regions at which
-version. Walking tasks in topological order, the generator compares each
-chunk's mapped read requirement against the table and emits a Push from the
-lowest-id holder plus a matching AwaitPush for every missing piece, then an
-Execute per chunk. After a task, written regions get a bumped version with the
-writer as sole holder, and transferred regions gain the destination as holder,
-so re-reading resident data never produces a second transfer.
+version; a buffer's entries are pairwise disjoint. Walking tasks in topological
+order, the generator resolves each chunk's mapped read requirement of a buffer
+in one walk over that buffer's entries: each entry's part of the requirement
+counts toward coverage, and a part the chunk's node does not hold gets a Push
+from the lowest-id holder plus a matching AwaitPush. Cells no entry covers are
+an uninitialized read. Then comes an Execute per chunk. A task bumps the
+version of each buffer it writes once; after the task, written regions get
+that version with the writer as sole holder, and transferred regions gain the
+destination as holder, so re-reading resident data never produces a second
+transfer.
 
 An Execute depends on its AwaitPushes, on every Execute of each direct
 task-graph predecessor, and on same-task Pushes leaving its node whose region
@@ -29,6 +33,9 @@ from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph
 from .model import ELEMENT_BYTES, AccessMode, Task, apply_mapper
 from .region import Box, Region
+
+# Devices, simulator lanes and energy accounts are allocated per node.
+MAX_NODES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -124,16 +131,15 @@ class _Entry:
 class RegionMapTable:
     """Tracks buffer sub-regions to (version, holder nodes).
 
-    The covered region of a buffer, the union of its entries, is computed
-    once and kept until add_holder or write changes the buffer's entries.
+    A buffer's entries are pairwise disjoint: add_holder splits an entry
+    where a node gains part of it, and write cuts the written region out of
+    every entry before adding it as a new one.
     """
 
     def __init__(self, buffers):
-        self.buffers = dict(buffers)
         self.entries: dict[str, list[_Entry]] = {}
         self.version_counter: dict[str, int] = {}
-        self._covered: dict[str, Region] = {}
-        for name, buf in self.buffers.items():
+        for name, buf in buffers.items():
             if buf.init.is_initialized:
                 full = Region.from_box(buf.extent)
                 self.entries[name] = [_Entry(full, 1, {0: None})]
@@ -141,22 +147,6 @@ class RegionMapTable:
             else:
                 self.entries[name] = []
                 self.version_counter[name] = 0
-
-    def resident_region(self, buffer: str, node: int) -> Region:
-        dims = self.buffers[buffer].dims
-        out = Region.empty(dims)
-        for e in self.entries[buffer]:
-            if node in e.holders:
-                out = out.union(e.region)
-        return out
-
-    def covered_region(self, buffer: str) -> Region:
-        if buffer not in self._covered:
-            out = Region.empty(self.buffers[buffer].dims)
-            for e in self.entries[buffer]:
-                out = out.union(e.region)
-            self._covered[buffer] = out
-        return self._covered[buffer]
 
     def add_holder(self, buffer: str, region: Region, node: int, producer: Optional[int]):
         """Record that `node` now also holds `region` at its current version."""
@@ -173,7 +163,6 @@ class RegionMapTable:
             holders[node] = producer
             new_entries.append(_Entry(part, e.version, holders))
         self.entries[buffer] = new_entries
-        self._covered.pop(buffer, None)
 
     def write(self, buffer: str, region: Region, version: int, node: int, producer: int):
         new_entries = []
@@ -186,7 +175,6 @@ class RegionMapTable:
                 new_entries.append(_Entry(rest, e.version, e.holders))
         new_entries.append(_Entry(region, version, {node: producer}))
         self.entries[buffer] = new_entries
-        self._covered.pop(buffer, None)
 
     def bump_version(self, buffer: str) -> int:
         self.version_counter[buffer] += 1
@@ -244,6 +232,10 @@ def generate_commands(
 ) -> Plan:
     if node_count < 1:
         raise ValidationError("node count must be at least 1")
+    if node_count > MAX_NODES:
+        raise ValidationError(
+            f"node count {node_count} exceeds the maximum of {MAX_NODES}"
+        )
     devices = _resolve_devices(devices, node_count)
     table = RegionMapTable(graph.buffers)
 
@@ -262,12 +254,7 @@ def generate_commands(
         for pred in graph.reduced_predecessors(tid):
             pred_exec_ids.extend(exec_ids_by_task.get(pred, ()))
 
-        written_buffers = []
-        next_version: dict[str, int] = {}
-        for acc in task.writes():
-            if acc.buffer not in next_version:
-                next_version[acc.buffer] = table.version_counter[acc.buffer] + 1
-                written_buffers.append(acc.buffer)
+        version = {acc.buffer: table.bump_version(acc.buffer) for acc in task.writes()}
 
         task_pushes: list[PushCommand] = []
         task_execs: list[ExecuteCommand] = []
@@ -287,19 +274,14 @@ def generate_commands(
 
             await_ids = []
             for buffer, need in need_by_buffer.items():
-                missing = need.difference(table.resident_region(buffer, chunk.node))
-                if missing.is_empty():
-                    continue
-                uncovered = missing.difference(table.covered_region(buffer))
-                if not uncovered.is_empty():
-                    raise UninitializedReadError(
-                        f"task '{task.name}' (id {tid}) reads {uncovered} of buffer "
-                        f"'{buffer}' which was never written or host-initialized"
-                    )
+                found = 0
                 for entry in table.entries[buffer]:
-                    if not entry.region.overlaps(missing):
+                    if not entry.region.overlaps(need):
                         continue
-                    part = entry.region.intersect(missing)
+                    part = entry.region.intersect(need)
+                    found += part.volume()
+                    if chunk.node in entry.holders:
+                        continue
                     src = min(entry.holders)
                     producer = entry.holders[src]
                     push = PushCommand(
@@ -325,12 +307,20 @@ def generate_commands(
                     commands.append(ap)
                     await_ids.append(ap.id)
                     pending_gains.append((buffer, part, chunk.node, ap.id))
+                if found != need.volume():
+                    uncovered = need
+                    for entry in table.entries[buffer]:
+                        uncovered = uncovered.difference(entry.region)
+                    raise UninitializedReadError(
+                        f"task '{task.name}' (id {tid}) reads {uncovered} of buffer "
+                        f"'{buffer}' which was never written or host-initialized"
+                    )
 
             write_specs = []
             for acc in task.writes():
                 extent = graph.buffers[acc.buffer].extent
                 mapped = apply_mapper(acc.mapper, chunk.box, task.global_range, extent)
-                write_specs.append((acc.name, acc.buffer, mapped, next_version[acc.buffer]))
+                write_specs.append((acc.name, acc.buffer, mapped, version[acc.buffer]))
 
             device = devices[chunk.node]
             t_ref = Fraction(chunk.box.volume()) / Fraction(device.throughput_ref)
@@ -362,13 +352,9 @@ def generate_commands(
 
         for buffer, part, dst, ap_id in pending_gains:
             table.add_holder(buffer, part, dst, ap_id)
-        for buffer in written_buffers:
-            version = table.bump_version(buffer)
-            assert version == next_version[buffer]
-            for exe in task_execs:
-                for _, wbuf, region, v in exe.writes:
-                    if wbuf == buffer:
-                        table.write(buffer, region, version, exe.node, exe.id)
+        for exe in task_execs:
+            for _, buffer, region, v in exe.writes:
+                table.write(buffer, region, v, exe.node, exe.id)
 
         exec_ids_by_task[tid] = [e.id for e in task_execs]
 

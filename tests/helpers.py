@@ -66,7 +66,8 @@ def check_plan(plan, buffers):
         and delivers no cell the destination already holds at that version,
       - every Execute sees each read cell at the version produced by the last
         preceding writer of that cell (pre-task state for in-place tasks),
-      - every Execute writes its own chunk at the expected bumped version.
+      - every Execute writes its own chunk at the expected bumped version,
+      - each buffer's final_locations entries are pairwise disjoint.
 
     Replay order is Kahn's algorithm with lowest command id first, matching
     the simulator, so in-place overwrites interact with capture correctly:
@@ -162,6 +163,11 @@ def check_plan(plan, buffers):
                 heappush(heap, nxt)
 
     assert processed == len(plan.commands), "command graph has a cycle"
+
+    for name, entries in plan.final_locations.items():
+        for i, (a, _va, _ha) in enumerate(entries):
+            for b, _vb, _hb in entries[i + 1:]:
+                assert not a.overlaps(b), f"final_locations of {name} overlap: {a} and {b}"
     return nodever
 
 

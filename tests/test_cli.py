@@ -242,6 +242,16 @@ def test_kernel_error_path_in_message(tmp_path, capsys):
     assert "bad.json" in err and "tasks[0].body.x" in err
 
 
+def test_run_node_count_above_maximum_exits_2(tmp_path, capsys):
+    from clusterq.scheduler import MAX_NODES
+    out = tmp_path / "out"
+    rc = run_cli("run", "saxpy", "--nodes", str(MAX_NODES + 1), "--out", str(out))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"clusterq: node count {MAX_NODES + 1} exceeds the maximum of {MAX_NODES}\n")
+    assert not out.exists()
+
+
 def test_usage_errors_exit_1():
     for argv in (["frobnicate", "saxpy"],
                  ["run"],

@@ -1,0 +1,92 @@
+"""Byte contract of the CLI outputs for the bundled scenarios.
+
+Runs `clusterq run`, `graph --kind task` and `graph --kind command` for each
+bundled scenario at 1 and 3 nodes and compares the sha256 of every output
+file against the digests below. A change that alters an output on purpose
+updates the digests and says so in CHANGES.md.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from clusterq import cli
+
+GOLDEN = {
+    ("saxpy", 1): {
+        "buf_x.json": "71de00c23c5efccc624874f94be39e5b9ece8655635949ca664efb446dda8769",
+        "buf_y.json": "ac4fd76c86394e8e26cf12bc019c7dfab4b6df9f3526c14644987b7d78e06310",
+        "buf_z.json": "143830408fc02a783f167413a5492a2076225ebbcb773150449e8785bb63e431",
+        "command.dot": "86abfdb09d6d683f776e1e94e352477c8f98fa24aa4de36f4b9acd05f5447480",
+        "report.json": "dba597ba058fb441555340ce23ab983e21338870d23d5180730e761feb7835df",
+        "task.dot": "b16cfcb2ea3358135dd4e29060303cf78132a43f5c84fc3acfe682e6d435ec6a",
+        "trace.json": "34a23e60b56a6ac5c84fe8e4f34d4608fe983971e2990fd62731b9bb82101ad2",
+    },
+    ("saxpy", 3): {
+        "buf_x.json": "71de00c23c5efccc624874f94be39e5b9ece8655635949ca664efb446dda8769",
+        "buf_y.json": "ac4fd76c86394e8e26cf12bc019c7dfab4b6df9f3526c14644987b7d78e06310",
+        "buf_z.json": "143830408fc02a783f167413a5492a2076225ebbcb773150449e8785bb63e431",
+        "command.dot": "f40d9935488f52f8d750acbc0fde6451dda828189e2f8c0126825cf9a8c53e3c",
+        "report.json": "4b76ebb34e7092915ed9964176b43957023f43013a0aa56cc5c235a3dfb708f0",
+        "task.dot": "b16cfcb2ea3358135dd4e29060303cf78132a43f5c84fc3acfe682e6d435ec6a",
+        "trace.json": "7f666b2091a5c063007667f1a52c953d5482997a195f6d9a33f1499a6e437743",
+    },
+    ("stencil", 1): {
+        "buf_a.json": "e66fd466523da96fd172f9bd1b543fb4470861a1f25fa056e324136d1b995535",
+        "buf_b.json": "8518dc01dc5fb2300bebd217845b0b3b0171da04335fd2a6c8e39ec8c178227d",
+        "command.dot": "38ac8f582a93d4c1123688016a27adb7e81c92e63d13c8ea915035a2db2cf37e",
+        "report.json": "69542950e72db3bfe3c83f1c36ae22346685dc5bc263e40733f328af23b94bf4",
+        "task.dot": "30d2a40e2f05d3767a261c86f2a88b11404f6ccd66d037c0d1a7991b9f81c18b",
+        "trace.json": "2ca08350faa4b2e20257ca45d555f71e557298625423776b2b2d527dd27337a3",
+    },
+    ("stencil", 3): {
+        "buf_a.json": "e66fd466523da96fd172f9bd1b543fb4470861a1f25fa056e324136d1b995535",
+        "buf_b.json": "8518dc01dc5fb2300bebd217845b0b3b0171da04335fd2a6c8e39ec8c178227d",
+        "command.dot": "f2d108e6d31e8c3f6fae9abd52bed591ace311f4053f5ec92b995015a37b1a59",
+        "report.json": "29a94fe6aa1f1c80034300b8b3a5ea8fbf152e27e2ef398278fe0ad840f3c1eb",
+        "task.dot": "30d2a40e2f05d3767a261c86f2a88b11404f6ccd66d037c0d1a7991b9f81c18b",
+        "trace.json": "97df142206d8d548393198abadc80cba6156f74ee94835b1764ddc9275033ef5",
+    },
+    ("pipeline", 1): {
+        "buf_out.json": "02224c33d453a3bd7581f870ae11e3c442ba426ce0b3e38b2fbb871202f5ab2c",
+        "buf_u.json": "b2b8eb93659eaf94b597cf044ec41869663f900b2e7967b16804bbec13ce985f",
+        "buf_v.json": "d8f6c6c7dc94809645cc11375e2412eb0f4cd430c8130e0ff5743b519ac385f2",
+        "buf_w.json": "cfab72bdc3beaf3c16162e9194abb2d899140b057e05935e297dd8644cc476d2",
+        "command.dot": "44b31717d1341aa9cc1a6d4f5cd8752c60aa654d6a78661662bff2eba1435f48",
+        "report.json": "aa4d02448269a6a1d51db790ca8e1a96e7e89a20fcbd61cde8d9017f4e65d7ac",
+        "task.dot": "387a654182fc8c625f2b382d8dbb9a599f8254f6062175a25b5943e3fb936608",
+        "trace.json": "1b07d09f3f4e88db2441f90f417c22e3b269dfc03c2fe3e145b3ac1c647bc59d",
+    },
+    ("pipeline", 3): {
+        "buf_out.json": "02224c33d453a3bd7581f870ae11e3c442ba426ce0b3e38b2fbb871202f5ab2c",
+        "buf_u.json": "b2b8eb93659eaf94b597cf044ec41869663f900b2e7967b16804bbec13ce985f",
+        "buf_v.json": "d8f6c6c7dc94809645cc11375e2412eb0f4cd430c8130e0ff5743b519ac385f2",
+        "buf_w.json": "cfab72bdc3beaf3c16162e9194abb2d899140b057e05935e297dd8644cc476d2",
+        "command.dot": "5d3bf32390c463ee84f20ee8850bc360f38f10eb909303cafb4c51fb0b4adfa1",
+        "report.json": "4f8b49b08d5a8fdbed5c88c37f3ae0dd1de7bb0517fdca6cbfaf203472ce4e3a",
+        "task.dot": "387a654182fc8c625f2b382d8dbb9a599f8254f6062175a25b5943e3fb936608",
+        "trace.json": "2a088fcb5b24e1e95eb860abe0713351f061e7976560ef2a9bdd6ed4e571b944",
+    },
+}
+
+
+def output_digests(scenario, nodes, out_dir):
+    """Write every CLI output for `scenario` at `nodes` into `out_dir` and
+    return {file name: sha256 hex digest}."""
+    n = str(nodes)
+    assert cli.main(["run", scenario, "--nodes", n, "--out", str(out_dir)]) == 0
+    for kind in ("task", "command"):
+        dot = os.path.join(out_dir, f"{kind}.dot")
+        assert cli.main(["graph", scenario, "--nodes", n, "--kind", kind, "--out", dot]) == 0
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("scenario", ["saxpy", "stencil", "pipeline"])
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_outputs_match_golden_digests(tmp_path, capsys, scenario, nodes):
+    assert output_digests(scenario, nodes, tmp_path) == GOLDEN[(scenario, nodes)]

@@ -17,6 +17,7 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 from clusterq.scheduler import (
+    MAX_NODES,
     AwaitPushCommand,
     ExecuteCommand,
     PushCommand,
@@ -106,13 +107,22 @@ def test_split_single_node():
 
 # ------------------------------------------------------------- region map table
 
+def resident(table, buffer, node):
+    """Union of the 1D regions of `buffer` that `node` holds, per the snapshot."""
+    out = Region.empty(1)
+    for region, _version, holders in table.snapshot()[buffer]:
+        if node in holders:
+            out = out.union(region)
+    return out
+
+
 def test_table_initial_state():
     bufs = {"x": fbuf("x"), "u": Buffer("u", Box.from_shape((8,)), "float64",
                                         BufferInit.uninitialized())}
     table = RegionMapTable(bufs)
-    assert table.resident_region("x", 0) == Region.from_box(Box.from_shape((8,)))
-    assert table.resident_region("x", 1).is_empty()
-    assert table.covered_region("u").is_empty()
+    assert resident(table, "x", 0) == Region.from_box(Box.from_shape((8,)))
+    assert resident(table, "x", 1).is_empty()
+    assert table.entries["u"] == []
     assert table.version_counter == {"x": 1, "u": 0}
 
 
@@ -121,8 +131,8 @@ def test_table_write_supersedes():
     table = RegionMapTable(bufs)
     v = table.bump_version("x")
     table.write("x", Region(1, [Box((0,), (4,))]), v, node=1, producer=7)
-    assert table.resident_region("x", 0) == Region(1, [Box((4,), (8,))])
-    assert table.resident_region("x", 1) == Region(1, [Box((0,), (4,))])
+    assert resident(table, "x", 0) == Region(1, [Box((4,), (8,))])
+    assert resident(table, "x", 1) == Region(1, [Box((0,), (4,))])
     versions = {e.version for e in table.entries["x"]}
     assert versions == {1, 2}
 
@@ -131,10 +141,9 @@ def test_table_add_holder_keeps_producer():
     bufs = {"x": fbuf("x")}
     table = RegionMapTable(bufs)
     table.add_holder("x", Region(1, [Box((2,), (5,))]), node=3, producer=11)
-    r = table.resident_region("x", 3)
-    assert r == Region(1, [Box((2,), (5,))])
+    assert resident(table, "x", 3) == Region(1, [Box((2,), (5,))])
     # original holder still covers everything
-    assert table.resident_region("x", 0) == Region.from_box(Box.from_shape((8,)))
+    assert resident(table, "x", 0) == Region.from_box(Box.from_shape((8,)))
     holders = [e.holders for e in table.entries["x"] if 3 in e.holders]
     assert holders == [{0: None, 3: 11}]
 
@@ -269,6 +278,49 @@ def test_uninitialized_read_detected():
         generate_commands(g, 2)
 
 
+@pytest.mark.parametrize("extent, fill, nodes, uncovered", [
+    ((8,), (4,), 1, "{[4,8)}"),
+    ((8,), (4,), 2, "{[4,5)}"),
+    ((8,), (4,), 3, "{[4,7)}"),
+    ((8,), (4,), 4, "{[4,5)}"),
+    ((6, 5), (3, 5), 1, "{[3,6)x[0,5)}"),
+    ((6, 5), (3, 5), 2, "{[3,4)x[0,5)}"),
+    ((6, 5), (3, 5), 3, "{[3,5)x[0,5)}"),
+    ((6, 5), (3, 5), 4, "{[3,5)x[0,5)}"),
+    ((6, 5), (3, 4), 1, "{[0,3)x[4,5) [3,6)x[0,5)}"),
+    ((6, 5), (3, 4), 2, "{[0,3)x[4,5) [3,4)x[0,5)}"),
+    ((6, 5), (3, 4), 3, "{[0,3)x[4,5)}"),
+    ((6, 5), (3, 4), 4, "{[0,3)x[4,5)}"),
+    ((6, 4, 3), (3, 3, 2), 1,
+     "{[0,3)x[0,3)x[2,3) [0,3)x[3,4)x[0,3) [3,6)x[0,4)x[0,3)}"),
+    ((6, 4, 3), (3, 3, 2), 2,
+     "{[0,3)x[0,3)x[2,3) [0,3)x[3,4)x[0,3) [3,4)x[0,4)x[0,3)}"),
+    ((6, 4, 3), (3, 3, 2), 3, "{[0,3)x[0,3)x[2,3) [0,3)x[3,4)x[0,3)}"),
+    ((6, 4, 3), (3, 3, 2), 4, "{[0,3)x[0,3)x[2,3) [0,3)x[3,4)x[0,3)}"),
+])
+def test_uninitialized_read_error_names_region(extent, fill, nodes, uncovered):
+    # `fill` writes part of `u`; `use` reads it with a halo of one cell, so
+    # the first chunk that reaches unwritten cells names exactly those cells
+    dims = len(extent)
+    one = parse_kernel("1", {}, set(), dims)
+    t1 = Task("fill", Box.from_shape(fill), [Accessor("u", AccessMode.WRITE)],
+              {"u": one}, {})
+    t2 = Task("use", Box.from_shape(extent),
+              [Accessor("u", AccessMode.READ, Neighborhood((1,) * dims), name="r_u"),
+               Accessor("z", AccessMode.WRITE)],
+              {"z": one}, {})
+    bufs = {"u": Buffer("u", Box.from_shape(extent), "float64",
+                        BufferInit.uninitialized()),
+            "z": Buffer("z", Box.from_shape(extent), "float64", BufferInit.iota())}
+    g = graph_of(bufs, t1, t2)
+    with pytest.raises(UninitializedReadError) as info:
+        generate_commands(g, nodes)
+    assert str(info.value) == (
+        f"task 'use' (id 2) reads {uncovered} of buffer 'u' which was never "
+        f"written or host-initialized"
+    )
+
+
 def test_uninitialized_ok_after_full_write():
     t1 = simple_task(name="fill", writes=("u",))
     t2 = simple_task(name="use", reads=("u",), writes=("z",))
@@ -350,6 +402,15 @@ def test_device_count_validation():
     g = graph_of({"z": fbuf("z")}, simple_task())
     with pytest.raises(ValidationError):
         generate_commands(g, 3, devices=[DeviceModel(), DeviceModel()])
+
+
+def test_node_count_bounded_before_devices_resolve():
+    from clusterq.energy import DeviceModel
+    g = graph_of({"z": fbuf("z")}, simple_task())
+    # a device list of the wrong length would fail too; the bound comes first
+    with pytest.raises(ValidationError,
+                       match=f"node count {MAX_NODES + 1} exceeds the maximum of {MAX_NODES}$"):
+        generate_commands(g, MAX_NODES + 1, devices=[DeviceModel(), DeviceModel()])
 
 
 def test_final_locations_snapshot():
