@@ -6,7 +6,6 @@ from .energy import (
     EnergyReport,
     EnergyTarget,
     account_energy,
-    resolve_target,
     select_frequency,
 )
 from .errors import (
@@ -40,6 +39,7 @@ from .scenario import (
     build_graph,
     check_expectations,
     load_scenario,
+    plan_scenario,
     run_scenario,
     save_scenario,
     scenario_from_dict,
@@ -52,6 +52,7 @@ from .scheduler import (
     Plan,
     PushCommand,
     RegionMapTable,
+    assign_frequencies,
     export_command_graph,
     generate_commands,
     split_task,

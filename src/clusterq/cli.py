@@ -25,11 +25,12 @@ from .scenario import (
     bundled_scenario_path,
     check_expectations,
     load_scenario,
+    plan_scenario,
     run_scenario,
     validate_against_serial,
     write_json,
 )
-from .scheduler import generate_commands, export_command_graph
+from .scheduler import export_command_graph
 from .simulator import trace_to_chrome
 
 
@@ -157,16 +158,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_graph(args) -> int:
     scenario = _load(args.scenario)
-    graph = build_graph(scenario)
     if args.kind == "task":
-        dot = graph.to_dot()
+        dot = build_graph(scenario).to_dot()
     else:
-        nodes = args.nodes if args.nodes is not None else (scenario.nodes or 1)
-        target = scenario.queue_target or EnergyTarget.MAX_PERF
-        plan = generate_commands(
-            graph, nodes, devices=scenario.devices, queue_target=target
-        )
-        dot = export_command_graph(plan)
+        dot = export_command_graph(plan_scenario(scenario, args.nodes))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot)

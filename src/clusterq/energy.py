@@ -5,17 +5,19 @@ A chunk whose reference runtime is t_ref takes t(f) = t_ref * (beta +
 (1 - beta) * f_ref / f); beta is the frequency-insensitive fraction.
 
 Frequency selection enumerates the device's discrete levels and minimizes the
-target objective; ties prefer the higher frequency. Objectives are compared
-as exact rationals so ties are decided by value, never by rounding. Energy
-accounting likewise runs on exact rationals over the float-valued inputs,
-which makes kernel + idle == device energy an identity rather than an
-approximation. Transfers draw no dynamic power; static power covers them.
+target objective; ties prefer the higher frequency. Plans are built with every
+chunk at its device's top level, and scheduler.assign_frequencies then applies
+the queue target and the per-task overrides through select_frequency.
+Objectives are compared as exact rationals so ties are decided by value, never
+by rounding. Energy accounting likewise runs on exact rationals over the
+float-valued inputs, which makes kernel + idle == device energy an identity
+rather than an approximation. Transfers draw no dynamic power; static power
+covers them.
 """
 
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ValidationError
 
@@ -25,11 +27,6 @@ class EnergyTarget(enum.Enum):
     MIN_ENERGY = "MIN_ENERGY"
     MIN_EDP = "MIN_EDP"
     MIN_ED2P = "MIN_ED2P"
-
-
-def resolve_target(queue_target: EnergyTarget, task_override: Optional[EnergyTarget]):
-    """Per-task override wins over the queue-level target."""
-    return task_override if task_override is not None else queue_target
 
 
 @dataclass(frozen=True)

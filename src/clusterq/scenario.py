@@ -36,7 +36,7 @@ from .model import (
     is_binary64,
 )
 from .region import Box, Region
-from .scheduler import Plan, generate_commands
+from .scheduler import Plan, assign_frequencies, generate_commands
 from .simulator import LinkModel, RunResult, run
 
 
@@ -485,25 +485,24 @@ def build_graph(scenario: Scenario) -> TaskGraph:
     return graph
 
 
-def run_scenario(
-    scenario: Scenario,
-    nodes: Optional[int] = None,
-    target: Optional[EnergyTarget] = None,
-) -> RunBundle:
-    """Flag > scenario field > default (nodes=1, target=MAX_PERF)."""
-    nodes_eff = nodes if nodes is not None else (scenario.nodes or 1)
-    target_eff = target if target is not None else (
+def plan_scenario(scenario: Scenario, nodes: Optional[int] = None,
+                  target: Optional[EnergyTarget] = None) -> Plan:
+    """The command plan with frequencies assigned. Flag > scenario field >
+    default (nodes=1, target=MAX_PERF)."""
+    nodes = nodes if nodes is not None else (scenario.nodes or 1)
+    target = target if target is not None else (
         scenario.queue_target or EnergyTarget.MAX_PERF)
-    graph = build_graph(scenario)
-    plan = generate_commands(
-        graph, nodes_eff, devices=scenario.devices, queue_target=target_eff
-    )
+    plan = generate_commands(build_graph(scenario), nodes, devices=scenario.devices)
+    assign_frequencies(plan, target)
+    return plan
+
+
+def run_scenario(scenario: Scenario, nodes: Optional[int] = None,
+                 target: Optional[EnergyTarget] = None) -> RunBundle:
+    plan = plan_scenario(scenario, nodes, target)
     result = run(plan, link=scenario.link)
     energy = account_energy(result.trace, plan.devices, result.makespan)
-    return RunBundle(
-        scenario=scenario, plan=plan, result=result, energy=energy,
-        nodes=nodes_eff, target=target_eff,
-    )
+    return RunBundle(scenario, plan, result, energy, plan.node_count, plan.target)
 
 
 def _bits(arr: np.ndarray) -> np.ndarray:
@@ -539,13 +538,14 @@ def check_expectations(scenario: Scenario, buffers: dict) -> list[str]:
 def validate_against_serial(
     scenario: Scenario, nodes: int, target: Optional[EnergyTarget] = None
 ) -> list[str]:
-    """Run distributed and single-node, compare every buffer bit for bit."""
-    serial = run_scenario(scenario, nodes=1, target=target)
-    dist = run_scenario(scenario, nodes=nodes, target=target)
+    """Plan single-node and distributed, then run both and compare every
+    buffer bit for bit; a bad node count fails before any simulation."""
+    plans = [plan_scenario(scenario, n, target) for n in (1, nodes)]
+    serial, dist = (run(plan, link=scenario.link).buffers for plan in plans)
     failures = []
     for buf in scenario.buffers:
-        a = serial.result.buffers[buf.name]
-        b = dist.result.buffers[buf.name]
+        a = serial[buf.name]
+        b = dist[buf.name]
         first = _first_difference(a, b)
         if first is not None:
             failures.append(

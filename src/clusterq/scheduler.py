@@ -14,6 +14,10 @@ that version with the writer as sole holder, and transferred regions gain the
 destination as holder, so re-reading resident data never produces a second
 transfer.
 
+Executes are planned at their device's top frequency level, so the structure
+does not depend on the energy target; assign_frequencies then sets each
+Execute's level in one pass over the finished plan.
+
 An Execute depends on its AwaitPushes, on every Execute of each direct
 task-graph predecessor, and on same-task Pushes leaving its node whose region
 overlaps the Execute's writes (the data must leave before it is overwritten in
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .energy import DeviceModel, EnergyTarget, resolve_target, select_frequency
+from .energy import DeviceModel, EnergyTarget, select_frequency
 from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph
 from .model import ELEMENT_BYTES, AccessMode, Task, apply_mapper
@@ -195,8 +199,8 @@ class Plan:
     node_count: int
     commands: list[Command]
     devices: list[DeviceModel]
-    queue_target: EnergyTarget
     final_locations: dict = field(default_factory=dict)
+    target: Optional[EnergyTarget] = None  # queue target of assign_frequencies
 
     def executes(self):
         return [c for c in self.commands if isinstance(c, ExecuteCommand)]
@@ -224,12 +228,8 @@ def _resolve_devices(devices, node_count) -> list[DeviceModel]:
     return devices
 
 
-def generate_commands(
-    graph: TaskGraph,
-    node_count: int,
-    devices=None,
-    queue_target: EnergyTarget = EnergyTarget.MAX_PERF,
-) -> Plan:
+def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
+    """The command plan, every Execute at its device's top frequency level."""
     if node_count < 1:
         raise ValidationError("node count must be at least 1")
     if node_count > MAX_NODES:
@@ -248,7 +248,6 @@ def generate_commands(
     for tid in graph.topological_order():
         task = graph.task(tid)
         chunks = split_task(task, node_count)
-        target = resolve_target(queue_target, task.target)
 
         pred_exec_ids = []
         for pred in graph.reduced_predecessors(tid):
@@ -322,14 +321,11 @@ def generate_commands(
                 mapped = apply_mapper(acc.mapper, chunk.box, task.global_range, extent)
                 write_specs.append((acc.name, acc.buffer, mapped, version[acc.buffer]))
 
-            device = devices[chunk.node]
-            t_ref = Fraction(chunk.box.volume()) / Fraction(device.throughput_ref)
-            freq = select_frequency(device, target, t_ref, task.beta)
             exe = ExecuteCommand(
                 id=new_id(),
                 deps=tuple(sorted(set(await_ids) | set(pred_exec_ids))),
                 chunk=chunk,
-                frequency_ghz=freq,
+                frequency_ghz=devices[chunk.node].levels_ghz[-1],
                 reads=tuple(read_specs),
                 writes=tuple(write_specs),
             )
@@ -363,9 +359,18 @@ def generate_commands(
         node_count=node_count,
         commands=commands,
         devices=devices,
-        queue_target=queue_target,
         final_locations=table.snapshot(),
     )
+
+
+def assign_frequencies(plan: Plan, target: EnergyTarget = EnergyTarget.MAX_PERF):
+    """Set each Execute's frequency for its task's target, else the queue's."""
+    for exe in plan.executes():
+        task = plan.graph.task(exe.task_id)
+        device = plan.devices[exe.node]
+        t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
+        exe.frequency_ghz = select_frequency(device, task.target or target, t_ref, task.beta)
+    plan.target = target
 
 
 def export_command_graph(plan: Plan) -> str:

@@ -1,10 +1,15 @@
 """Shared test utilities: bitmap oracle for region algebra, an independent
-command-plan replay checker, and a random workload generator."""
+command-plan replay checker, a random workload generator, and field
+mutations of the bundled scenario documents."""
 
+import copy
+import json
+import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 import numpy as np
+from hypothesis import strategies as st
 
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read
 from clusterq.model import (
@@ -20,6 +25,7 @@ from clusterq.model import (
     Task,
 )
 from clusterq.region import Box, Region
+from clusterq.scenario import bundled_scenario_path
 from clusterq.scheduler import AwaitPushCommand, ExecuteCommand, PushCommand
 
 
@@ -321,3 +327,52 @@ def random_workload(rng, mapper_counter=None):
             init = BufferInit.uninitialized()
         buffers[name] = Buffer(name=name, extent=extent, element_kind=kind, init=init)
     return buffers, tasks
+
+
+# ------------------------------------------------------------- mutated input
+
+def _bundled(name):
+    with open(bundled_scenario_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+BUNDLED = {name: _bundled(name) for name in ("saxpy", "stencil", "pipeline")}
+ODD_VALUES = (None, True, 0, -1, 2, 2 ** 63, 10 ** 400, 0.5, -0.0, math.nan, math.inf,
+              "", "x", "MIN_EDP", "all", [], [0], [1, 2], {}, {"kind": "x"})
+KEYS = sorted({"bogus", "nodes", "device", "devices", "link", "target", "queue_target",
+               "buffers", "tasks", "expectations", "name", "extent", "element_kind", "init",
+               "kind", "value", "values", "range", "reads", "writes", "body", "params",
+               "beta", "buffer", "mapper", "radius", "radii", "dim", "region", "min", "max",
+               "levels_ghz", "f_ref_ghz", "p_static_w", "latency_s"})
+
+
+def _containers(node, path=()):
+    """Paths to every object and list in a JSON document."""
+    if isinstance(node, (dict, list)):
+        yield path
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _containers(child, path + (key,))
+
+
+def mutated(doc, draw):
+    """A copy of a JSON document with one field set to an odd value, one
+    object key deleted, or one key added; draw is hypothesis's data.draw."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_containers(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    if isinstance(node, list):
+        if node:
+            node[draw(st.integers(0, len(node) - 1))] = value
+    elif node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node)))
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = value
+    else:
+        node[draw(st.sampled_from(KEYS))] = value
+    return doc

@@ -1,14 +1,22 @@
 """End-to-end CLI runs: artifacts on disk, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clusterq
 from clusterq import cli
+from clusterq.errors import ScenarioError
+from clusterq.scenario import scenario_from_dict
+
+from helpers import BUNDLED, mutated
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusterq.__file__)))
 
@@ -295,3 +303,51 @@ def test_validate_defaults_to_scenario_nodes(tmp_path, capsys):
     scn = write_scenario(tmp_path, INT_SCENARIO)
     assert run_cli("validate", scn) == 0
     assert "(2 nodes vs serial)" in capsys.readouterr().out
+
+
+def test_validate_node_count_above_maximum_exits_2_before_simulating(monkeypatch, capsys):
+    from clusterq import scenario
+    from clusterq.scheduler import MAX_NODES
+    simulated = []
+    original = scenario.run
+    monkeypatch.setattr(scenario, "run",
+                        lambda plan, **kw: simulated.append(plan) or original(plan, **kw))
+    assert run_cli("validate", "stencil", "--nodes", str(MAX_NODES + 1)) == 2
+    assert capsys.readouterr().err == (
+        f"clusterq: node count {MAX_NODES + 1} exceeds the maximum of {MAX_NODES}\n")
+    assert simulated == []
+
+
+def _fits_in_memory(doc):
+    """Whether a parsed scenario stays small: at most 4 nodes and 4,096 cells
+    over all buffers and task ranges. Every node holds its own copy of the
+    buffers it touches, so one mutated size or node count can ask for
+    gigabytes; those caps are covered by their own parse-level tests."""
+    try:
+        scenario = scenario_from_dict(doc)
+    except ScenarioError:
+        return True
+    cells = sum(b.extent.volume() for b in scenario.buffers) + \
+        sum(t.global_range.volume() for t in scenario.tasks)
+    return (scenario.nodes or 1) <= 4 and cells <= 4096
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BUNDLED)), data=st.data())
+def test_mutated_bundled_scenario_ends_without_traceback(name, data):
+    doc = mutated(BUNDLED[name], data.draw)
+    if not _fits_in_memory(doc):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            codes = [
+                cli.main(["run", path, "--out", os.path.join(tmp, "out")]),
+                cli.main(["graph", path, "--kind", "command",
+                          "--out", os.path.join(tmp, "command.dot")]),
+                cli.main(["validate", path]),
+            ]
+    assert set(codes) <= {0, 1, 2}, out.getvalue()

@@ -107,6 +107,27 @@ def test_mapper_violation_message_is_the_reference_one():
                    "of buffer 'x'")
 
 
+def test_gather_across_boxes_of_a_fixed_region():
+    # An L-shaped fixed region of two boxes; each chunk reads [k,k+1)x[0,4),
+    # which neither box holds alone but their union does.
+    x = Buffer("x", Box.from_shape((4, 4)), "float64", BufferInit.iota())
+    z = Buffer("z", Box.from_shape((2, 4)), "float64", BufferInit.zeros())
+    ell = Region(2, [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))])
+    task = Task("ell", Box.from_shape((2, 4)), [
+        Accessor("x", AccessMode.READ, Fixed(ell), name="r"),
+        Accessor("z", AccessMode.WRITE),
+    ], {"z": BinOp("*", Read("r", (0, 0)), Num(0.5))})
+    for nodes in (1, 2):
+        graph = TaskGraph({"x": x, "z": z})
+        graph.submit(task)
+        plan = generate_commands(graph, nodes)
+        with mock.patch.object(simulator, "eval_box", side_effect=AssertionError("eval_box")):
+            got = outcome(plan, reference=False)
+        assert got == outcome(plan, reference=True)
+        want = np.arange(16, dtype=np.float64).reshape(4, 4)[:2] * 0.5
+        assert got["z"] == ("<f8", want.tobytes())
+
+
 def test_int_division_by_zero_message_is_the_reference_one():
     # The zero divisors sit at ids (1, 0) and (1, 2); the first in row-major
     # order is named, whether one box or two cover the range.

@@ -10,7 +10,6 @@ from clusterq.energy import (
     EnergyTarget,
     account_energy,
     exec_time,
-    resolve_target,
     select_frequency,
 )
 from clusterq.errors import ValidationError
@@ -134,14 +133,6 @@ def test_nonpositive_t_ref_rejected():
         select_frequency(REF, EnergyTarget.MIN_EDP, 0.0)
     with pytest.raises(ValidationError):
         select_frequency(REF, EnergyTarget.MIN_EDP, -1.0)
-
-
-def test_resolve_target():
-    assert resolve_target(EnergyTarget.MIN_EDP, None) is EnergyTarget.MIN_EDP
-    assert resolve_target(EnergyTarget.MIN_EDP, EnergyTarget.MAX_PERF) \
-        is EnergyTarget.MAX_PERF
-    assert resolve_target(EnergyTarget.MAX_PERF, EnergyTarget.MIN_ENERGY) \
-        is EnergyTarget.MIN_ENERGY
 
 
 # ------------------------------------------------------------------ power model

@@ -3,10 +3,13 @@
 Runs `clusterq run`, `graph --kind task` and `graph --kind command` for each
 bundled scenario at 1 and 3 nodes and compares the sha256 of every output
 file against the digests below. A change that alters an output on purpose
-updates the digests and says so in CHANGES.md.
+updates the digests and says so in CHANGES.md. No bundled scenario has a
+per-task target or more than one device model, so an inline scenario pins
+those paths too.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -90,3 +93,63 @@ def output_digests(scenario, nodes, out_dir):
 @pytest.mark.parametrize("nodes", [1, 3])
 def test_outputs_match_golden_digests(tmp_path, capsys, scenario, nodes):
     assert output_digests(scenario, nodes, tmp_path) == GOLDEN[(scenario, nodes)]
+
+
+def per_task_target_scenario(nodes):
+    """Queue target MIN_ENERGY, three tasks that override it, beta > 0 and
+    nodes alternating between two device models with different levels."""
+    fast = {"levels_ghz": [0.5, 1.0, 1.5, 2.0], "f_ref_ghz": 1.0, "p_static_w": 10.0,
+            "p_dyn_ref_w": 10.0, "alpha_exp": 3.0, "throughput_ref": 1e9}
+    slow = {"levels_ghz": [0.6, 0.9, 1.2, 1.8, 2.4], "f_ref_ghz": 1.2, "p_static_w": 4.0,
+            "p_dyn_ref_w": 15.0, "alpha_exp": 2.5, "throughput_ref": 5e8}
+    return {
+        "target": "MIN_ENERGY",
+        "devices": [(fast, slow)[n % 2] for n in range(nodes)],
+        "buffers": [
+            {"name": "a", "extent": [12], "init": "iota"},
+            {"name": "b", "extent": [12], "init": "zeros"},
+            {"name": "c", "extent": [12], "init": "zeros"},
+        ],
+        "tasks": [
+            {"name": "spread", "range": [12], "beta": 0.25,
+             "reads": [{"buffer": "a", "mapper": {"kind": "neighborhood", "radius": 1}}],
+             "writes": ["b"], "body": "a[i-1] + a[i] + a[i+1]"},
+            {"name": "ed2p", "range": [12], "beta": 0.5, "target": "MIN_ED2P",
+             "reads": ["b"], "writes": ["c"], "body": "b[i] * 2"},
+            {"name": "edp", "range": [12], "beta": 0.1, "target": "MIN_EDP",
+             "reads": [{"buffer": "c", "mapper": "all"}], "writes": ["a"], "body": "c[i] + 1"},
+            {"name": "perf", "range": [12], "target": "MAX_PERF",
+             "reads": ["a", "b"], "writes": ["c"], "body": "a[i] - b[i]"},
+        ],
+    }
+
+
+PER_TASK_TARGET_GOLDEN = {
+    1: {
+        "buf_a.json": "8a3a924de6ec5114e7ec256bc1ab8c43098a68a438bededbb5612a2c79cba821",
+        "buf_b.json": "de888f031da86eea3df77f2c4862f5074e7dec13c366bbaa06ebe15548849842",
+        "buf_c.json": "228818387fb65eb9c1dfedeb741f1fb1280d12f5d28cca1232e75ae44a4010c0",
+        "command.dot": "eef60e25d4aa05828f7817210f61dd672b4221d8268d081c42d0fd5eca3c38de",
+        "report.json": "084f890aba4d51e67669661b15254348cd47279f571758134ec9cee9873a41f0",
+        "task.dot": "4106a9169ffb80c1dd8159fcc1932760ef6c906b5065c00d663e940caa813cc7",
+        "trace.json": "ec0a4990ed53d08d10f5e2c996568e20dfd5a8f797e2811dd658d28fff3b7817",
+    },
+    3: {
+        "buf_a.json": "8a3a924de6ec5114e7ec256bc1ab8c43098a68a438bededbb5612a2c79cba821",
+        "buf_b.json": "de888f031da86eea3df77f2c4862f5074e7dec13c366bbaa06ebe15548849842",
+        "buf_c.json": "228818387fb65eb9c1dfedeb741f1fb1280d12f5d28cca1232e75ae44a4010c0",
+        "command.dot": "dcbdf95c6b9702391701e71626176e4e601d3b0dd38c4008bfbf0e4c0f0124c6",
+        "report.json": "b0647f9ad057e1b5507bfc3f96344a845e5cafde390c03e479ac273f8defca1e",
+        "task.dot": "4106a9169ffb80c1dd8159fcc1932760ef6c906b5065c00d663e940caa813cc7",
+        "trace.json": "70d4fecfdff77d0061d1d451177bc249ac6b6cda05d36c4197ab84c7cb6d7c5b",
+    },
+}
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_per_task_target_outputs_match_golden_digests(tmp_path, capsys, nodes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(per_task_target_scenario(nodes)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert output_digests(str(path), nodes, out_dir) == PER_TASK_TARGET_GOLDEN[nodes]

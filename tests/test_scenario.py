@@ -1,8 +1,6 @@
 """Scenario JSON parsing, serialization round-trips, and scenario runs."""
 
-import copy
 import json
-import math
 import os
 import re
 import subprocess
@@ -29,6 +27,8 @@ from clusterq.scenario import (
     scenario_to_dict,
     validate_against_serial,
 )
+
+from helpers import BUNDLED, mutated
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusterq.__file__)))
@@ -347,51 +347,11 @@ def test_bundled_saxpy_contents():
 
 # --------------------------------------------------------------- mutated input
 
-def _bundled(name):
-    with open(bundled_scenario_path(name), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-BUNDLED = {name: _bundled(name) for name in ("saxpy", "stencil", "pipeline")}
-ODD_VALUES = (None, True, 0, -1, 2, 2 ** 63, 10 ** 400, 0.5, -0.0, math.nan, math.inf,
-              "", "x", "MIN_EDP", "all", [], [0], [1, 2], {}, {"kind": "x"})
-KEYS = sorted({"bogus", "nodes", "device", "devices", "link", "target", "queue_target",
-               "buffers", "tasks", "expectations", "name", "extent", "element_kind", "init",
-               "kind", "value", "values", "range", "reads", "writes", "body", "params",
-               "beta", "buffer", "mapper", "radius", "radii", "dim", "region", "min", "max",
-               "levels_ghz", "f_ref_ghz", "p_static_w", "latency_s"})
-
-
-def _containers(node, path=()):
-    """Paths to every object and list in a JSON document."""
-    if isinstance(node, (dict, list)):
-        yield path
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        for key, child in items:
-            yield from _containers(child, path + (key,))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(sorted(BUNDLED)), data=st.data())
 def test_mutated_bundled_scenario_parses_or_raises_scenario_error(name, data):
     # Parse only: a mutated extent could ask the simulator for any amount of memory.
-    doc = copy.deepcopy(BUNDLED[name])
-    path = data.draw(st.sampled_from(list(_containers(doc))))
-    node = doc
-    for key in path:
-        node = node[key]
-    value = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES)))
-    if isinstance(node, list):
-        if node:
-            node[data.draw(st.integers(0, len(node) - 1))] = value
-    elif node and data.draw(st.booleans()):
-        key = data.draw(st.sampled_from(sorted(node)))
-        if data.draw(st.booleans()):
-            del node[key]
-        else:
-            node[key] = value
-    else:
-        node[data.draw(st.sampled_from(KEYS))] = value
+    doc = mutated(BUNDLED[name], data.draw)
     try:
         first = scenario_to_dict(scenario_from_dict(doc))
     except ScenarioError:

@@ -1,9 +1,13 @@
 """Chunk splitting, transfer inference, and command graph structure."""
 
+import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from clusterq.energy import DeviceModel, EnergyTarget, select_frequency
 from clusterq.errors import UninitializedReadError, ValidationError
 from clusterq.graph import TaskGraph
 from clusterq.kernel import parse_kernel
@@ -22,10 +26,12 @@ from clusterq.scheduler import (
     ExecuteCommand,
     PushCommand,
     RegionMapTable,
+    assign_frequencies,
     export_command_graph,
     generate_commands,
     split_task,
 )
+from clusterq.scenario import Scenario, plan_scenario
 
 from helpers import check_plan, random_workload
 
@@ -398,14 +404,12 @@ def test_chunks_beyond_range_get_no_commands():
 
 
 def test_device_count_validation():
-    from clusterq.energy import DeviceModel
     g = graph_of({"z": fbuf("z")}, simple_task())
     with pytest.raises(ValidationError):
         generate_commands(g, 3, devices=[DeviceModel(), DeviceModel()])
 
 
 def test_node_count_bounded_before_devices_resolve():
-    from clusterq.energy import DeviceModel
     g = graph_of({"z": fbuf("z")}, simple_task())
     # a device list of the wrong length would fail too; the bound comes first
     with pytest.raises(ValidationError,
@@ -435,3 +439,52 @@ def test_export_command_graph_dot():
     assert "C1 -> C2;" in dot
     for cmd in plan.commands:
         assert f"C{cmd.id} [label=" in dot
+
+
+# ------------------------------------------------------- frequency assignment
+
+TARGETS = list(EnergyTarget)
+DEVICE_POOL = (
+    DeviceModel(),
+    DeviceModel(levels_ghz=(0.6, 0.9, 1.2, 1.8, 2.4), f_ref_ghz=1.2, p_static_w=4.0,
+                p_dyn_ref_w=15.0, alpha_exp=2.5, throughput_ref=5e8),
+    DeviceModel(levels_ghz=(0.8, 1.6), f_ref_ghz=0.8, p_static_w=0.0, throughput_ref=2e9),
+)
+
+
+def structure(plan):
+    """Every command with the Execute frequencies blanked out."""
+    return [dataclasses.replace(c, frequency_ghz=None) if isinstance(c, ExecuteCommand) else c
+            for c in plan.commands]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 4), data=st.data())
+def test_plan_structure_does_not_depend_on_target(seed, nodes, data):
+    buffers, tasks = random_workload(random.Random(seed))
+    for task in tasks:
+        task.target = data.draw(st.sampled_from([None] + TARGETS))
+        task.beta = data.draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)))
+    devices = [data.draw(st.sampled_from(DEVICE_POOL)) for _ in range(nodes)]
+    scenario = Scenario(buffers=list(buffers.values()), tasks=tasks, devices=devices)
+    graph = TaskGraph(buffers)
+    for task in tasks:
+        graph.submit(task)
+    base = generate_commands(graph, nodes, devices=devices)
+    assert all(e.frequency_ghz == devices[e.node].levels_ghz[-1] for e in base.executes())
+
+    for target in TARGETS:
+        plan = plan_scenario(scenario, nodes, target)
+        assert structure(plan) == structure(base)
+        assert plan.final_locations == base.final_locations
+        assert plan.target is target
+        for exe in plan.executes():
+            task = graph.task(exe.task_id)
+            device = devices[exe.node]
+            t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
+            chosen = task.target if task.target is not None else target
+            assert exe.frequency_ghz == select_frequency(device, chosen, t_ref, task.beta)
+
+        again = generate_commands(graph, nodes, devices=devices)
+        assign_frequencies(again, target)
+        assert again.commands == plan.commands
