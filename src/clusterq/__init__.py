@@ -45,6 +45,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
     validate_against_serial,
+    write_trace,
 )
 from .scheduler import (
     AwaitPushCommand,
@@ -57,6 +58,6 @@ from .scheduler import (
     generate_commands,
     split_task,
 )
-from .simulator import LinkModel, RunResult, TraceEvent, run, trace_to_chrome
+from .simulator import LinkModel, RunResult, TraceEvent, run
 
 __version__ = "0.1.0"

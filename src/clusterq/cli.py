@@ -28,10 +28,11 @@ from .scenario import (
     plan_scenario,
     run_scenario,
     validate_against_serial,
+    write_buffer,
     write_json,
+    write_trace,
 )
 from .scheduler import export_command_graph
-from .simulator import trace_to_chrome
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,18 +117,6 @@ def build_report(bundle) -> dict:
     }
 
 
-def _buffer_dump(name, arr, scenario: Scenario) -> dict:
-    buf = next(b for b in scenario.buffers if b.name == name)
-    flat = arr.reshape(-1)
-    values = [int(v) for v in flat] if buf.element_kind == "int64" else [float(v) for v in flat]
-    return {
-        "name": name,
-        "extent": list(buf.extent.shape),
-        "element_kind": buf.element_kind,
-        "values": values,
-    }
-
-
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario)
     target = EnergyTarget(args.target) if args.target else None
@@ -135,15 +124,11 @@ def _cmd_run(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "report.json"), build_report(bundle))
-    write_json(
-        os.path.join(args.out, "trace.json"),
-        {"traceEvents": trace_to_chrome(bundle.result.trace)},
-    )
+    write_trace(os.path.join(args.out, "trace.json"), bundle.result.trace)
+    buffers = {buf.name: buf for buf in scenario.buffers}
     for name in sorted(bundle.result.buffers):
-        write_json(
-            os.path.join(args.out, f"buf_{name}.json"),
-            _buffer_dump(name, bundle.result.buffers[name], scenario),
-        )
+        write_buffer(os.path.join(args.out, f"buf_{name}.json"), buffers[name],
+                     bundle.result.buffers[name])
 
     failures = check_expectations(scenario, bundle.result.buffers)
     for line in failures:

@@ -16,7 +16,7 @@ covers them.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -27,6 +27,23 @@ class EnergyTarget(enum.Enum):
     MIN_ENERGY = "MIN_ENERGY"
     MIN_EDP = "MIN_EDP"
     MIN_ED2P = "MIN_ED2P"
+
+
+# Largest |alpha_exp|. An integral exponent is applied exactly, as a rational
+# power whose size grows with it; measured dynamic power follows exponents
+# of about 1 to 3.
+MAX_ALPHA_EXP = 16
+_INF = float("inf")
+
+
+def require_finite(model):
+    """Reject a model whose number fields are not all finite: the exact
+    rationals time and energy are computed in have no infinity or NaN."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not -_INF < v < _INF:
+                raise ValidationError(f"{f.name} must be a finite number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +58,7 @@ class DeviceModel:
     def __post_init__(self):
         levels = tuple(float(f) for f in self.levels_ghz)
         object.__setattr__(self, "levels_ghz", levels)
+        require_finite(self)
         if not levels:
             raise ValidationError("device needs at least one frequency level")
         if any(f <= 0 for f in levels):
@@ -53,6 +71,18 @@ class DeviceModel:
             raise ValidationError("power terms must be non-negative")
         if self.throughput_ref <= 0:
             raise ValidationError("throughput_ref must be positive")
+        if abs(self.alpha_exp) > MAX_ALPHA_EXP:
+            raise ValidationError(
+                f"alpha_exp {self.alpha_exp!r} is beyond the maximum magnitude of {MAX_ALPHA_EXP}")
+        # A non-integral alpha_exp is applied in binary64, which can overflow
+        # (or divide by a ratio rounded to 0). P(f) is monotone in f, so the
+        # lowest and highest levels bound it.
+        for f in (levels[0], levels[-1]):
+            try:
+                self._power_exact(f)
+            except (OverflowError, ZeroDivisionError):
+                raise ValidationError(
+                    f"power at {f} GHz is not within the binary64 range") from None
 
     def power_watts(self, f_ghz: float) -> float:
         return float(self._power_exact(f_ghz))

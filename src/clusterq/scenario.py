@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import DeviceModel, EnergyTarget, account_energy
-from .errors import ClusterqError, ScenarioError
+from .errors import ClusterqError, ScenarioError, ValidationError
 from .graph import TaskGraph
 from .kernel import format_kernel, parse_kernel
 from .model import (
@@ -456,6 +456,75 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+# write_trace and write_buffer write the same bytes as write_json would for
+# their fixed shapes, but without json's pure-Python indenting encoder (the C
+# encoder ignores indent): strings and number lists go through json's C
+# functions, and the layout around them is a template.
+_string = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# trace lane (tid) and encoded name of each event kind
+_LANES = {kind: (tid, _string(kind)) for tid, kind in enumerate(("execute", "push", "await_push"))}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _micros(t) -> str:
+    # int / int is correctly rounded, so this equals float(t * 1_000_000)
+    return float.__repr__(t.numerator * 1_000_000 / t.denominator)
+
+
+def _trace_events(trace):
+    sep = "\n"
+    for ev in trace:
+        tid, kind = _LANES[ev.kind]
+        extra = ""
+        if ev.frequency_ghz is not None:
+            extra = f',\n        "frequency_ghz": {_float(ev.frequency_ghz)}'
+        if ev.bytes:
+            extra += f',\n        "bytes": {int.__repr__(ev.bytes)}'
+        yield (
+            f'{sep}    {{\n      "name": {_string(ev.label or ev.kind)},\n      "ph": "X",\n'
+            f'      "pid": {int.__repr__(ev.node)},\n      "tid": {tid},\n'
+            f'      "ts": {_micros(ev.start)},\n      "dur": {_micros(ev.duration)},\n'
+            f'      "args": {{\n        "kind": {kind},\n'
+            f'        "command": {int.__repr__(ev.command_id)}{extra}\n      }}\n    }}'
+        )
+        sep = ",\n"
+
+
+def write_trace(path, trace):
+    """Write trace.json: one Chrome trace-viewer complete event per
+    TraceEvent, times in microseconds, streamed event by event."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if not trace:
+            fh.write('{\n  "traceEvents": []\n}\n')
+            return
+        fh.write('{\n  "traceEvents": [')
+        fh.writelines(_trace_events(trace))
+        fh.write("\n  ]\n}\n")
+
+
+def _number_list(values: list) -> str:
+    # Indented like json.dump of a non-empty list. A number holds no comma, so
+    # every ", " of the compact form separates two items.
+    return "[\n    " + json.dumps(values)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+
+
+def write_buffer(path, buffer: Buffer, values: np.ndarray):
+    """Write buf_<name>.json: the buffer's header and its values, flat in
+    row-major order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f'{{\n  "name": {_string(buffer.name)},\n'
+            f'  "extent": {_number_list(list(buffer.extent.shape))},\n'
+            f'  "element_kind": {_string(buffer.element_kind)},\n'
+            f'  "values": {_number_list(values.reshape(-1).tolist())}\n}}\n'
+        )
+
+
 def save_scenario(scenario: Scenario, path):
     write_json(path, scenario_to_dict(scenario))
 
@@ -502,6 +571,11 @@ def run_scenario(scenario: Scenario, nodes: Optional[int] = None,
     plan = plan_scenario(scenario, nodes, target)
     result = run(plan, link=scenario.link)
     energy = account_energy(result.trace, plan.devices, result.makespan)
+    # Bounds every time the outputs hold (the trace's in microseconds) and
+    # every energy: each is at most the makespan or the total energy.
+    if not (is_binary64(result.makespan * 1_000_000) and is_binary64(energy.total_device_energy)):
+        raise ValidationError(
+            f"the makespan in microseconds or the device energy in joules is not {BINARY64_RANGE}")
     return RunBundle(scenario, plan, result, energy, plan.node_count, plan.target)
 
 

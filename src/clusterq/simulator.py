@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import exec_time
+from .energy import exec_time, require_finite
 from .errors import ValidationError
 # bench/tracing.py counts per-cell kernel evaluations by wrapping this module's
 # eval_kernel. The simulator makes none (its error path goes through eval_box),
@@ -47,6 +47,7 @@ class LinkModel:
     bandwidth_bytes_per_s: float = 1e9
 
     def __post_init__(self):
+        require_finite(self)
         if self.latency_s < 0:
             raise ValidationError("link latency must be nonnegative")
         if self.bandwidth_bytes_per_s <= 0:
@@ -238,25 +239,3 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
         final[name] = out
 
     return RunResult(buffers=final, trace=trace, makespan=makespan, plan=plan)
-
-
-def trace_to_chrome(trace) -> list[dict]:
-    """Chrome trace-viewer event list. Times in microseconds."""
-    lanes = {"execute": 0, "push": 1, "await_push": 2}
-    out = []
-    for ev in trace:
-        out.append({
-            "name": ev.label or ev.kind,
-            "ph": "X",
-            "pid": ev.node,
-            "tid": lanes[ev.kind],
-            "ts": float(ev.start * 1_000_000),
-            "dur": float(ev.duration * 1_000_000),
-            "args": {
-                "kind": ev.kind,
-                "command": ev.command_id,
-                **({"frequency_ghz": ev.frequency_ghz} if ev.frequency_ghz is not None else {}),
-                **({"bytes": ev.bytes} if ev.bytes else {}),
-            },
-        })
-    return out

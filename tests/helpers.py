@@ -1,6 +1,7 @@
 """Shared test utilities: bitmap oracle for region algebra, an independent
-command-plan replay checker, a random workload generator, and field
-mutations of the bundled scenario documents."""
+command-plan replay checker, a random workload generator, field mutations of
+the bundled scenario documents, and the dict forms of trace.json and
+buf_<name>.json that json.dump writes as the oracle of their writers."""
 
 import copy
 import json
@@ -337,6 +338,16 @@ def _bundled(name):
 
 
 BUNDLED = {name: _bundled(name) for name in ("saxpy", "stencil", "pipeline")}
+# saxpy on two nodes with every device and link field given, so that the
+# mutations reach the machine models too; alpha_exp is not integral, so P(f)
+# takes its binary64 path
+BUNDLED["machine"] = {
+    **BUNDLED["saxpy"],
+    "nodes": 2,
+    "device": {"levels_ghz": [0.5, 1.0, 2.0], "f_ref_ghz": 1.0, "p_static_w": 5.0,
+               "p_dyn_ref_w": 20.0, "alpha_exp": 2.5, "throughput_ref": 1e8},
+    "link": {"latency_s": 2e-6, "bandwidth_bytes_per_s": 5e8},
+}
 ODD_VALUES = (None, True, 0, -1, 2, 2 ** 63, 10 ** 400, 0.5, -0.0, math.nan, math.inf,
               "", "x", "MIN_EDP", "all", [], [0], [1, 2], {}, {"kind": "x"})
 KEYS = sorted({"bogus", "nodes", "device", "devices", "link", "target", "queue_target",
@@ -376,3 +387,44 @@ def mutated(doc, draw):
     else:
         node[draw(st.sampled_from(KEYS))] = value
     return doc
+
+
+# ------------------------------------------------------------- output oracles
+
+def trace_to_chrome(trace) -> list[dict]:
+    """Chrome trace-viewer event list. Times in microseconds."""
+    lanes = {"execute": 0, "push": 1, "await_push": 2}
+    out = []
+    for ev in trace:
+        out.append({
+            "name": ev.label or ev.kind,
+            "ph": "X",
+            "pid": ev.node,
+            "tid": lanes[ev.kind],
+            "ts": float(ev.start * 1_000_000),
+            "dur": float(ev.duration * 1_000_000),
+            "args": {
+                "kind": ev.kind,
+                "command": ev.command_id,
+                **({"frequency_ghz": ev.frequency_ghz} if ev.frequency_ghz is not None else {}),
+                **({"bytes": ev.bytes} if ev.bytes else {}),
+            },
+        })
+    return out
+
+
+def buffer_dump(buf, arr) -> dict:
+    """The buf_<name>.json object of buffer declaration buf holding arr."""
+    flat = arr.reshape(-1)
+    values = [int(v) for v in flat] if buf.element_kind == "int64" else [float(v) for v in flat]
+    return {
+        "name": buf.name,
+        "extent": list(buf.extent.shape),
+        "element_kind": buf.element_kind,
+        "values": values,
+    }
+
+
+def json_dump_text(obj) -> str:
+    """What json.dump(obj, fh, indent=2) plus a newline writes."""
+    return json.dumps(obj, indent=2) + "\n"

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import clusterq
 from clusterq import cli
+from clusterq.energy import MAX_ALPHA_EXP
 from clusterq.errors import ScenarioError
 from clusterq.scenario import scenario_from_dict
 
@@ -198,6 +200,72 @@ def test_run_number_beyond_binary64_exits_2(tmp_path, capsys, change, message):
     scn = write_scenario(tmp_path, {**INT_SCENARIO, "nodes": 1, **change})
     assert run_cli("run", scn, "--out", str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
+
+
+def machine_scenario(tmp_path, obj, fields):
+    """saxpy on two nodes with the device or link fields given."""
+    return write_scenario(tmp_path, {**BUNDLED["saxpy"], "nodes": 2, obj: fields})
+
+
+@pytest.mark.parametrize("obj, key, value", [
+    ("device", "levels_ghz", [0.5, math.inf]),
+    ("device", "f_ref_ghz", math.nan),
+    ("device", "p_static_w", math.inf),
+    ("device", "p_dyn_ref_w", -math.inf),
+    ("device", "alpha_exp", math.inf),
+    ("device", "throughput_ref", math.nan),
+    ("link", "latency_s", math.nan),
+    ("link", "bandwidth_bytes_per_s", math.inf),
+])
+def test_run_non_finite_model_field_exits_2(tmp_path, capsys, obj, key, value):
+    scn = machine_scenario(tmp_path, obj, {key: value})
+    assert run_cli("run", scn, "--out", str(tmp_path / "out")) == 2
+    bad = value[-1] if isinstance(value, list) else value
+    assert capsys.readouterr().err == (
+        f"clusterq: {scn}.{obj}: {key} must be a finite number, got {bad!r}\n")
+
+
+@pytest.mark.parametrize("alpha", [1e300, -(MAX_ALPHA_EXP + 0.5)])
+def test_run_alpha_exp_beyond_maximum_exits_2(tmp_path, capsys, alpha):
+    scn = machine_scenario(tmp_path, "device", {"alpha_exp": alpha})
+    assert run_cli("run", scn, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"clusterq: {scn}.device: alpha_exp {alpha!r} is beyond the maximum magnitude "
+        f"of {MAX_ALPHA_EXP}\n")
+
+
+@pytest.mark.parametrize("alpha", [MAX_ALPHA_EXP, -MAX_ALPHA_EXP, 2.5])
+def test_run_alpha_exp_within_maximum_runs(tmp_path, capsys, alpha):
+    scn = machine_scenario(tmp_path, "device", {"alpha_exp": alpha})
+    assert run_cli("run", scn, "--target", "MIN_ENERGY", "--out", str(tmp_path / "out")) == 0
+
+
+# A non-integral alpha_exp is applied in binary64: f / f_ref of 1e400 overflows,
+# 1e-400 rounds to 0, and 1e200 or 1e-200 overflow when raised to it.
+@pytest.mark.parametrize("f_ref, alpha, level", [
+    (1e-200, 2.5, "1e+200"), (1e200, -2.5, "1e-200"), (1.0, 2.5, "1e+200"), (1.0, -2.5, "1e-200"),
+])
+def test_run_power_beyond_binary64_exits_2(tmp_path, capsys, f_ref, alpha, level):
+    scn = machine_scenario(tmp_path, "device", {"levels_ghz": [1e-200, 1.0, 1e200],
+                                                "f_ref_ghz": f_ref, "alpha_exp": alpha})
+    assert run_cli("run", scn, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"clusterq: {scn}.device: power at {level} GHz is not within the binary64 range\n")
+
+
+@pytest.mark.parametrize("obj, fields", [
+    ("device", {"throughput_ref": 5e-324}),
+    ("link", {"bandwidth_bytes_per_s": 5e-324}),
+    ("link", {"latency_s": 1.7e308}),  # within binary64 in seconds, not in microseconds
+    ("device", {"p_static_w": 1.7e308, "throughput_ref": 1e-8}),
+], ids=["throughput", "bandwidth", "latency", "energy"])
+def test_run_output_beyond_binary64_exits_2(tmp_path, capsys, obj, fields):
+    out = tmp_path / "out"
+    assert run_cli("run", machine_scenario(tmp_path, obj, fields), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "clusterq: the makespan in microseconds or the device energy in joules is not "
+        "within the binary64 range\n")
+    assert not out.exists()
 
 
 def test_run_expectation_failure_exits_2(tmp_path, capsys):

@@ -1,15 +1,20 @@
 """Fast paths against their slow references: the compiled box evaluator
 against the scalar one, through the simulator (bit-identical buffers and
-identical error messages), and Execute dependencies on the transitively
-reduced task predecessors against dependencies on all of them."""
+identical error messages), Execute dependencies on the transitively
+reduced task predecessors against dependencies on all of them, and the
+trace.json and buf_<name>.json writers against json.dump of their dict
+forms."""
 
 import contextlib
 import math
+import os
 import random
+import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clusterq import simulator
 from clusterq.errors import EvalError, MapperViolationError
@@ -17,9 +22,11 @@ from clusterq.graph import TaskGraph
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, walk
 from clusterq.model import Accessor, AccessMode, Buffer, BufferInit, Fixed, Task
 from clusterq.region import Box, Region
+from clusterq.scenario import write_buffer, write_trace
 from clusterq.scheduler import generate_commands
+from clusterq.simulator import TraceEvent
 
-from helpers import random_workload
+from helpers import buffer_dump, json_dump_text, random_workload, trace_to_chrome
 
 INT64_EDGES = (-(2 ** 63), -(2 ** 62), -7, -1, 0, 1, 3, 2 ** 62, 2 ** 63 - 1)
 FLOAT_EDGES = (math.inf, -math.inf, math.nan, 0.0, -0.0, -2.0, 1.5, 1e308)
@@ -200,3 +207,61 @@ def test_reduced_dependencies_match_full_dependencies(seed, nodes):
     assert got.makespan == want.makespan
     assert {name: (arr.dtype.str, arr.tobytes()) for name, arr in got.buffers.items()} == \
         {name: (arr.dtype.str, arr.tobytes()) for name, arr in want.buffers.items()}
+
+
+def written(write, *args) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.json")
+        write(path, *args)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+LABELS = st.one_of(
+    st.sampled_from(("", '"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2192 \U0001d11e", ", ",
+                     'T1 "a, b" \\n')),
+    st.text(max_size=12),
+)
+TIMES = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(10 ** 300, 7),
+                     Fraction(10 ** 400 + 1, 10 ** 395))),
+    st.builds(Fraction, st.integers(0, 10 ** 30), st.integers(1, 10 ** 12)),
+)
+TRACE_EVENTS = st.builds(
+    TraceEvent,
+    kind=st.sampled_from(("execute", "push", "await_push")),
+    node=st.integers(0, 2 ** 16),
+    command_id=st.integers(0, 10 ** 6),
+    start=TIMES,
+    duration=TIMES,
+    bytes=st.one_of(st.just(0), st.integers(0, 2 ** 40)),
+    frequency_ghz=st.one_of(st.none(), st.floats(), st.sampled_from(
+        (0.5, 2.0, 1e-300, -0.0, math.nan, math.inf, -math.inf))),
+    label=LABELS,
+)
+
+
+@settings(max_examples=74, deadline=None, derandomize=True, database=None)
+@given(trace=st.lists(TRACE_EVENTS, max_size=4))
+@example(trace=[])
+def test_trace_writer_matches_json_dump(trace):
+    want = json_dump_text({"traceEvents": trace_to_chrome(trace)})
+    assert written(write_trace, trace) == want.encode("ascii")
+
+
+FLOAT64_VALUES = st.one_of(st.sampled_from(FLOAT_EDGES + (5e-324, 1.7e308, -1.7e308)),
+                           st.floats())
+INT64_VALUES = st.one_of(st.sampled_from(INT64_EDGES), st.integers(-(2 ** 63), 2 ** 63 - 1))
+
+
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       integer=st.booleans(), name=LABELS.filter(bool), data=st.data())
+def test_buffer_writer_matches_json_dump(shape, integer, name, data):
+    volume = math.prod(shape)
+    values = data.draw(st.lists(INT64_VALUES if integer else FLOAT64_VALUES,
+                                min_size=volume, max_size=volume))
+    arr = np.array(values, dtype=np.int64 if integer else np.float64).reshape(shape)
+    buf = Buffer(name, Box.from_shape(tuple(shape)), "int64" if integer else "float64")
+    want = json_dump_text(buffer_dump(buf, arr))
+    assert written(write_buffer, buf, arr) == want.encode("ascii")

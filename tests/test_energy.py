@@ -1,5 +1,6 @@
 """Frequency selection, the power model, and exact energy accounting."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from clusterq.energy import (
     select_frequency,
 )
 from clusterq.errors import ValidationError
-from clusterq.simulator import TraceEvent
+from clusterq.simulator import LinkModel, TraceEvent
 
 
 REF = DeviceModel(levels_ghz=(0.5, 1.0, 1.5, 2.0), f_ref_ghz=1.0,
@@ -158,6 +159,22 @@ def test_device_validation():
         DeviceModel(p_static_w=-1.0)
     with pytest.raises(ValidationError):
         DeviceModel(throughput_ref=0.0)
+
+
+@pytest.mark.parametrize("model, field", [
+    (DeviceModel, "f_ref_ghz"), (DeviceModel, "p_static_w"), (DeviceModel, "p_dyn_ref_w"),
+    (DeviceModel, "alpha_exp"), (DeviceModel, "throughput_ref"),
+    (LinkModel, "latency_s"), (LinkModel, "bandwidth_bytes_per_s"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_models_reject_non_finite_fields(model, field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
+        model(**{field: value})
+
+
+def test_device_rejects_non_finite_level():
+    with pytest.raises(ValidationError, match="^levels_ghz must be a finite number, got nan"):
+        DeviceModel(levels_ghz=(1.0, math.nan))
 
 
 def test_exec_time_exact():

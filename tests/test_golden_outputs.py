@@ -5,7 +5,7 @@ bundled scenario at 1 and 3 nodes and compares the sha256 of every output
 file against the digests below. A change that alters an output on purpose
 updates the digests and says so in CHANGES.md. No bundled scenario has a
 per-task target or more than one device model, so an inline scenario pins
-those paths too.
+those paths too, and a second one with no tasks pins the empty trace.
 """
 
 import hashlib
@@ -153,3 +153,45 @@ def test_per_task_target_outputs_match_golden_digests(tmp_path, capsys, nodes):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert output_digests(str(path), nodes, out_dir) == PER_TASK_TARGET_GOLDEN[nodes]
+
+
+# No tasks, so no commands: trace.json holds an empty event list, and the
+# buffers are dumped as initialized, one float64 in 2D and one int64.
+NO_TASK_SCENARIO = {
+    "buffers": [
+        {"name": "u", "extent": [3, 2], "init": "iota"},
+        {"name": "k", "extent": [4], "element_kind": "int64",
+         "init": {"kind": "constant", "value": -7}},
+    ],
+    "tasks": [],
+}
+
+NO_TASK_GOLDEN = {
+    1: {
+        "buf_k.json": "7b2d354320313727a12ae3ae0919ff66c8af912af9eb079d44c9f5aa1b5b69e6",
+        "buf_u.json": "0518185095c43c8aff6a31e0626033e939c5c86c14f766bf18840963db254a80",
+        "command.dot": "8934dbc532e4240ee375216e782d8d8df6f995ba0a804a41dc2fb161bc4dfa01",
+        "report.json": "5528a5a243db4749af80f9776a74d300b9bca346d0c216034d5eb4059aad4db4",
+        "task.dot": "7890005a87a4459053d24e50ecc88e657e03138cef60e099e2bb6fc4b882247b",
+        "trace.json": "bceb0e163148a7ff8878a972a8fedcabf6edffb4fc6de9677c6afc1bd140451a",
+    },
+    3: {
+        "buf_k.json": "7b2d354320313727a12ae3ae0919ff66c8af912af9eb079d44c9f5aa1b5b69e6",
+        "buf_u.json": "0518185095c43c8aff6a31e0626033e939c5c86c14f766bf18840963db254a80",
+        "command.dot": "8934dbc532e4240ee375216e782d8d8df6f995ba0a804a41dc2fb161bc4dfa01",
+        "report.json": "b2bdb0c803619be31dc9b1600ecec299ec6009e6596d660cb12843e417e258bb",
+        "task.dot": "7890005a87a4459053d24e50ecc88e657e03138cef60e099e2bb6fc4b882247b",
+        "trace.json": "bceb0e163148a7ff8878a972a8fedcabf6edffb4fc6de9677c6afc1bd140451a",
+    },
+}
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_no_task_outputs_match_golden_digests(tmp_path, capsys, nodes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(NO_TASK_SCENARIO), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert output_digests(str(path), nodes, out_dir) == NO_TASK_GOLDEN[nodes]
+    trace = (out_dir / "trace.json").read_text(encoding="utf-8")
+    assert trace == '{\n  "traceEvents": []\n}\n'

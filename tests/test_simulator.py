@@ -20,9 +20,9 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 from clusterq.scheduler import PushCommand, generate_commands
-from clusterq.simulator import LinkModel, run, trace_to_chrome
+from clusterq.simulator import LinkModel, run
 
-from helpers import random_workload
+from helpers import random_workload, trace_to_chrome
 
 
 # unit-rate device: one element per second at 1 GHz, single level, so an
