@@ -178,7 +178,8 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
 
     Kernel energy for an event is P(f) * duration; device energy is the sum of
     its events' kernel energy plus P_static * idle time. Push events charge
-    nothing beyond static draw.
+    nothing beyond static draw. Event times must be exact rationals, as
+    simulator.run gives them; P(f) is computed once per node and frequency.
     """
     makespan = Fraction(makespan)
     report = EnergyReport(makespan_s=makespan)
@@ -186,26 +187,31 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
     busy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
     busy_energy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
     spans: dict[int, tuple[Fraction, Fraction]] = {}
+    power: dict[tuple[int, float], Fraction] = {}  # (node, frequency) -> P(f)
 
     for ev in trace:
         if ev.kind != "execute":
             continue
-        if not 0 <= ev.node < len(devices):
-            raise ValidationError(f"trace event references unknown device {ev.node}")
-        device = devices[ev.node]
-        dur = Fraction(ev.duration)
-        energy = device._power_exact(ev.frequency_ghz) * dur
-        busy[ev.node] += dur
-        busy_energy[ev.node] += energy
+        node, f = ev.node, ev.frequency_ghz
+        p = power.get((node, f))
+        if p is None:
+            if not 0 <= node < len(devices):
+                raise ValidationError(f"trace event references unknown device {node}")
+            p = power[node, f] = devices[node]._power_exact(f)
+        dur = ev.duration
+        energy = p * dur
+        busy[node] += dur
+        busy_energy[node] += energy
         entry = tasks.get(ev.task_id)
         if entry is None:
             entry = TaskEnergy(ev.task_id, ev.task_name or "", Fraction(0), Fraction(0), {})
             tasks[ev.task_id] = entry
         entry.energy_j += energy
-        entry.frequency_ghz_per_node[ev.node] = ev.frequency_ghz
-        start = Fraction(ev.start)
-        lo, hi = spans.get(ev.task_id, (start, start + dur))
-        spans[ev.task_id] = (min(lo, start), max(hi, start + dur))
+        entry.frequency_ghz_per_node[node] = f
+        start = ev.start
+        finish = start + dur
+        lo, hi = spans.get(ev.task_id, (start, finish))
+        spans[ev.task_id] = (min(lo, start), max(hi, finish))
 
     for tid in sorted(tasks):
         entry = tasks[tid]

@@ -430,7 +430,9 @@ def compile_kernel(expr, integer=False):
     returns the reads of every id as an array over the read buffer's axes,
     or None when one falls outside the mapped region. A read buffer with
     fewer axes than the kernel broadcasts along the trailing kernel axes.
-    Float division needs no special case: IEEE division by zero gives the
+    evaluate never writes into a gathered array, and its result may be one,
+    so a caller copies the result out rather than writing into it. Float
+    division needs no special case: IEEE division by zero gives the
     values _ieee_div spells out, up to the sign bit of a NaN.
     """
     dtype = np.int64 if integer else np.float64
@@ -475,6 +477,8 @@ def compile_kernel(expr, integer=False):
                         stack[-1] = np.negative(stack[-1])
             except _Declined:
                 return None
-        return np.broadcast_to(stack[0], box.shape)
+        result = stack[0]
+        shape = box.shape
+        return result if np.shape(result) == shape else np.broadcast_to(result, shape)
 
     return evaluate

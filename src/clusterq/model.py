@@ -454,7 +454,7 @@ def validate_task(task: Task, buffers) -> None:
 
 
 class ReadView:
-    """Snapshot of one accessor's readable data, bounded by its mapped region.
+    """One accessor's readable data, bounded by its mapped region.
 
     Reads are clamped per dimension to the buffer extent; a clamped index that
     still falls outside the mapped region raises MapperViolationError. read()
@@ -488,13 +488,33 @@ class ReadView:
         """read() at every point of the box [mins, maxs) shifted by offsets,
         as an array over the buffer's axes; None instead of raising when any
         clamped point falls outside the mapped region. Only the first
-        len(offsets) axes of the box are used."""
+        len(offsets) axes of the box are used.
+
+        A read that needs no clamping is a view of the data array, not a
+        copy, so a caller must never write into what gather returns."""
+        lows, highs = [], []  # bounds of the clamped points read
+        clamped = False
+        for lo, hi, off, elo, ehi in zip(mins, maxs, offsets, self.extent.mins, self.extent.maxs):
+            lo += off
+            hi += off
+            if lo < elo or hi > ehi:
+                clamped = True
+                lo = min(max(lo, elo), ehi - 1)
+                hi = min(max(hi - 1, elo), ehi - 1) + 1
+            lows.append(lo)
+            highs.append(hi)
+        inside = any(
+            all(b <= v for b, v in zip(box.mins, lows))
+            and all(v <= b for b, v in zip(box.maxs, highs))
+            for box in self.region.boxes
+        ) or self.region.contains_region(Region.from_box(Box(tuple(lows), tuple(highs))))
+        if not inside:
+            return None
+        if not clamped:
+            return self.data[tuple(map(slice, lows, highs))]
         axes = [
             np.clip(np.arange(lo + off, hi + off), elo, ehi - 1)
             for lo, hi, off, elo, ehi in zip(
                 mins, maxs, offsets, self.extent.mins, self.extent.maxs)
         ]
-        hit = Box(tuple(int(a[0]) for a in axes), tuple(int(a[-1]) + 1 for a in axes))
-        inside = any(b.contains_box(hit) for b in self.region) or \
-            self.region.contains_region(Region.from_box(hit))
-        return self.data[np.ix_(*axes)] if inside else None
+        return self.data[np.ix_(*axes)]

@@ -8,15 +8,19 @@ kernels; a Push starts as soon as its dependencies are done and takes
 latency + bytes / bandwidth on the link.
 
 Time is kept as exact rationals end to end so accounting identities hold
-structurally; values become floats only at serialization.
+structurally; values become floats only at serialization. Each distinct
+duration is computed once per run: an Execute's per (node, chunk volume,
+beta, frequency), a Push's per byte count.
 
 Data movement is replayed for real: each node has its own backing array per
 buffer. A Push copies its region out as one array slice per box when the Push
 starts (the payload is in flight from that moment), and the matching
 AwaitPush lands those slices in the destination array. An Execute that reads
-a buffer it also writes snapshots that read view before writing, so in-place
-updates within one task see pre-task data; a view of a buffer the Execute
-does not write wraps the live array, which nothing changes while it runs.
+a buffer it also writes snapshots that buffer once before writing, so
+in-place updates within one task see pre-task data; a view of a buffer the
+Execute does not write wraps the live array, which nothing changes while it
+runs. A read that needs no clamping to the extent is a view of that array,
+not a copy.
 
 Each (task, write accessor) body is compiled once per run and evaluates a
 whole write box per call. A box the compiled program declines is re-run
@@ -138,34 +142,48 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     heap = [cid for cid, deg in sorted(indegree.items()) if deg == 0]
     heapify(heap)
 
+    zero = Fraction(0)
     finish_time: dict[int, Fraction] = {}
-    lane_free: dict[int, Fraction] = {n: Fraction(0) for n in range(plan.node_count)}
+    lane_free: dict[int, Fraction] = {n: zero for n in range(plan.node_count)}
     payloads: dict[int, list] = {}  # push id -> [(box index, values)]
     kernels = {}  # (task id, write accessor) -> compiled body
+    exec_durs = {}  # (node, chunk volume, beta, frequency) -> duration
+    push_durs = {}  # bytes -> duration
     trace: list[TraceEvent] = []
+    makespan = zero
     done = 0
 
     while heap:
         cid = heappop(heap)
         cmd = by_id[cid]
-        dep_ready = max((finish_time[d] for d in cmd.deps), default=Fraction(0))
+        dep_ready = max((finish_time[d] for d in cmd.deps), default=zero)
 
         if isinstance(cmd, ExecuteCommand):
             task = plan.graph.task(cmd.task_id)
             node = cmd.node
-            device = devices[node]
             start = max(dep_ready, lane_free[node])
-            t_ref = Fraction(cmd.chunk.box.volume()) / Fraction(device.throughput_ref)
-            dur = exec_time(t_ref, task.beta, device.f_ref_ghz, cmd.frequency_ghz)
-            lane_free[node] = start + dur
+            volume = cmd.chunk.box.volume()
+            dur_key = (node, volume, task.beta, cmd.frequency_ghz)
+            dur = exec_durs.get(dur_key)
+            if dur is None:
+                device = devices[node]
+                t_ref = Fraction(volume) / Fraction(device.throughput_ref)
+                dur = exec_durs[dur_key] = exec_time(
+                    t_ref, task.beta, device.f_ref_ghz, cmd.frequency_ghz)
+            finish = lane_free[node] = start + dur
 
             written = {bufname for _w, bufname, _r, _v in cmd.writes}
+            arrays = {}  # buffer -> the array this Execute's reads see
             views = {}
             for name, bufname, region in cmd.reads:
-                data = storage.array(bufname, node)
+                data = arrays.get(bufname)
+                if data is None:
+                    data = storage.array(bufname, node)
+                    if bufname in written:
+                        data = data.copy()
+                    arrays[bufname] = data
                 views[name] = ReadView(
-                    name, bufname, region, buffers[bufname].extent,
-                    data.copy() if bufname in written else data,
+                    name, bufname, region, buffers[bufname].extent, data,
                     context=f"task '{task.name}'",
                 )
             for wname, bufname, region, _v in cmd.writes:
@@ -189,7 +207,10 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
 
         elif isinstance(cmd, PushCommand):
             start = dep_ready
-            dur = link.transfer_time(cmd.bytes)
+            dur = push_durs.get(cmd.bytes)
+            if dur is None:
+                dur = push_durs[cmd.bytes] = link.transfer_time(cmd.bytes)
+            finish = start + dur
             src_arr = storage.array(cmd.buffer, cmd.src)
             payloads[cid] = [
                 (index, src_arr[index].copy()) for index in map(_index, cmd.region)
@@ -201,20 +222,21 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             ))
 
         elif isinstance(cmd, AwaitPushCommand):
-            start = dep_ready
-            dur = Fraction(0)
+            start = finish = dep_ready
             dst_arr = storage.array(cmd.buffer, cmd.dst)
             for index, values in payloads.pop(cmd.push_id):
                 dst_arr[index] = values
             trace.append(TraceEvent(
-                kind="await_push", node=cmd.dst, command_id=cid, start=start, duration=dur,
+                kind="await_push", node=cmd.dst, command_id=cid, start=start, duration=zero,
                 bytes=ELEMENT_BYTES * cmd.region.volume(),
                 label=f"{cmd.buffer} {cmd.region} n{cmd.dst}",
             ))
         else:
             raise ValidationError(f"unknown command type {type(cmd).__name__}")
 
-        finish_time[cid] = trace[-1].finish
+        finish_time[cid] = finish
+        if finish > makespan:
+            makespan = finish
         done += 1
         for nxt in dependents[cid]:
             indegree[nxt] -= 1
@@ -224,8 +246,6 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     if done != len(plan.commands):
         stuck = sorted(cid for cid, deg in indegree.items() if deg > 0)
         raise ValidationError(f"command graph has a cycle involving ids {stuck}")
-
-    makespan = max((ev.finish for ev in trace), default=Fraction(0))
 
     final = {}
     for name, entries in plan.final_locations.items():

@@ -1,11 +1,13 @@
 """Fast paths against their slow references: the compiled box evaluator
 against the scalar one, through the simulator (bit-identical buffers and
-identical error messages), Execute dependencies on the transitively
-reduced task predecessors against dependencies on all of them, and the
-trace.json and buf_<name>.json writers against json.dump of their dict
-forms."""
+identical error messages), ReadView.gather against read() at every point,
+the replay's durations and energy against a fresh computation per event,
+Execute dependencies on the transitively reduced task predecessors against
+dependencies on all of them, and the trace.json and buf_<name>.json writers
+against json.dump of their dict forms."""
 
 import contextlib
+import itertools
 import math
 import os
 import random
@@ -17,14 +19,15 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from clusterq import simulator
+from clusterq.energy import DeviceModel, EnergyTarget, account_energy, exec_time
 from clusterq.errors import EvalError, MapperViolationError
 from clusterq.graph import TaskGraph
-from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, walk
-from clusterq.model import Accessor, AccessMode, Buffer, BufferInit, Fixed, Task
+from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, walk
+from clusterq.model import Accessor, AccessMode, Buffer, BufferInit, Fixed, ReadView, Task
 from clusterq.region import Box, Region
 from clusterq.scenario import write_buffer, write_trace
-from clusterq.scheduler import generate_commands
-from clusterq.simulator import TraceEvent
+from clusterq.scheduler import assign_frequencies, generate_commands
+from clusterq.simulator import LinkModel, TraceEvent
 
 from helpers import buffer_dump, json_dump_text, random_workload, trace_to_chrome
 
@@ -165,6 +168,145 @@ def test_nan_of_either_sign_is_stored_canonically():
     for reference in (False, True):
         (_dtype, raw), = outcome(plan, reference).values()
         assert np.frombuffer(raw, np.uint64).tolist() == [0x7FF8000000000000] * 3
+
+
+# The NaN with the sign bit set, which _store must not write back into a
+# gathered view.
+NEGATIVE_NAN = float(np.uint64(0xFFF8000000000000).view(np.float64))
+
+
+@st.composite
+def gather_cases(draw):
+    """A read view over a 1-3-D extent with a region of 1-4 boxes, and a
+    shifted read box whose clamping per axis is none, low, high or both.
+    Half the regions also hold the clamped points the box reads, as pieces
+    left over once the earlier boxes are taken out. The box may carry
+    trailing kernel axes the buffer does not have."""
+    dims = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(dims))
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        lows = [draw(st.integers(0, n - 1)) for n in shape]
+        highs = [draw(st.integers(lo + 1, n)) for lo, n in zip(lows, shape)]
+        boxes.append(Box(tuple(lows), tuple(highs)))
+    mins, maxs, offsets, hit_lows, hit_highs = [], [], [], [], []
+    for n in shape:
+        clamp = draw(st.sampled_from(("none", "none", "low", "high", "both")))
+        below = clamp in ("low", "both")
+        above = clamp in ("high", "both")
+        lo = draw(st.integers(-3, -1) if below else st.integers(0, n - 1))
+        hi = draw(st.integers(n + 1, n + 3) if above else st.integers(lo + 1, n))
+        off = draw(st.integers(-2, 2))
+        mins.append(lo - off)
+        maxs.append(hi - off)
+        offsets.append(off)
+        hit_lows.append(min(max(lo, 0), n - 1))
+        hit_highs.append(min(max(hi - 1, 0), n - 1) + 1)
+    if draw(st.booleans()):
+        boxes.append(Box(tuple(hit_lows), tuple(hit_highs)))
+    for _ in range(draw(st.integers(0, 3 - dims))):
+        lo = draw(st.integers(0, 3))
+        mins.append(lo)
+        maxs.append(lo + draw(st.integers(1, 2)))
+    integer = draw(st.booleans())
+    edges = INT64_EDGES if integer else FLOAT_EDGES + (NEGATIVE_NAN,)
+    values = draw(st.lists(st.sampled_from(edges), min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    return shape, boxes, tuple(mins), tuple(maxs), tuple(offsets), integer, values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=gather_cases())
+# a row that neither box of an L-shaped region holds alone, unclamped
+@example(case=((4, 4), [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))],
+               (1, 0), (2, 4), (0, 0), False, [NEGATIVE_NAN] * 16))
+# the same row clamped at both edges of axis 1, and one clamped out of it
+@example(case=((4, 4), [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))],
+               (1, -2), (2, 6), (0, 0), False, [NEGATIVE_NAN] * 16))
+@example(case=((4, 4), [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))],
+               (2, -2), (3, 6), (0, 0), True, list(range(16))))
+def test_gather_matches_pointwise_reads(case):
+    shape, boxes, mins, maxs, offsets, integer, values = case
+    dtype = np.int64 if integer else np.float64
+    data = np.array(values, dtype=dtype).reshape(shape)
+    before = data.tobytes()
+    view = ReadView("r", "x", Region(len(shape), boxes), Box.from_shape(shape), data)
+
+    axes = [range(lo, hi) for lo, hi in zip(mins, maxs)][:len(shape)]
+    try:
+        reads = [view.read(tuple(p + off for p, off in zip(point, offsets)))
+                 for point in itertools.product(*axes)]
+    except MapperViolationError:
+        want = None
+    else:
+        want = np.array(reads, dtype=dtype).reshape([len(a) for a in axes])
+    got = view.gather(mins, maxs, offsets)
+    if want is None:
+        assert got is None
+        return
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    # A bare read stored as a kernel result: the store lands a canonical copy
+    # and leaves the gathered source as it was, though it may be a view.
+    kernel_box = Box(mins, maxs)
+    result = compile_kernel(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
+    out = np.zeros(kernel_box.shape, dtype=dtype)
+    simulator._store(out, Box.from_shape(kernel_box.shape), result, integer)
+    assert data.tobytes() == before
+    trailing = (1,) * (len(mins) - len(shape))
+    stored = np.broadcast_to(want.reshape(want.shape + trailing), kernel_box.shape).copy()
+    if not integer:
+        stored[np.isnan(stored)] = math.nan
+    assert out.tobytes() == stored.tobytes()
+
+
+LEVELS = (0.5, 1.0, 1.5, 2.0)
+# Equal levels, different speed and reference frequency: an equal chunk at an
+# equal level takes a different time and draws a different P(f) on each.
+REPLAY_DEVICES = (DeviceModel(LEVELS, f_ref_ghz=1.0, throughput_ref=1e9),
+                  DeviceModel(LEVELS, f_ref_ghz=1.5, throughput_ref=3e8))
+TARGETS = st.sampled_from((None,) + tuple(EnergyTarget))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(2, 4),
+       link=st.builds(LinkModel, st.sampled_from((0.0, 1e-6, 0.3)),
+                      st.sampled_from((1e9, 3.0, 7e5))),
+       data=st.data())
+def test_replay_times_and_energy_match_fresh_computation(seed, nodes, link, data):
+    buffers, tasks = random_workload(random.Random(seed))
+    graph = TaskGraph(buffers)
+    for task in tasks:
+        beta = data.draw(st.sampled_from((0.0, 0.25, 0.5, 0.9)))
+        graph.submit(Task(task.name, task.global_range, task.accessors, task.body,
+                          task.params, beta, data.draw(TARGETS)))
+    devices = [REPLAY_DEVICES[n % 2] for n in range(nodes)]
+    plan = generate_commands(graph, nodes, devices=devices)
+    assign_frequencies(plan, data.draw(TARGETS) or EnergyTarget.MAX_PERF)
+    result = simulator.run(plan, link)
+
+    by_id = {c.id: c for c in plan.commands}
+    busy = [Fraction(0)] * nodes
+    kernel = [Fraction(0)] * nodes
+    for ev in result.trace:
+        cmd = by_id[ev.command_id]
+        if ev.kind == "execute":
+            device = devices[ev.node]
+            t_ref = Fraction(cmd.chunk.box.volume()) / Fraction(device.throughput_ref)
+            beta = graph.task(cmd.task_id).beta
+            assert ev.duration == exec_time(t_ref, beta, device.f_ref_ghz, ev.frequency_ghz)
+            busy[ev.node] += ev.duration
+            kernel[ev.node] += device._power_exact(ev.frequency_ghz) * ev.duration
+        elif ev.kind == "push":
+            assert ev.duration == link.transfer_time(ev.bytes)
+        else:
+            assert ev.duration == 0
+    assert result.makespan == max((ev.finish for ev in result.trace), default=0)
+
+    report = account_energy(result.trace, devices, result.makespan)
+    for node, device in enumerate(devices):
+        idle = Fraction(device.p_static_w) * (result.makespan - busy[node])
+        assert report.per_device[node].energy_j == kernel[node] + idle
 
 
 def _ancestors(plan):

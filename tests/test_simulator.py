@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from clusterq import simulator
 from clusterq.energy import DeviceModel
 from clusterq.errors import ValidationError
 from clusterq.graph import TaskGraph
@@ -16,6 +18,7 @@ from clusterq.model import (
     Buffer,
     BufferInit,
     Neighborhood,
+    ReadView,
     Task,
 )
 from clusterq.region import Box, Region
@@ -118,6 +121,37 @@ def test_random_workloads_node_count_invariant():
                 for n in base:
                     assert base[n].dtype == got[n].dtype
                     assert np.array_equal(base[n], got[n], equal_nan=True), n
+
+
+def test_two_reads_of_a_rewritten_buffer_share_one_snapshot():
+    """A task that rewrites its buffer in place through two read accessors
+    reads pre-task data through both, from one snapshot per Execute."""
+    nb = Neighborhood((1,))
+    body = parse_kernel("lo[i-1] * 2.0 + hi[i+1]", {"lo": 1, "hi": 1}, set(), 1)
+    tasks = [Task(f"shift{k}", Box.from_shape((16,)), [
+        Accessor("a", AccessMode.READ, nb, name="lo"),
+        Accessor("a", AccessMode.READ, nb, name="hi"),
+        Accessor("a", AccessMode.WRITE),
+    ], {"a": body}) for k in range(2)]
+    a = np.arange(16.0)
+    for _ in range(2):
+        a = a[np.clip(np.arange(16) - 1, 0, 15)] * 2.0 + a[np.clip(np.arange(16) + 1, 0, 15)]
+
+    for nodes in (1, 2, 3):
+        views = []
+
+        def recording(*args, **kwargs):
+            views.append(ReadView(*args, **kwargs))
+            return views[-1]
+
+        plan = plan_for({"a": fbuf("a", 16)}, tasks, nodes)
+        with mock.patch.object(simulator, "ReadView", recording):
+            res = run(plan)
+        assert res.buffers["a"].tobytes() == a.tobytes(), f"nodes={nodes}"
+        assert len(views) == 2 * len(plan.executes())
+        for lo, hi in zip(views[::2], views[1::2]):
+            assert (lo.accessor, hi.accessor) == ("lo", "hi")
+            assert lo.data is hi.data
 
 
 def test_int64_buffers_stay_int64():
