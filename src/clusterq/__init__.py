@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import TaskGraph
-from .kernel import eval_kernel, format_kernel, parse_kernel
+from .kernel import format_kernel, parse_kernel
 from .model import (
     Accessor,
     AccessMode,

@@ -1,4 +1,4 @@
-"""Arithmetic kernel language: AST, recursive-descent parser, printer, evaluators.
+"""Arithmetic kernel language: AST, recursive-descent parser, printer, evaluator.
 
 Grammar (whitespace insignificant between tokens):
 
@@ -18,21 +18,17 @@ wrapping 64-bit semantics for + - * and truncating division; integer division
 by zero raises EvalError. Literals and parameters in an integer expression
 must be integers in [-2**63, 2**63); task validation rejects any other value.
 
-Two evaluators share these semantics. `eval_kernel` walks the tree for one id
-and is the reference. `compile_kernel` turns a body into a numpy program that
-evaluates a whole box of ids at once, bit for bit like the reference, and
-declines (returns None) for a box on which the reference raises; `eval_box`
-then runs the reference over that box to raise its exact error. The caller
-that stores a float result stores every NaN as the canonical quiet NaN
-0x7ff8000000000000, the one JSON `NaN` parses to, because the sign bit of a
-computed NaN depends on the hardware and on which operand numpy or CPython
-propagates.
+`compile_kernel` turns a body into a numpy program that evaluates a whole box
+of ids at once. On a box where some id fails, it raises the error of the
+first failing id in row-major order, and at that id the error of the first
+failing operation in evaluation order. The caller that stores a float result
+stores every NaN as the canonical quiet NaN 0x7ff8000000000000, the one JSON
+`NaN` parses to, because the sign bit of a computed NaN depends on the
+hardware and on which operand numpy propagates.
 """
 
-import math
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
 
 import numpy as np
@@ -77,6 +73,7 @@ Expr = Union[Num, Param, IdComponent, Read, Neg, BinOp]
 
 _NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+")
 _NAME = re.compile(r"[A-Za-z_]\w*")
+_DIGITS = re.compile(r"\d+")
 
 
 class _Parser:
@@ -160,15 +157,20 @@ class _Parser:
         m = _NUMBER.match(self.text, self.pos)
         if not m:
             raise KernelSyntaxError("malformed number", self.pos)
-        start, self.pos = self.pos, m.end()
         tok = m.group(0)
         if "." in tok or "e" in tok or "E" in tok:
+            self.pos = m.end()
             return float(tok)
+        return self.integer(m)
+
+    def integer(self, m):
+        """The value of the digits m matched at pos, consumed."""
+        start, self.pos = self.pos, m.end()
         try:
-            return int(tok)
+            return int(m.group(0))
         except ValueError:  # more digits than the interpreter converts
             raise KernelSyntaxError(
-                f"integer literal of {len(tok)} digits is too long", start
+                f"integer literal of {len(m.group(0))} digits is too long", start
             ) from None
 
     def id_axis(self, start):
@@ -224,11 +226,11 @@ class _Parser:
         if ch in ("+", "-"):
             self.pos += 1
             self.skip_ws()
-            m = re.match(r"\d+", self.text[self.pos :])
+            m = _DIGITS.match(self.text, self.pos)
             if not m:
                 raise KernelSyntaxError("accessor offset must be a constant integer", self.pos)
-            self.pos += len(m.group(0))
-            return int(m.group(0)) if ch == "+" else -int(m.group(0))
+            value = self.integer(m)
+            return value if ch == "+" else -value
         return 0
 
 
@@ -261,7 +263,7 @@ def format_kernel(expr) -> str:
     """Canonical text for an expression; reparsing yields an identical tree.
     Iterative, so deep trees need no recursion."""
     texts = []  # the text of each operand not yet consumed
-    for node in _postorder(expr):
+    for node in postorder(expr):
         if isinstance(node, Num):
             texts.append(repr(node.value))
         elif isinstance(node, Param):
@@ -291,106 +293,7 @@ def format_kernel(expr) -> str:
     return texts[0]
 
 
-def walk(expr):
-    """Yield every node of the expression tree, depth first, each node before
-    its operands and left before right. Iterative, so deep trees need no
-    recursion."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, BinOp):
-            stack.append(node.right)
-            stack.append(node.left)
-
-
-_I64_HALF = 1 << 63
-_I64_FULL = 1 << 64
-
-
-def wrap_i64(v: int) -> int:
-    return (v + _I64_HALF) % _I64_FULL - _I64_HALF
-
-
-def _ieee_div(a: float, b: float) -> float:
-    if b == 0.0:
-        if math.isnan(a) or a == 0.0:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return a / b
-
-
-def eval_kernel(expr, idx, views, params, integer=False):
-    """Evaluate one element. idx is the global id tuple; views maps accessor
-    name to a read view exposing read(point); params maps name to value.
-    Iterative, so deep trees need no recursion."""
-    return _eval(_postorder(expr), idx, views, params, integer)
-
-
-def _eval(order, idx, views, params, integer):
-    """eval_kernel over the nodes in _postorder's evaluation order."""
-    stack = []
-    for node in order:
-        if isinstance(node, BinOp):
-            b = stack.pop()
-            a = stack[-1]
-            op = node.op
-            if integer:
-                if op == "+":
-                    v = wrap_i64(a + b)
-                elif op == "-":
-                    v = wrap_i64(a - b)
-                elif op == "*":
-                    v = wrap_i64(a * b)
-                elif b == 0:
-                    raise EvalError(f"integer division by zero at id {idx}")
-                else:
-                    q = abs(a) // abs(b)
-                    v = wrap_i64(-q if (a < 0) != (b < 0) else q)
-            elif op == "+":
-                v = a + b
-            elif op == "-":
-                v = a - b
-            elif op == "*":
-                v = a * b
-            else:
-                v = _ieee_div(a, b)
-            stack[-1] = v
-        elif isinstance(node, Neg):
-            stack[-1] = wrap_i64(-stack[-1]) if integer else -stack[-1]
-        elif isinstance(node, Num):
-            stack.append(int(node.value) if integer else float(node.value))
-        elif isinstance(node, Param):
-            v = params[node.name]
-            stack.append(int(v) if integer else float(v))
-        elif isinstance(node, IdComponent):
-            v = idx[node.axis]
-            stack.append(v if integer else float(v))
-        elif isinstance(node, Read):
-            point = tuple(idx[j] + off for j, off in enumerate(node.offsets))
-            v = views[node.accessor].read(point)
-            stack.append(int(v) if integer else float(v))
-        else:
-            raise TypeError(f"not a kernel expression: {node!r}")
-    return stack[0]
-
-
-def eval_box(expr, box, views, params, integer=False) -> np.ndarray:
-    """eval_kernel at every id of box in row-major order, as an array of the
-    box's shape. It raises the error of the first failing id."""
-    order = _postorder(expr)
-    points = product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs)))
-    values = [_eval(order, point, views, params, integer) for point in points]
-    return np.array(values, dtype=np.int64 if integer else np.float64).reshape(box.shape)
-
-
-class _Declined(Exception):
-    """The compiled program cannot reproduce the reference on this box."""
-
-
-def _postorder(expr) -> list:
+def postorder(expr) -> list:
     """Nodes in evaluation order: operands left to right, then the operator.
     Iterative, so deep trees need no recursion."""
     order, stack = [], [expr]
@@ -407,11 +310,9 @@ def _postorder(expr) -> list:
 
 
 def _int_div(a, b):
-    """Truncating int64 division. Floor division wraps INT64_MIN / -1 to
-    INT64_MIN like wrap_i64; an inexact quotient of mixed signs then moves
-    one step toward zero."""
-    if np.any(b == 0):
-        raise _Declined
+    """Truncating int64 division by a divisor with no zero. Floor division
+    wraps INT64_MIN / -1 to INT64_MIN as two's complement does; an inexact
+    quotient of mixed signs then moves one step toward zero."""
     q = np.floor_divide(a, b)
     return q + ((q * b != a) & ((a < 0) != (b < 0)))
 
@@ -423,23 +324,28 @@ _INT_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _int_div}
 def compile_kernel(expr, integer=False):
     """Compile a body to evaluate(box, views, params) over a whole box.
 
-    evaluate returns an array of box.shape holding eval_kernel's value for
-    every id of the box, or None when eval_kernel would raise for some id:
-    a read outside its view's mapped region or an int64 division by zero.
-    views maps accessor name to an object whose gather(mins, maxs, offsets)
-    returns the reads of every id as an array over the read buffer's axes,
-    or None when one falls outside the mapped region. A read buffer with
-    fewer axes than the kernel broadcasts along the trailing kernel axes.
-    evaluate never writes into a gathered array, and its result may be one,
-    so a caller copies the result out rather than writing into it. Float
-    division needs no special case: IEEE division by zero gives the
-    values _ieee_div spells out, up to the sign bit of a NaN.
+    evaluate returns an array of box.shape holding the body's value at every
+    id of the box, or raises the error of the first failing id: a read
+    outside its view's mapped region (MapperViolationError) or an int64
+    division by zero (EvalError). views maps accessor name to a ReadView.
+    A read buffer with fewer axes than the kernel broadcasts along the
+    trailing kernel axes. evaluate never writes into a gathered array, and
+    its result may be one, so a caller copies the result out rather than
+    writing into it. Float division needs no special case: IEEE division by
+    zero gives inf or NaN.
+
+    A read whose gather declines is taken again with its clamped values and
+    a mask of the ids it fails at; a zero divisor records its mask and
+    divides by 1 there. Values at a failed id are garbage, but only from the
+    first failing operation on, so at the first id in row-major order where
+    any mask is set, the first failing operation in evaluation order is the
+    one whose error is raised.
     """
     dtype = np.int64 if integer else np.float64
     convert = int if integer else float
     ops = _INT_OPS if integer else _FLOAT_OPS
     program = []
-    for node in _postorder(expr):
+    for node in postorder(expr):
         if isinstance(node, Num):
             program.append((Num, dtype(convert(node.value))))
         elif isinstance(node, BinOp):
@@ -452,33 +358,56 @@ def compile_kernel(expr, integer=False):
     def evaluate(box, views, params):
         dims = len(box.mins)
         stack = []
+        failures = []  # (mask, Read node or None for a zero divisor), in program order
         with np.errstate(all="ignore"):
-            try:
-                for kind, arg in program:
-                    if kind is BinOp:
-                        b = stack.pop()
-                        stack[-1] = arg(stack[-1], b)
-                    elif kind is Num:
-                        stack.append(arg)
-                    elif kind is Read:
-                        values = views[arg.accessor].gather(box.mins, box.maxs, arg.offsets)
-                        if values is None:
-                            raise _Declined
-                        trailing = (1,) * (dims - values.ndim)
-                        stack.append(values.reshape(values.shape + trailing))
-                    elif kind is IdComponent:
-                        shape = [1] * dims
-                        shape[arg.axis] = -1
-                        ids = np.arange(box.mins[arg.axis], box.maxs[arg.axis], dtype=dtype)
-                        stack.append(ids.reshape(shape))
-                    elif kind is Param:
-                        stack.append(dtype(convert(params[arg.name])))
-                    else:
-                        stack[-1] = np.negative(stack[-1])
-            except _Declined:
-                return None
+            for kind, arg in program:
+                if kind is BinOp:
+                    b = stack.pop()
+                    if arg is _int_div:
+                        zero = b == 0
+                        if zero.any():
+                            failures.append((zero, None))
+                            b = np.where(zero, 1, b)
+                    stack[-1] = arg(stack[-1], b)
+                elif kind is Num:
+                    stack.append(arg)
+                elif kind is Read:
+                    view = views[arg.accessor]
+                    values = view.gather(box.mins, box.maxs, arg.offsets)
+                    trailing = (1,) * (dims - len(arg.offsets))
+                    if values is None:
+                        values, outside = view.gather_masked(box.mins, box.maxs, arg.offsets)
+                        failures.append((outside.reshape(outside.shape + trailing), arg))
+                    stack.append(values.reshape(values.shape + trailing))
+                elif kind is IdComponent:
+                    shape = [1] * dims
+                    shape[arg.axis] = -1
+                    ids = np.arange(box.mins[arg.axis], box.maxs[arg.axis], dtype=dtype)
+                    stack.append(ids.reshape(shape))
+                elif kind is Param:
+                    stack.append(dtype(convert(params[arg.name])))
+                else:
+                    stack[-1] = np.negative(stack[-1])
+        if failures:
+            raise _first_failure(box, views, failures)
         result = stack[0]
         shape = box.shape
         return result if np.shape(result) == shape else np.broadcast_to(result, shape)
 
     return evaluate
+
+
+def _first_failure(box, views, failures):
+    """The error of the first failing id of box in row-major order, from the
+    first operation in evaluation order whose failure mask is set there."""
+    failing = np.zeros(box.shape, dtype=bool)
+    for mask, _read in failures:
+        failing |= mask
+    at = np.unravel_index(np.argmax(failing), box.shape)
+    idx = tuple(int(k) + lo for k, lo in zip(at, box.mins))  # Python ints print plainly
+    for mask, read in failures:
+        if np.broadcast_to(mask, box.shape)[at]:
+            if read is None:
+                return EvalError(f"integer division by zero at id {idx}")
+            return views[read.accessor].violation(
+                tuple(p + off for p, off in zip(idx, read.offsets)))

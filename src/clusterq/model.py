@@ -308,7 +308,7 @@ def collect_read_offsets(task: Task) -> dict[str, list[tuple[int, ...]]]:
     """Constant offsets used per read accessor across all body expressions."""
     offsets: dict[str, set] = {}
     for expr in task.body.values():
-        for node in kernel.walk(expr):
+        for node in kernel.postorder(expr):
             if isinstance(node, kernel.Read):
                 offsets.setdefault(node.accessor, set()).add(node.offsets)
     return {name: sorted(offs) for name, offs in sorted(offsets.items())}
@@ -409,7 +409,7 @@ def validate_task(task: Task, buffers) -> None:
     for wname, expr in task.body.items():
         out_kind = buffers[by_name[wname].buffer].element_kind
         integer = out_kind == "int64"
-        for node in kernel.walk(expr):
+        for node in kernel.postorder(expr):
             if isinstance(node, kernel.Read):
                 if node.accessor not in read_names:
                     raise ValidationError(
@@ -457,8 +457,7 @@ class ReadView:
     """One accessor's readable data, bounded by its mapped region.
 
     Reads are clamped per dimension to the buffer extent; a clamped index that
-    still falls outside the mapped region raises MapperViolationError. read()
-    serves one point, gather() a whole box of them.
+    still falls outside the mapped region is a MapperViolationError.
     """
 
     __slots__ = ("accessor", "buffer", "region", "extent", "data", "context")
@@ -471,24 +470,20 @@ class ReadView:
         self.data = data
         self.context = context
 
-    def read(self, point):
-        q = tuple(
-            min(max(p, lo), hi - 1)
-            for p, lo, hi in zip(point, self.extent.mins, self.extent.maxs)
+    def violation(self, point):
+        """The error of a read at the unclamped point whose clamped index
+        falls outside the mapped region."""
+        where = f" in {self.context}" if self.context else ""
+        return MapperViolationError(
+            f"accessor '{self.accessor}' read {point}{where} outside mapped "
+            f"region {self.region} of buffer '{self.buffer}'"
         )
-        if not self.region.contains_point(q):
-            where = f" in {self.context}" if self.context else ""
-            raise MapperViolationError(
-                f"accessor '{self.accessor}' read {point}{where} outside mapped "
-                f"region {self.region} of buffer '{self.buffer}'"
-            )
-        return self.data[q].item()
 
     def gather(self, mins, maxs, offsets):
-        """read() at every point of the box [mins, maxs) shifted by offsets,
-        as an array over the buffer's axes; None instead of raising when any
-        clamped point falls outside the mapped region. Only the first
-        len(offsets) axes of the box are used.
+        """The clamped read at every point of the box [mins, maxs) shifted by
+        offsets, as an array over the buffer's axes; None when any clamped
+        point falls outside the mapped region. Only the first len(offsets)
+        axes of the box are used.
 
         A read that needs no clamping is a view of the data array, not a
         copy, so a caller must never write into what gather returns."""
@@ -512,9 +507,29 @@ class ReadView:
             return None
         if not clamped:
             return self.data[tuple(map(slice, lows, highs))]
-        axes = [
-            np.clip(np.arange(lo + off, hi + off), elo, ehi - 1)
-            for lo, hi, off, elo, ehi in zip(
-                mins, maxs, offsets, self.extent.mins, self.extent.maxs)
-        ]
-        return self.data[np.ix_(*axes)]
+        return self.data[np.ix_(*self._clamped_axes(mins, maxs, offsets))]
+
+    def gather_masked(self, mins, maxs, offsets):
+        """gather's clamped values as a copy, whatever the region, and a mask
+        over the same axes of the points whose clamped index falls outside
+        the mapped region."""
+        axes = np.ix_(*self._clamped_axes(mins, maxs, offsets))
+        values = self.data[axes]
+        outside = np.ones(values.shape, dtype=bool)
+        for box in self.region.boxes:
+            hit = True
+            for ax, lo, hi in zip(axes, box.mins, box.maxs):
+                hit = hit & (lo <= ax) & (ax < hi)
+            outside &= ~hit
+        return values, outside
+
+    def _clamped_axes(self, mins, maxs, offsets):
+        """Per buffer axis, the clamped index of every point read. A start
+        more than the box's length below the extent, or beyond it, clamps
+        like one at that bound, so numpy sees no offset of any size."""
+        axes = []
+        for lo, hi, off, elo, ehi in zip(mins, maxs, offsets, self.extent.mins, self.extent.maxs):
+            n = hi - lo
+            start = min(max(lo + off, elo - n), ehi)
+            axes.append(np.minimum(np.maximum(np.arange(start, start + n), elo), ehi - 1))
+        return axes

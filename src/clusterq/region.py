@@ -74,11 +74,6 @@ class Box:
             a >= b for a, b in zip(self.maxs, other.maxs)
         )
 
-    def contains_point(self, point) -> bool:
-        if len(point) != self.dims:
-            raise DimensionError("point dimensionality mismatch")
-        return all(lo <= p < hi for p, lo, hi in zip(point, self.mins, self.maxs))
-
     def translate(self, offset) -> "Box":
         if len(offset) != self.dims:
             raise DimensionError("offset dimensionality mismatch")
@@ -261,9 +256,6 @@ class Region:
 
     def translate(self, offset) -> "Region":
         return _from_disjoint(self.dims, [b.translate(offset) for b in self.boxes])
-
-    def contains_point(self, point) -> bool:
-        return any(b.contains_point(point) for b in self.boxes)
 
     def contains_region(self, other: "Region") -> bool:
         self._check(other)

@@ -23,9 +23,10 @@ runs. A read that needs no clamping to the extent is a view of that array,
 not a copy.
 
 Each (task, write accessor) body is compiled once per run and evaluates a
-whole write box per call. A box the compiled program declines is re-run
-through the scalar reference, which raises the exact error of the first
-failing id. Every float result is stored with NaNs in canonical form.
+whole write box per call; on a box where some id fails it raises the error
+of the first failing id, so the run's error is that of the first failing
+write box in replay order. Every float result is stored with NaNs in
+canonical form.
 """
 
 from dataclasses import dataclass
@@ -37,12 +38,14 @@ import numpy as np
 
 from .energy import exec_time, require_finite
 from .errors import ValidationError
-# bench/tracing.py counts per-cell kernel evaluations by wrapping this module's
-# eval_kernel. The simulator makes none (its error path goes through eval_box),
-# so the name stays only for that wrapper to find.
-from .kernel import compile_kernel, eval_box, eval_kernel  # noqa: F401
+from .kernel import compile_kernel
 from .model import ELEMENT_BYTES, ReadView
 from .scheduler import AwaitPushCommand, ExecuteCommand, Plan, PushCommand
+
+# bench/tracing.py's kernel.eval hook wraps this name to count per-cell
+# kernel evaluations. The simulator makes none, so the name is bound only
+# for that hook to find, and the count reads 0.
+eval_kernel = None
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,8 @@ def _index(box):
 
 
 def _store(arr, box, values, integer):
-    """Write one box of kernel results: the single place where both
-    evaluators' results land, so NaNs are made canonical here."""
+    """Write one box of kernel results: the single place where they land,
+    so NaNs are made canonical here."""
     dst = arr[_index(box)]
     dst[...] = values
     if not integer:
@@ -187,17 +190,13 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                     context=f"task '{task.name}'",
                 )
             for wname, bufname, region, _v in cmd.writes:
-                expr = task.body[wname]
                 integer = buffers[bufname].element_kind == "int64"
                 key = (cmd.task_id, wname)
                 if key not in kernels:
-                    kernels[key] = compile_kernel(expr, integer)
+                    kernels[key] = compile_kernel(task.body[wname], integer)
                 arr = storage.array(bufname, node)
                 for box in region:
-                    values = kernels[key](box, views, task.params)
-                    if values is None:
-                        values = eval_box(expr, box, views, task.params, integer)
-                    _store(arr, box, values, integer)
+                    _store(arr, box, kernels[key](box, views, task.params), integer)
 
             trace.append(TraceEvent(
                 kind="execute", node=node, command_id=cid, start=start, duration=dur,

@@ -1,6 +1,7 @@
 """Shared test utilities: bitmap oracle for region algebra, an independent
-command-plan replay checker, a random workload generator, field mutations of
-the bundled scenario documents, and the dict forms of trace.json and
+command-plan replay checker, random workload generators, the scalar kernel
+evaluator that is the oracle of the compiled one, field mutations of the
+bundled scenario documents, and the dict forms of trace.json and
 buf_<name>.json that json.dump writes as the oracle of their writers."""
 
 import copy
@@ -8,11 +9,13 @@ import json
 import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product
 
 import numpy as np
 from hypothesis import strategies as st
 
-from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read
+from clusterq.errors import EvalError
+from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, postorder
 from clusterq.model import (
     Accessor,
     AccessMode,
@@ -328,6 +331,164 @@ def random_workload(rng, mapper_counter=None):
             init = BufferInit.uninitialized()
         buffers[name] = Buffer(name=name, extent=extent, element_kind=kind, init=init)
     return buffers, tasks
+
+
+def error_workload(rng):
+    """Buffers and one or two tasks whose bodies may fail at some ids.
+
+    Each task reads buffer x, which may have fewer axes than the kernel,
+    through a Fixed mapper and shifted wholly off the extent along one axis.
+    Such a read passes the footprint check, since no shifted id lands in the
+    extent, but clamps onto edge cells the fixed region may leave out. An
+    int64 body also divides by reads of x, whose values include zeros, and
+    by id components less a constant."""
+    dims = rng.choice((1, 2, 2, 3))
+    shape = _random_shape(rng)
+    while len(shape) != dims:
+        shape = _random_shape(rng)
+    xshape = shape[:rng.randrange(1, dims + 1)]
+    integer = rng.random() < 0.7
+    kind = "int64" if integer else "float64"
+    values = [rng.choice((0, 1, 2, -3, 5)) for _ in range(math.prod(xshape))]
+    buffers = {"x": Buffer("x", Box.from_shape(xshape), kind, BufferInit.explicit(values))}
+
+    def shifted(r):
+        axis = r.randrange(len(xshape))
+        off = [r.randrange(-2, 3) for _ in xshape]
+        off[axis] = r.choice((-1, 1)) * (xshape[axis] + r.randrange(0, 2))
+        return tuple(off)
+
+    def leaf(r):
+        roll = r.random()
+        if roll < 0.25:
+            return Read("f", shifted(r))
+        if roll < 0.6:
+            return Read("d", tuple(0 for _ in xshape))
+        if roll < 0.8:
+            return BinOp("-", IdComponent(r.randrange(dims)), Num(r.randrange(0, 3)))
+        return Num(r.randrange(0, 4) if integer else r.choice((0.0, 1.5)))
+
+    def expr(r, depth):
+        if depth <= 0 or r.random() < 0.25:
+            return leaf(r)
+        return BinOp(r.choice("+-*/"), expr(r, depth - 1), expr(r, depth - 1))
+
+    tasks = []
+    for t in range(rng.randrange(1, 3)):
+        region = random_region(rng, xshape, 2)
+        if rng.random() < 0.5:  # most of the extent, so fewer ids fail
+            region = Region.from_box(Box.from_shape(xshape)).difference(region)
+        buffers[f"z{t}"] = Buffer(f"z{t}", Box.from_shape(shape), kind, BufferInit.zeros())
+        tasks.append(Task(f"t{t}", Box.from_shape(shape), [
+            Accessor("x", AccessMode.READ, Fixed(region), name="f"),
+            Accessor("x", AccessMode.READ, All(), name="d"),
+            Accessor(f"z{t}", AccessMode.WRITE, name="w"),
+        ], {"w": expr(rng, 3)}))
+    return buffers, tasks
+
+
+# ------------------------------------------------------------ scalar kernel oracle
+
+_I64_HALF = 1 << 63
+_I64_FULL = 1 << 64
+
+
+def wrap_i64(v: int) -> int:
+    return (v + _I64_HALF) % _I64_FULL - _I64_HALF
+
+
+def _ieee_div(a: float, b: float) -> float:
+    if b == 0.0:
+        if math.isnan(a) or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
+
+
+class PointView:
+    """A ReadView read one point at a time: each coordinate clamped to the
+    extent, then the clamped point required to lie in the mapped region."""
+
+    def __init__(self, view):
+        self.view = view
+
+    def read(self, point):
+        v = self.view
+        q = tuple(min(max(p, lo), hi - 1)
+                  for p, lo, hi in zip(point, v.extent.mins, v.extent.maxs))
+        if not any(all(lo <= c < hi for c, lo, hi in zip(q, b.mins, b.maxs))
+                   for b in v.region.boxes):
+            raise v.violation(point)
+        return v.data[q].item()
+
+
+def eval_kernel(expr, idx, views, params, integer=False):
+    """Evaluate one element. idx is the global id tuple; views maps accessor
+    name to an object exposing read(point); params maps name to value."""
+    return _eval(postorder(expr), idx, views, params, integer)
+
+
+def _eval(order, idx, views, params, integer):
+    """eval_kernel over the nodes in evaluation order."""
+    stack = []
+    for node in order:
+        if isinstance(node, BinOp):
+            b = stack.pop()
+            a = stack[-1]
+            op = node.op
+            if integer:
+                if op == "+":
+                    v = wrap_i64(a + b)
+                elif op == "-":
+                    v = wrap_i64(a - b)
+                elif op == "*":
+                    v = wrap_i64(a * b)
+                elif b == 0:
+                    raise EvalError(f"integer division by zero at id {idx}")
+                else:
+                    q = abs(a) // abs(b)
+                    v = wrap_i64(-q if (a < 0) != (b < 0) else q)
+            elif op == "+":
+                v = a + b
+            elif op == "-":
+                v = a - b
+            elif op == "*":
+                v = a * b
+            else:
+                v = _ieee_div(a, b)
+            stack[-1] = v
+        elif isinstance(node, Neg):
+            stack[-1] = wrap_i64(-stack[-1]) if integer else -stack[-1]
+        elif isinstance(node, Num):
+            stack.append(int(node.value) if integer else float(node.value))
+        elif isinstance(node, Param):
+            v = params[node.name]
+            stack.append(int(v) if integer else float(v))
+        elif isinstance(node, IdComponent):
+            v = idx[node.axis]
+            stack.append(v if integer else float(v))
+        elif isinstance(node, Read):
+            point = tuple(idx[j] + off for j, off in enumerate(node.offsets))
+            v = views[node.accessor].read(point)
+            stack.append(int(v) if integer else float(v))
+        else:
+            raise TypeError(f"not a kernel expression: {node!r}")
+    return stack[0]
+
+
+def eval_box(expr, box, views, params, integer=False) -> np.ndarray:
+    """eval_kernel at every id of box in row-major order, over ReadViews, as
+    an array of the box's shape. It raises the error of the first failing id."""
+    order = postorder(expr)
+    points = {name: PointView(view) for name, view in views.items()}
+    ids = product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs)))
+    values = [_eval(order, idx, points, params, integer) for idx in ids]
+    return np.array(values, dtype=np.int64 if integer else np.float64).reshape(box.shape)
+
+
+def compile_reference(expr, integer=False):
+    """A stand-in for compile_kernel that evaluates each box with eval_box."""
+    return lambda box, views, params: eval_box(expr, box, views, params, integer)
 
 
 # ------------------------------------------------------------- mutated input

@@ -172,8 +172,8 @@ def test_run_deeper_kernels_end_without_traceback(tmp_path, body, rc, message):
 
 
 def test_run_deep_int64_kernel_error_ends_without_traceback(tmp_path):
-    # The compiled program declines the box, and the scalar reference that
-    # names the failing id walks all 1,500 levels of the sum.
+    # The compiled program evaluates all 1,500 levels of the sum before it
+    # names the failing id.
     data = {"buffers": [{"name": "x", "extent": [3], "element_kind": "int64", "init": "iota"},
                         {"name": "z", "extent": [3], "element_kind": "int64"}],
             "tasks": [{"name": "t", "range": [3], "reads": ["x"], "writes": ["z"],
@@ -185,6 +185,28 @@ def test_run_deep_int64_kernel_error_ends_without_traceback(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "integer division by zero at id (0,)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("offset, edge", [
+    ("+9223372036854775807", 3), ("+100000000000000000000", 3),
+    ("-100000000000000000000", 0)])
+def test_run_read_offset_beyond_int64_clamps(tmp_path, offset, edge):
+    data = {"buffers": [{"name": "x", "extent": [4], "element_kind": "int64", "init": "iota"},
+                        {"name": "z", "extent": [4], "element_kind": "int64"}],
+            "tasks": [{"name": "t", "range": [4], "writes": ["z"], "body": f"x[i{offset}]",
+                       "reads": [{"buffer": "x", "mapper": "all"}]}]}
+    out = tmp_path / "out"
+    assert run_cli("run", write_scenario(tmp_path, data), "--nodes", "2", "--out", str(out)) == 0
+    assert read_json(out / "buf_z.json")["values"] == [edge] * 4
+
+
+def test_run_read_offset_of_5000_digits_exits_2(tmp_path, capsys):
+    data = {"buffers": [{"name": "x", "extent": [4], "init": "iota"}, {"name": "z", "extent": [4]}],
+            "tasks": [{"name": "t", "range": [4], "writes": ["z"], "body": "x[i+" + "9" * 5000 + "]",
+                       "reads": [{"buffer": "x", "mapper": "all"}]}]}
+    assert run_cli("run", write_scenario(tmp_path, data), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.endswith("scn.json.tasks[0].body.z: integer literal of "
+                                            "5000 digits is too long (at position 4)\n")
 
 
 @pytest.mark.parametrize("change, message", [

@@ -1,6 +1,7 @@
 """Fast paths against their slow references: the compiled box evaluator
-against the scalar one, through the simulator (bit-identical buffers and
-identical error messages), ReadView.gather against read() at every point,
+against the scalar oracle in helpers, through the simulator (bit-identical
+buffers and identical error messages), ReadView's gathers against the
+oracle's pointwise reads,
 the replay's durations and energy against a fresh computation per event,
 Execute dependencies on the transitively reduced task predecessors against
 dependencies on all of them, and the trace.json and buf_<name>.json writers
@@ -16,33 +17,37 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clusterq import simulator
 from clusterq.energy import DeviceModel, EnergyTarget, account_energy, exec_time
 from clusterq.errors import EvalError, MapperViolationError
 from clusterq.graph import TaskGraph
-from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, walk
+from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, postorder
 from clusterq.model import Accessor, AccessMode, Buffer, BufferInit, Fixed, ReadView, Task
 from clusterq.region import Box, Region
 from clusterq.scenario import write_buffer, write_trace
 from clusterq.scheduler import assign_frequencies, generate_commands
 from clusterq.simulator import LinkModel, TraceEvent
 
-from helpers import buffer_dump, json_dump_text, random_workload, trace_to_chrome
+from helpers import (
+    PointView,
+    buffer_dump,
+    compile_reference,
+    error_workload,
+    json_dump_text,
+    random_workload,
+    trace_to_chrome,
+)
 
 INT64_EDGES = (-(2 ** 63), -(2 ** 62), -7, -1, 0, 1, 3, 2 ** 62, 2 ** 63 - 1)
 FLOAT_EDGES = (math.inf, -math.inf, math.nan, 0.0, -0.0, -2.0, 1.5, 1e308)
 
 
-def _decline_every_box(expr, integer):
-    """Stands in for compile_kernel so that every box takes the scalar path."""
-    return lambda box, views, params: None
-
-
 def outcome(plan, reference):
     """Final buffers as (dtype, bytes), or the evaluation error's type and text."""
-    patch = mock.patch.object(simulator, "compile_kernel", _decline_every_box)
+    patch = mock.patch.object(simulator, "compile_kernel", compile_reference)
     with patch if reference else contextlib.nullcontext():
         try:
             result = simulator.run(plan)
@@ -60,7 +65,7 @@ def assert_paths_agree(buffers, tasks, nodes):
 
 
 def _leaves(task):
-    return [node for expr in task.body.values() for node in walk(expr)
+    return [node for expr in task.body.values() for node in postorder(expr)
             if isinstance(node, (Read, Param, IdComponent))]
 
 
@@ -131,7 +136,8 @@ def test_gather_across_boxes_of_a_fixed_region():
         graph = TaskGraph({"x": x, "z": z})
         graph.submit(task)
         plan = generate_commands(graph, nodes)
-        with mock.patch.object(simulator, "eval_box", side_effect=AssertionError("eval_box")):
+        with mock.patch.object(ReadView, "gather_masked",
+                               side_effect=AssertionError("gather_masked")):
             got = outcome(plan, reference=False)
         assert got == outcome(plan, reference=True)
         want = np.arange(16, dtype=np.float64).reshape(4, 4)[:2] * 0.5
@@ -233,23 +239,40 @@ def test_gather_matches_pointwise_reads(case):
     view = ReadView("r", "x", Region(len(shape), boxes), Box.from_shape(shape), data)
 
     axes = [range(lo, hi) for lo, hi in zip(mins, maxs)][:len(shape)]
-    try:
-        reads = [view.read(tuple(p + off for p, off in zip(point, offsets)))
-                 for point in itertools.product(*axes)]
-    except MapperViolationError:
-        want = None
-    else:
-        want = np.array(reads, dtype=dtype).reshape([len(a) for a in axes])
-    got = view.gather(mins, maxs, offsets)
-    if want is None:
-        assert got is None
+    clamped, outside = [], []
+    for point in itertools.product(*axes):
+        read = tuple(p + off for p, off in zip(point, offsets))
+        clamped.append(data[tuple(min(max(c, 0), n - 1) for c, n in zip(read, shape))])
+        try:
+            PointView(view).read(read)
+        except MapperViolationError:
+            outside.append(True)
+        else:
+            outside.append(False)
+    want = np.array(clamped, dtype=dtype).reshape([len(a) for a in axes])
+    want_outside = np.array(outside).reshape(want.shape)
+
+    got, got_outside = view.gather_masked(mins, maxs, offsets)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert (got_outside.dtype, got_outside.shape) == (np.dtype(bool), want.shape)
+    assert (got_outside == want_outside).all()
+
+    kernel_box = Box(mins, maxs)
+    evaluate = compile_kernel(Read("r", offsets), integer)
+    if want_outside.any():
+        assert view.gather(mins, maxs, offsets) is None
+        with pytest.raises(MapperViolationError) as got_error:
+            evaluate(kernel_box, {"r": view}, {})
+        with pytest.raises(MapperViolationError) as want_error:
+            compile_reference(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
+        assert str(got_error.value) == str(want_error.value)
         return
+    got = view.gather(mins, maxs, offsets)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     # A bare read stored as a kernel result: the store lands a canonical copy
     # and leaves the gathered source as it was, though it may be a view.
-    kernel_box = Box(mins, maxs)
-    result = compile_kernel(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
+    result = evaluate(kernel_box, {"r": view}, {})
     out = np.zeros(kernel_box.shape, dtype=dtype)
     simulator._store(out, Box.from_shape(kernel_box.shape), result, integer)
     assert data.tobytes() == before
@@ -258,6 +281,69 @@ def test_gather_matches_pointwise_reads(case):
     if not integer:
         stored[np.isnan(stored)] = math.nan
     assert out.tobytes() == stored.tobytes()
+
+
+def test_error_corpus_matches_reference():
+    # Seeded workloads whose reads clamp outside their fixed region and whose
+    # int64 divisors may be zero, at 1-3 nodes: the compiled program names
+    # the same first failing id and operation as the scalar oracle.
+    kinds = {}
+    for seed in range(400):
+        rng = random.Random(seed)
+        buffers, tasks = error_workload(rng)
+        graph = TaskGraph(buffers)
+        for task in tasks:
+            graph.submit(task)
+        plan = generate_commands(graph, rng.randrange(1, 4))
+        got = outcome(plan, reference=False)
+        assert got == outcome(plan, reference=True), seed
+        kind = got[0] if isinstance(got, tuple) else "ok"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("MapperViolationError", 0) > 0 and kinds.get("EvalError", 0) > 0, kinds
+
+
+def _violation_and_division(zero_at, violation_first):
+    """A 3x4 int64 task whose read f[i.0-3, i.1+1] clamps to (0, min(i.1+1, 3))
+    and leaves the fixed region {(0,1), (0,2)} at ids with i.1 >= 2, and whose
+    divisor d[i] is zero only at zero_at; violation_first puts the read
+    before the division in evaluation order."""
+    values = [1] * 12
+    values[zero_at[0] * 4 + zero_at[1]] = 0
+    x = Buffer("x", Box.from_shape((3, 4)), "int64", BufferInit.explicit(values))
+    z = Buffer("z", Box.from_shape((3, 4)), "int64", BufferInit.zeros())
+    read, div = Read("f", (-3, 1)), BinOp("/", Num(7), Read("d", (0, 0)))
+    body = BinOp("+", read, div) if violation_first else BinOp("+", div, read)
+    task = Task("t", Box.from_shape((3, 4)), [
+        Accessor("x", AccessMode.READ, Fixed(Region.from_box(Box((0, 1), (1, 3)))), name="f"),
+        Accessor("x", AccessMode.READ, name="d"),
+        Accessor("z", AccessMode.WRITE),
+    ], {"z": body})
+    graph = TaskGraph({"x": x, "z": z})
+    graph.submit(task)
+    return graph
+
+
+def test_violation_and_zero_divisor_name_the_first_failing_id():
+    violation = ("MapperViolationError", "accessor 'f' read {} in task 't' outside mapped "
+                 "region {{[0,1)x[1,3)}} of buffer 'x'")
+    division = ("EvalError", "integer division by zero at id {}")
+    cases = [
+        # the division fails first in row-major order, the read first in the body
+        ((0, 1), True, 1, division, "(0, 1)"),
+        # the read fails first in row-major order, the division first in the body
+        ((1, 0), False, 1, violation, "(-3, 3)"),
+        # both fail first at id (0, 2): the body order decides
+        ((0, 2), True, 1, violation, "(-3, 3)"),
+        ((0, 2), False, 1, division, "(0, 2)"),
+        # at 3 nodes each row is a chunk; the first chunk in replay order fails
+        ((1, 0), False, 3, violation, "(-3, 3)"),
+        ((0, 1), True, 3, division, "(0, 1)"),
+    ]
+    for zero_at, violation_first, nodes, (kind, text), where in cases:
+        plan = generate_commands(_violation_and_division(zero_at, violation_first), nodes)
+        got = outcome(plan, reference=False)
+        assert got == outcome(plan, reference=True)
+        assert got == (kind, text.format(where)), (zero_at, violation_first, nodes)
 
 
 LEVELS = (0.5, 1.0, 1.5, 2.0)

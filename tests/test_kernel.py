@@ -1,4 +1,5 @@
-"""Kernel expression grammar: parsing, printing, evaluation."""
+"""Kernel expression grammar: parsing, printing, evaluation by the scalar
+oracle in helpers and by the compiled program against it."""
 
 import math
 import random
@@ -15,15 +16,14 @@ from clusterq.kernel import (
     Param,
     Read,
     compile_kernel,
-    eval_box,
-    eval_kernel,
     format_kernel,
     parse_kernel,
-    walk,
-    wrap_i64,
+    postorder,
 )
 from clusterq.model import ReadView
 from clusterq.region import Box, Region
+
+from helpers import compile_reference, eval_box, eval_kernel, wrap_i64
 
 
 class FakeView:
@@ -136,17 +136,16 @@ def test_parse_syntax_error_positions():
         parse1("1 2")
 
 
-def test_walk_visits_all_nodes():
+def test_postorder_visits_all_nodes():
     e = parse1("alpha * x[i] + 1", reads={"x": 1}, params={"alpha"})
-    kinds = [type(n).__name__ for n in walk(e)]
-    assert kinds == ["BinOp", "BinOp", "Param", "Read", "Num"]
+    assert postorder(e) == [Param("alpha"), Read("x", (0,)), e.left, Num(1), e]
 
 
-def test_walk_deep_tree_needs_no_recursion():
+def test_postorder_deep_tree_needs_no_recursion():
     e = parse1(" + ".join(["i"] * 5000))
-    nodes = list(walk(e))
+    nodes = postorder(e)
     assert len(nodes) == 9999
-    assert isinstance(nodes[0], BinOp) and isinstance(nodes[-1], IdComponent)
+    assert isinstance(nodes[0], IdComponent) and nodes[-1] is e
 
 
 def test_parse_rejects_what_the_parser_cannot_hold():
@@ -154,6 +153,8 @@ def test_parse_rejects_what_the_parser_cannot_hold():
         parse1("(" * 5000 + "1" + ")" * 5000)
     with pytest.raises(KernelSyntaxError, match="integer literal of 5001 digits is too long"):
         parse1("1" + "0" * 5000)
+    with pytest.raises(KernelSyntaxError, match="integer literal of 5000 digits is too long"):
+        parse1("x[i - " + "9" * 5000 + "]", reads={"x": 1})
 
 
 def test_format_round_trip_fixed_cases():
@@ -329,19 +330,27 @@ def test_compiled_constant_body_fills_the_box():
     assert got.tolist() == want.tolist() == [[6, 6, 6], [6, 6, 6]]
 
 
-def test_compiled_declines_where_reference_raises():
+def test_compiled_raises_where_reference_raises():
     box = Box((0,), (4,))
     views = box_views(b=np.array([1, 2, 0, 4]))
     e = parse_kernel("8 / b[i]", {"b": 1}, set(), 1)
-    assert compile_kernel(e, integer=True)(box, views, {}) is None
-    with pytest.raises(EvalError, match=r"at id \(2,\)"):
-        eval_box(e, box, views, {}, integer=True)
+    for compile_ in (compile_kernel, compile_reference):
+        with pytest.raises(EvalError, match=r"^integer division by zero at id \(2,\)$"):
+            compile_(e, integer=True)(box, views, {})
 
     views = box_views(Region(1, [Box((0,), (3,))]), x=np.arange(4.0))
     e = parse_kernel("x[i+1]", {"x": 1}, set(), 1)
-    assert compile_kernel(e)(box, views, {}) is None
-    with pytest.raises(MapperViolationError, match=r"read \(3,\)"):
-        eval_box(e, box, views, {})
+    for compile_ in (compile_kernel, compile_reference):
+        with pytest.raises(MapperViolationError, match=r"read \(3,\) outside mapped region"):
+            compile_(e)(box, views, {})
+
+
+def test_compiled_names_a_late_failing_id_in_a_large_box():
+    b = np.ones((512, 512), dtype=np.int64)
+    b[511, 511] = 0
+    e = parse_kernel("i.0 / b[i.0, i.1]", {"b": 2}, set(), 2)
+    with pytest.raises(EvalError, match=r"^integer division by zero at id \(511, 511\)$"):
+        compile_kernel(e, integer=True)(Box.from_shape((512, 512)), box_views(b=b), {})
 
 
 def test_compiled_deep_tree_needs_no_recursion():

@@ -354,23 +354,36 @@ def test_read_view_clamps_then_checks():
     data = np.arange(8, dtype=np.float64)
     full = Region.from_box(EXTENT8)
     v = ReadView("x", "x", full, EXTENT8, data)
-    assert v.read((-3,)) == 0.0  # clamped to the low edge
-    assert v.read((9,)) == 7.0
-    assert v.read((4,)) == 4.0
+    assert v.gather((0,), (1,), (-3,)).tolist() == [0.0]  # clamped to the low edge
+    assert v.gather((0,), (1,), (9,)).tolist() == [7.0]
+    assert v.gather((4,), (5,), (0,)).tolist() == [4.0]
+    assert v.gather((0,), (3,), (-1,)).tolist() == [0.0, 0.0, 1.0]
+    assert v.gather((6,), (8,), (1,)).tolist() == [7.0, 7.0]
+    # offsets beyond int64 clamp like any other
+    assert v.gather((0,), (2,), (2 ** 70,)).tolist() == [7.0, 7.0]
+    assert v.gather((0,), (2,), (-(10 ** 20),)).tolist() == [0.0, 0.0]
+    values, outside = v.gather_masked((0,), (3,), (2 ** 63 - 1,))
+    assert values.tolist() == [7.0, 7.0, 7.0] and not outside.any()
 
 
 def test_read_view_region_violation():
     data = np.arange(8, dtype=np.float64)
     part = Region(1, [Box((0,), (4,))])
-    v = ReadView("x", "x", part, EXTENT8, data)
-    assert v.read((3,)) == 3.0
-    with pytest.raises(MapperViolationError):
-        v.read((5,))
+    v = ReadView("x", "x", part, EXTENT8, data, context="task 't'")
+    assert v.gather((3,), (4,), (0,)).tolist() == [3.0]
+    assert v.gather((5,), (6,), (0,)) is None
+    values, outside = v.gather_masked((2,), (6,), (0,))
+    assert values.tolist() == [2.0, 3.0, 4.0, 5.0]
+    assert outside.tolist() == [False, False, True, True]
+    error = v.violation((5,))
+    assert isinstance(error, MapperViolationError)
+    assert str(error) == ("accessor 'x' read (5,) in task 't' outside mapped region {[0,4)} "
+                          "of buffer 'x'")
 
 
 def test_read_view_2d():
     extent = Box.from_shape((3, 4))
     data = np.arange(12, dtype=np.float64).reshape(3, 4)
     v = ReadView("s", "s", Region.from_box(extent), extent, data)
-    assert v.read((1, 2)) == 6.0
-    assert v.read((5, -1)) == data[2, 0]
+    assert v.gather((1, 2), (2, 3), (0, 0)).tolist() == [[6.0]]
+    assert v.gather((5, -1), (6, 0), (0, 0)).tolist() == [[data[2, 0]]]

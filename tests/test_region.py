@@ -47,9 +47,9 @@ def test_box_intersect():
 
 def test_box_contains_and_dilate():
     b = Box((2,), (5,))
-    assert b.contains_point((2,))
-    assert b.contains_point((4,))
-    assert not b.contains_point((5,))
+    assert b.contains_box(Box((2,), (3,)))
+    assert b.contains_box(Box((4,), (5,)))
+    assert not b.contains_box(Box((5,), (6,)))
     assert b.dilate((1,)) == Box((1,), (6,))
     assert b.translate((3,)) == Box((5,), (8,))
 
@@ -197,8 +197,8 @@ def test_region_boxes_disjoint_invariant():
 
 def test_region_contains():
     r = Region(2, [Box((0, 0), (4, 4))])
-    assert r.contains_point((3, 3))
-    assert not r.contains_point((4, 0))
+    assert r.contains_region(Region(2, [Box((3, 3), (4, 4))]))
+    assert not r.contains_region(Region(2, [Box((4, 0), (5, 1))]))
     assert r.contains_region(Region(2, [Box((1, 1), (3, 3))]))
     assert not r.contains_region(Region(2, [Box((3, 3), (5, 5))]))
 
