@@ -14,7 +14,6 @@ from .errors import (
     EvalError,
     KernelNameError,
     KernelSyntaxError,
-    MapperViolationError,
     ScenarioError,
     UninitializedReadError,
     ValidationError,

@@ -25,10 +25,6 @@ class ValidationError(ClusterqError):
     """A task, buffer, device or mapper definition breaks a structural rule."""
 
 
-class MapperViolationError(ClusterqError):
-    """A kernel read fell outside the region declared by its range mapper."""
-
-
 class EvalError(ClusterqError):
     """Kernel evaluation failed, e.g. integer division by zero."""
 

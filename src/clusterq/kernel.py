@@ -19,12 +19,13 @@ by zero raises EvalError. Literals and parameters in an integer expression
 must be integers in [-2**63, 2**63); task validation rejects any other value.
 
 `compile_kernel` turns a body into a numpy program that evaluates a whole box
-of ids at once. On a box where some id fails, it raises the error of the
-first failing id in row-major order, and at that id the error of the first
-failing operation in evaluation order. The caller that stores a float result
-stores every NaN as the canonical quiet NaN 0x7ff8000000000000, the one JSON
-`NaN` parses to, because the sign bit of a computed NaN depends on the
-hardware and on which operand numpy propagates.
+of ids at once. Its only error is an int64 division by zero, reported at the
+first id of the box in row-major order where some divisor is zero. Reads need
+no check: the footprint check at submit keeps every clamped read inside its
+accessor's mapped region. The caller that stores a float result stores every
+NaN as the canonical quiet NaN 0x7ff8000000000000, the one JSON `NaN` parses
+to, because the sign bit of a computed NaN depends on the hardware and on
+which operand numpy propagates.
 """
 
 import re
@@ -325,21 +326,14 @@ def compile_kernel(expr, integer=False):
     """Compile a body to evaluate(box, views, params) over a whole box.
 
     evaluate returns an array of box.shape holding the body's value at every
-    id of the box, or raises the error of the first failing id: a read
-    outside its view's mapped region (MapperViolationError) or an int64
-    division by zero (EvalError). views maps accessor name to a ReadView.
+    id of the box, or raises EvalError naming the first id in row-major order
+    where an int64 divisor is zero. views maps accessor name to a ReadView.
     A read buffer with fewer axes than the kernel broadcasts along the
     trailing kernel axes. evaluate never writes into a gathered array, and
     its result may be one, so a caller copies the result out rather than
     writing into it. Float division needs no special case: IEEE division by
-    zero gives inf or NaN.
-
-    A read whose gather declines is taken again with its clamped values and
-    a mask of the ids it fails at; a zero divisor records its mask and
-    divides by 1 there. Values at a failed id are garbage, but only from the
-    first failing operation on, so at the first id in row-major order where
-    any mask is set, the first failing operation in evaluation order is the
-    one whose error is raised.
+    zero gives inf or NaN. A zero divisor records its mask and divides by 1
+    there; later values at such an id are garbage, but the id fails anyway.
     """
     dtype = np.int64 if integer else np.float64
     convert = int if integer else float
@@ -358,7 +352,7 @@ def compile_kernel(expr, integer=False):
     def evaluate(box, views, params):
         dims = len(box.mins)
         stack = []
-        failures = []  # (mask, Read node or None for a zero divisor), in program order
+        zeros = []  # the mask of ids where each int64 division's divisor is zero
         with np.errstate(all="ignore"):
             for kind, arg in program:
                 if kind is BinOp:
@@ -366,19 +360,14 @@ def compile_kernel(expr, integer=False):
                     if arg is _int_div:
                         zero = b == 0
                         if zero.any():
-                            failures.append((zero, None))
+                            zeros.append(zero)
                             b = np.where(zero, 1, b)
                     stack[-1] = arg(stack[-1], b)
                 elif kind is Num:
                     stack.append(arg)
                 elif kind is Read:
-                    view = views[arg.accessor]
-                    values = view.gather(box.mins, box.maxs, arg.offsets)
-                    trailing = (1,) * (dims - len(arg.offsets))
-                    if values is None:
-                        values, outside = view.gather_masked(box.mins, box.maxs, arg.offsets)
-                        failures.append((outside.reshape(outside.shape + trailing), arg))
-                    stack.append(values.reshape(values.shape + trailing))
+                    values = views[arg.accessor].gather(box.mins, box.maxs, arg.offsets)
+                    stack.append(values.reshape(values.shape + (1,) * (dims - len(arg.offsets))))
                 elif kind is IdComponent:
                     shape = [1] * dims
                     shape[arg.axis] = -1
@@ -388,8 +377,8 @@ def compile_kernel(expr, integer=False):
                     stack.append(dtype(convert(params[arg.name])))
                 else:
                     stack[-1] = np.negative(stack[-1])
-        if failures:
-            raise _first_failure(box, views, failures)
+        if zeros:
+            raise _division_by_zero(box, zeros)
         result = stack[0]
         shape = box.shape
         return result if np.shape(result) == shape else np.broadcast_to(result, shape)
@@ -397,17 +386,12 @@ def compile_kernel(expr, integer=False):
     return evaluate
 
 
-def _first_failure(box, views, failures):
-    """The error of the first failing id of box in row-major order, from the
-    first operation in evaluation order whose failure mask is set there."""
+def _division_by_zero(box, zeros):
+    """The error at the first id of box in row-major order where any of the
+    zero-divisor masks is set."""
     failing = np.zeros(box.shape, dtype=bool)
-    for mask, _read in failures:
-        failing |= mask
+    for zero in zeros:
+        failing |= zero
     at = np.unravel_index(np.argmax(failing), box.shape)
     idx = tuple(int(k) + lo for k, lo in zip(at, box.mins))  # Python ints print plainly
-    for mask, read in failures:
-        if np.broadcast_to(mask, box.shape)[at]:
-            if read is None:
-                return EvalError(f"integer division by zero at id {idx}")
-            return views[read.accessor].violation(
-                tuple(p + off for p, off in zip(idx, read.offsets)))
+    return EvalError(f"integer division by zero at id {idx}")

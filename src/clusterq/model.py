@@ -5,7 +5,9 @@ buffer, a mode (read or write) and a range mapper that maps any chunk of the
 id range to the buffer region the kernel may touch for that chunk. Write
 mappers must be one_to_one so chunks write disjoint cells. All reads observe
 pre-task buffer state; out-of-range reads at the global boundary are clamped
-to the nearest valid index.
+to the nearest valid index. A task whose clamped reads leave an accessor's
+mapped region for some chunk of some split is rejected at submit
+(static_footprint_check), so reads are not checked at run time.
 """
 
 import enum
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .errors import DimensionError, MapperViolationError, ValidationError
+from .errors import DimensionError, ValidationError
 from .kernel import Expr
 from .region import Box, Region
 
@@ -146,11 +148,6 @@ class RangeMapper:
     def map_chunk(self, chunk: Box, kernel_range: Box, extent: Box) -> Region:
         raise NotImplementedError
 
-    def offset_allowed(self, offset, kernel_range: Box, extent: Box) -> bool:
-        """Whether a constant access offset stays inside the mapped region of
-        every interior unit chunk (boundary ids are clamped at eval time)."""
-        raise NotImplementedError
-
 
 def _clamp(box: Box, extent: Box) -> Region:
     hit = box.intersect(extent)
@@ -166,9 +163,6 @@ class OneToOne(RangeMapper):
                 f"but buffer is {extent.dims}D"
             )
         return _clamp(chunk, extent)
-
-    def offset_allowed(self, offset, kernel_range, extent):
-        return all(c == 0 for c in offset)
 
     def __str__(self):
         return "one_to_one"
@@ -191,9 +185,6 @@ class Neighborhood(RangeMapper):
             )
         return _clamp(chunk.dilate(self.radii), extent)
 
-    def offset_allowed(self, offset, kernel_range, extent):
-        return all(abs(c) <= r for c, r in zip(offset, self.radii))
-
     def __str__(self):
         return f"neighborhood({list(self.radii)})"
 
@@ -209,12 +200,6 @@ class Fixed(RangeMapper):
             )
         return self.region.intersect_box(extent)
 
-    def offset_allowed(self, offset, kernel_range, extent):
-        # Every in-extent target of the shifted kernel range must lie in the
-        # fixed region; kernel_range arrives already projected to buffer dims.
-        targets = Region.from_box(kernel_range).translate(offset).intersect_box(extent)
-        return self.region.intersect_box(extent).contains_region(targets)
-
     def __str__(self):
         return f"fixed({self.region})"
 
@@ -223,9 +208,6 @@ class Fixed(RangeMapper):
 class All(RangeMapper):
     def map_chunk(self, chunk, kernel_range, extent):
         return Region.from_box(extent)
-
-    def offset_allowed(self, offset, kernel_range, extent):
-        return True
 
     def __str__(self):
         return "all"
@@ -248,9 +230,6 @@ class Slice(RangeMapper):
         mins[self.axis] = extent.mins[self.axis]
         maxs[self.axis] = extent.maxs[self.axis]
         return _clamp(Box(tuple(mins), tuple(maxs)), extent)
-
-    def offset_allowed(self, offset, kernel_range, extent):
-        return all(c == 0 for j, c in enumerate(offset) if j != self.axis)
 
     def __str__(self):
         return f"slice({self.axis})"
@@ -324,26 +303,56 @@ class FootprintViolation:
         return f"accessor '{self.accessor}' offset {self.offset}: {self.reason}"
 
 
-def _projected_range(task_range: Box, dims: int) -> Box:
-    return Box(task_range.mins[:dims], task_range.maxs[:dims])
-
-
 def static_footprint_check(task: Task, buffers) -> list[FootprintViolation]:
-    """Check that every constant read offset stays within the region the
-    accessor's mapper grants to a unit chunk, for all interior unit chunks."""
+    """The read offsets whose clamped reads leave the accessor's mapped
+    region for some chunk of some split of the task range along axis 0.
+
+    Each offset is tested on three chunks: the whole range R, and R's first
+    and last rows along axis 0. A chunk's clamped reads form a box, since
+    clamping is monotone per axis, so each test is interval arithmetic:
+    [clamp(lo+o), clamp(hi-1+o)+1) per buffer axis. This is exact:
+    - fixed and all map every chunk to the same region, and the reads of R
+      hold the reads of every chunk, so R decides;
+    - one_to_one, neighborhood and slice map each axis of a chunk by a
+      clamped dilation with r >= 0 (slice: the whole extent on its axis), so
+      a chunk's region holds the regions of its rows and the rows decide. On
+      axis 0, row p passes iff |clamp(p+o) - p| <= r; g(p) = clamp(p+o) - p
+      is non-increasing, so the first row bounds its maximum and the last row
+      its minimum. The other axes are the same for every row.
+    A test one family does not need is implied for it by those it does need,
+    so the extra chunks reject nothing that runs at every split.
+    """
+    rng = task.global_range
+    first = Box(rng.mins, (rng.mins[0] + 1,) + rng.maxs[1:])
+    last = Box((rng.maxs[0] - 1,) + rng.mins[1:], rng.maxs)
     by_name = {a.name: a for a in task.accessors}
-    used = collect_read_offsets(task)
     violations = []
-    for name, offsets in used.items():
+    for name, offsets in collect_read_offsets(task).items():
         acc = by_name[name]
         extent = buffers[acc.buffer].extent
-        kr = _projected_range(task.global_range, extent.dims)
+        mapped = [(chunk, acc.mapper.map_chunk(chunk, rng, extent))
+                  for chunk in (rng, first, last)]
         for off in offsets:
-            if not acc.mapper.offset_allowed(off, kr, extent):
+            if not all(_reads_inside(chunk, off, extent, region) for chunk, region in mapped):
                 violations.append(
                     FootprintViolation(name, off, f"outside {acc.mapper} mapped region")
                 )
     return violations
+
+
+def _reads_inside(chunk: Box, offsets, extent: Box, region: Region) -> bool:
+    """Whether every clamped read of chunk's ids shifted by offsets lies in
+    region; zip drops the kernel axes the buffer does not have."""
+    lows, highs = [], []
+    for lo, hi, off, elo, ehi in zip(chunk.mins, chunk.maxs, offsets, extent.mins, extent.maxs):
+        lows.append(min(max(lo + off, elo), ehi - 1))
+        highs.append(min(max(hi - 1 + off, elo), ehi - 1) + 1)
+    if any(all(blo <= lo and hi <= bhi
+               for blo, lo, hi, bhi in zip(box.mins, lows, highs, box.maxs))
+           for box in region.boxes):
+        return True
+    return len(region.boxes) > 1 and region.contains_region(
+        Region.from_box(Box(tuple(lows), tuple(highs))))
 
 
 def validate_task(task: Task, buffers) -> None:
@@ -454,74 +463,29 @@ def validate_task(task: Task, buffers) -> None:
 
 
 class ReadView:
-    """One accessor's readable data, bounded by its mapped region.
+    """One accessor's readable data. Reads are clamped per axis to the buffer
+    extent; the footprint check at submit guarantees that every clamped read
+    lies in the accessor's mapped region, so none is checked here."""
 
-    Reads are clamped per dimension to the buffer extent; a clamped index that
-    still falls outside the mapped region is a MapperViolationError.
-    """
+    __slots__ = ("extent", "data")
 
-    __slots__ = ("accessor", "buffer", "region", "extent", "data", "context")
-
-    def __init__(self, accessor, buffer, region, extent, data, context=""):
-        self.accessor = accessor
-        self.buffer = buffer
-        self.region = region
+    def __init__(self, extent, data):
         self.extent = extent
         self.data = data
-        self.context = context
-
-    def violation(self, point):
-        """The error of a read at the unclamped point whose clamped index
-        falls outside the mapped region."""
-        where = f" in {self.context}" if self.context else ""
-        return MapperViolationError(
-            f"accessor '{self.accessor}' read {point}{where} outside mapped "
-            f"region {self.region} of buffer '{self.buffer}'"
-        )
 
     def gather(self, mins, maxs, offsets):
         """The clamped read at every point of the box [mins, maxs) shifted by
-        offsets, as an array over the buffer's axes; None when any clamped
-        point falls outside the mapped region. Only the first len(offsets)
-        axes of the box are used.
+        offsets, as an array over the buffer's axes. Only the first
+        len(offsets) axes of the box are used.
 
         A read that needs no clamping is a view of the data array, not a
         copy, so a caller must never write into what gather returns."""
-        lows, highs = [], []  # bounds of the clamped points read
-        clamped = False
+        index = []
         for lo, hi, off, elo, ehi in zip(mins, maxs, offsets, self.extent.mins, self.extent.maxs):
-            lo += off
-            hi += off
-            if lo < elo or hi > ehi:
-                clamped = True
-                lo = min(max(lo, elo), ehi - 1)
-                hi = min(max(hi - 1, elo), ehi - 1) + 1
-            lows.append(lo)
-            highs.append(hi)
-        inside = any(
-            all(b <= v for b, v in zip(box.mins, lows))
-            and all(v <= b for b, v in zip(box.maxs, highs))
-            for box in self.region.boxes
-        ) or self.region.contains_region(Region.from_box(Box(tuple(lows), tuple(highs))))
-        if not inside:
-            return None
-        if not clamped:
-            return self.data[tuple(map(slice, lows, highs))]
-        return self.data[np.ix_(*self._clamped_axes(mins, maxs, offsets))]
-
-    def gather_masked(self, mins, maxs, offsets):
-        """gather's clamped values as a copy, whatever the region, and a mask
-        over the same axes of the points whose clamped index falls outside
-        the mapped region."""
-        axes = np.ix_(*self._clamped_axes(mins, maxs, offsets))
-        values = self.data[axes]
-        outside = np.ones(values.shape, dtype=bool)
-        for box in self.region.boxes:
-            hit = True
-            for ax, lo, hi in zip(axes, box.mins, box.maxs):
-                hit = hit & (lo <= ax) & (ax < hi)
-            outside &= ~hit
-        return values, outside
+            if lo + off < elo or hi + off > ehi:
+                return self.data[np.ix_(*self._clamped_axes(mins, maxs, offsets))]
+            index.append(slice(lo + off, hi + off))
+        return self.data[tuple(index)]
 
     def _clamped_axes(self, mins, maxs, offsets):
         """Per buffer axis, the clamped index of every point read. A start

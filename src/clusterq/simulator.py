@@ -23,10 +23,11 @@ runs. A read that needs no clamping to the extent is a view of that array,
 not a copy.
 
 Each (task, write accessor) body is compiled once per run and evaluates a
-whole write box per call; on a box where some id fails it raises the error
-of the first failing id, so the run's error is that of the first failing
-write box in replay order. Every float result is stored with NaNs in
-canonical form.
+whole write box per call. Reads are not checked: submit's footprint check
+keeps them inside their mapped regions. The only runtime error is an int64
+division by zero; the run raises it for the first failing write box in
+replay order, naming that box's first failing id and its task. Every float
+result is stored with NaNs in canonical form.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import exec_time, require_finite
-from .errors import ValidationError
+from .errors import EvalError, ValidationError
 from .kernel import compile_kernel
 from .model import ELEMENT_BYTES, ReadView
 from .scheduler import AwaitPushCommand, ExecuteCommand, Plan, PushCommand
@@ -178,17 +179,14 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             written = {bufname for _w, bufname, _r, _v in cmd.writes}
             arrays = {}  # buffer -> the array this Execute's reads see
             views = {}
-            for name, bufname, region in cmd.reads:
+            for name, bufname, _region in cmd.reads:
                 data = arrays.get(bufname)
                 if data is None:
                     data = storage.array(bufname, node)
                     if bufname in written:
                         data = data.copy()
                     arrays[bufname] = data
-                views[name] = ReadView(
-                    name, bufname, region, buffers[bufname].extent, data,
-                    context=f"task '{task.name}'",
-                )
+                views[name] = ReadView(buffers[bufname].extent, data)
             for wname, bufname, region, _v in cmd.writes:
                 integer = buffers[bufname].element_kind == "int64"
                 key = (cmd.task_id, wname)
@@ -196,7 +194,11 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                     kernels[key] = compile_kernel(task.body[wname], integer)
                 arr = storage.array(bufname, node)
                 for box in region:
-                    _store(arr, box, kernels[key](box, views, task.params), integer)
+                    try:
+                        values = kernels[key](box, views, task.params)
+                    except EvalError as exc:
+                        raise EvalError(f"{exc} in task '{task.name}'") from None
+                    _store(arr, box, values, integer)
 
             trace.append(TraceEvent(
                 kind="execute", node=node, command_id=cid, start=start, duration=dur,

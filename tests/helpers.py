@@ -1,8 +1,9 @@
 """Shared test utilities: bitmap oracle for region algebra, an independent
-command-plan replay checker, random workload generators, the scalar kernel
-evaluator that is the oracle of the compiled one, field mutations of the
-bundled scenario documents, and the dict forms of trace.json and
-buf_<name>.json that json.dump writes as the oracle of their writers."""
+command-plan replay checker, a pointwise oracle of the footprint check,
+random workload generators, the scalar kernel evaluator that is the oracle of
+the compiled one, field mutations of the bundled scenario documents, and the
+dict forms of trace.json and buf_<name>.json that json.dump writes as the
+oracle of their writers."""
 
 import copy
 import json
@@ -10,11 +11,14 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
+from clusterq import graph as graph_module
 from clusterq.errors import EvalError
+from clusterq.graph import TaskGraph
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, postorder
 from clusterq.model import (
     Accessor,
@@ -30,7 +34,7 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 from clusterq.scenario import bundled_scenario_path
-from clusterq.scheduler import AwaitPushCommand, ExecuteCommand, PushCommand
+from clusterq.scheduler import AwaitPushCommand, ExecuteCommand, PushCommand, generate_commands
 
 
 # ---------------------------------------------------------------- region oracle
@@ -181,6 +185,46 @@ def check_plan(plan, buffers):
     return nodever
 
 
+# ------------------------------------------------------------ footprint oracle
+
+def clamp_point(point, extent):
+    """point with each coordinate clamped to the extent."""
+    return tuple(min(max(p, lo), hi - 1) for p, lo, hi in zip(point, extent.mins, extent.maxs))
+
+
+def first_read_outside(plan):
+    """The first clamped read of the plan's Executes that leaves the mapped
+    region its command grants, as (command id, id, accessor, clamped point),
+    or None. Every read of the task's body is checked at every id of every
+    chunk, one point at a time."""
+    graph = plan.graph
+    for cmd in plan.executes():
+        task = graph.task(cmd.task_id)
+        reads = list(dict.fromkeys(node for expr in task.body.values()
+                                   for node in postorder(expr) if isinstance(node, Read)))
+        granted = {name: (graph.buffers[bufname].extent, region)
+                   for name, bufname, region in cmd.reads}
+        box = cmd.chunk.box
+        for idx in product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs))):
+            for read in reads:
+                extent, region = granted[read.accessor]
+                q = clamp_point([p + off for p, off in zip(idx, read.offsets)], extent)
+                if not any(all(lo <= c < hi for c, lo, hi in zip(q, b.mins, b.maxs))
+                           for b in region.boxes):
+                    return cmd.id, idx, read.accessor, q
+    return None
+
+
+def unchecked_plan(buffers, tasks, nodes):
+    """The command plan of tasks with submit's footprint check switched off,
+    so that the oracle can look at what the check rejects."""
+    graph = TaskGraph(buffers)
+    with mock.patch.object(graph_module, "static_footprint_check", return_value=[]):
+        for task in tasks:
+            graph.submit(task)
+    return generate_commands(graph, nodes)
+
+
 # --------------------------------------------------------------- random workloads
 
 MAPPER_KINDS = ("one_to_one", "neighborhood", "all", "fixed", "slice")
@@ -227,8 +271,8 @@ def random_workload(rng, mapper_counter=None):
     """Buffers plus up to 5 tasks over a shared shape, one element kind.
 
     Read mappers cycle through all five kinds; write mappers are one_to_one.
-    Offsets are kept within each mapper's allowance so runs never trip the
-    footprint or runtime region checks.
+    Offsets are kept within each mapper's allowance so that submit's
+    footprint check passes.
     """
     shape = _random_shape(rng)
     dims = len(shape)
@@ -338,10 +382,10 @@ def error_workload(rng):
 
     Each task reads buffer x, which may have fewer axes than the kernel,
     through a Fixed mapper and shifted wholly off the extent along one axis.
-    Such a read passes the footprint check, since no shifted id lands in the
-    extent, but clamps onto edge cells the fixed region may leave out. An
-    int64 body also divides by reads of x, whose values include zeros, and
-    by id components less a constant."""
+    Such a read clamps onto edge cells the fixed region may leave out, and
+    then submit's footprint check rejects the task. An int64 body also
+    divides by reads of x, whose values include zeros, and by id components
+    less a constant."""
     dims = rng.choice((1, 2, 2, 3))
     shape = _random_shape(rng)
     while len(shape) != dims:
@@ -406,20 +450,14 @@ def _ieee_div(a: float, b: float) -> float:
 
 
 class PointView:
-    """A ReadView read one point at a time: each coordinate clamped to the
-    extent, then the clamped point required to lie in the mapped region."""
+    """A ReadView read one point at a time, each coordinate clamped to the
+    extent."""
 
     def __init__(self, view):
         self.view = view
 
     def read(self, point):
-        v = self.view
-        q = tuple(min(max(p, lo), hi - 1)
-                  for p, lo, hi in zip(point, v.extent.mins, v.extent.maxs))
-        if not any(all(lo <= c < hi for c, lo, hi in zip(q, b.mins, b.maxs))
-                   for b in v.region.boxes):
-            raise v.violation(point)
-        return v.data[q].item()
+        return self.view.data[clamp_point(point, self.view.extent)].item()
 
 
 def eval_kernel(expr, idx, views, params, integer=False):

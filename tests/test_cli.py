@@ -173,7 +173,7 @@ def test_run_deeper_kernels_end_without_traceback(tmp_path, body, rc, message):
 
 def test_run_deep_int64_kernel_error_ends_without_traceback(tmp_path):
     # The compiled program evaluates all 1,500 levels of the sum before it
-    # names the failing id.
+    # names the failing id and its task.
     data = {"buffers": [{"name": "x", "extent": [3], "element_kind": "int64", "init": "iota"},
                         {"name": "z", "extent": [3], "element_kind": "int64"}],
             "tasks": [{"name": "t", "range": [3], "reads": ["x"], "writes": ["z"],
@@ -183,8 +183,7 @@ def test_run_deep_int64_kernel_error_ends_without_traceback(tmp_path):
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 2, proc.stderr
-    assert "integer division by zero at id (0,)" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "clusterq: integer division by zero at id (0,) in task 't'\n"
 
 
 @pytest.mark.parametrize("offset, edge", [
@@ -312,6 +311,42 @@ def test_empty_scenario_runs_clean(tmp_path):
     assert len(report["per_device"]) == 1
     assert report["per_device"][0]["energy_j"] == 0.0
     assert report["transfers"] == {"count": 0, "total_bytes": 0}
+
+
+def _one_read(xshape, zshape, mapper, body):
+    return {"buffers": [{"name": "x", "extent": xshape, "init": "iota"},
+                        {"name": "z", "extent": zshape}],
+            "tasks": [{"name": "t", "range": zshape, "writes": ["z"], "body": body,
+                       "reads": [{"buffer": "x", "mapper": mapper}]}]}
+
+
+@pytest.mark.parametrize("data, message", [
+    # rows 4-9 map to no cells of x, though their clamped reads land on x[3]
+    (_one_read([4], [10], "one_to_one", "x[i]"),
+     "accessor 'x' offset (0,): outside one_to_one mapped region"),
+    (_one_read([4, 4], [10, 4], {"kind": "slice", "dim": 1}, "x[i.0, i.1+2]"),
+     "accessor 'x' offset (0, 2): outside slice(1) mapped region"),
+    # every read clamps onto x[0], outside the fixed region
+    (_one_read([4], [4], {"kind": "fixed", "region": [{"min": [3], "max": [4]}]}, "x[i-4]"),
+     "accessor 'x' offset (-4,): outside fixed({[3,4)}) mapped region"),
+], ids=["one_to_one_beyond_x", "slice_beyond_x", "fixed_shifted_off_x"])
+def test_reads_outside_the_mapped_region_exit_2_at_submit(tmp_path, capsys, data, message):
+    scn = write_scenario(tmp_path, data)
+    want = f"clusterq: task 't': footprint violations: {message}\n"
+    for nodes in ("1", "2", "3"):
+        assert run_cli("run", scn, "--nodes", nodes, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == want, nodes
+    assert run_cli("graph", scn) == 2
+    assert capsys.readouterr().err == want
+    assert run_cli("validate", scn, "--nodes", "3") == 2
+    assert capsys.readouterr().err == want
+
+
+def test_reads_within_the_radius_validate_at_every_split(tmp_path, capsys):
+    # x[i+2] clamps onto x[1], within radius 1 of both ids
+    data = _one_read([2], [2], {"kind": "neighborhood", "radii": [1]}, "x[i+2]")
+    assert run_cli("validate", write_scenario(tmp_path, data), "--nodes", "2") == 0
+    assert "validate: ok (2 nodes vs serial)" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------- exit codes

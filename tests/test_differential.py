@@ -1,7 +1,8 @@
 """Fast paths against their slow references: the compiled box evaluator
 against the scalar oracle in helpers, through the simulator (bit-identical
 buffers and identical error messages), ReadView's gathers against the
-oracle's pointwise reads,
+oracle's pointwise reads, submit's footprint check against a pointwise check
+of every read of the plan at every split,
 the replay's durations and energy against a fresh computation per event,
 Execute dependencies on the transitively reduced task predecessors against
 dependencies on all of them, and the trace.json and buf_<name>.json writers
@@ -22,23 +23,37 @@ from hypothesis import example, given, settings, strategies as st
 
 from clusterq import simulator
 from clusterq.energy import DeviceModel, EnergyTarget, account_energy, exec_time
-from clusterq.errors import EvalError, MapperViolationError
+from clusterq.errors import EvalError, ValidationError
 from clusterq.graph import TaskGraph
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, postorder
-from clusterq.model import Accessor, AccessMode, Buffer, BufferInit, Fixed, ReadView, Task
+from clusterq.model import (
+    Accessor,
+    AccessMode,
+    All,
+    Buffer,
+    BufferInit,
+    Fixed,
+    Neighborhood,
+    OneToOne,
+    ReadView,
+    Slice,
+    Task,
+    static_footprint_check,
+)
 from clusterq.region import Box, Region
 from clusterq.scenario import write_buffer, write_trace
 from clusterq.scheduler import assign_frequencies, generate_commands
 from clusterq.simulator import LinkModel, TraceEvent
 
 from helpers import (
-    PointView,
     buffer_dump,
     compile_reference,
     error_workload,
+    first_read_outside,
     json_dump_text,
     random_workload,
     trace_to_chrome,
+    unchecked_plan,
 )
 
 INT64_EDGES = (-(2 ** 63), -(2 ** 62), -7, -1, 0, 1, 3, 2 ** 62, 2 ** 63 - 1)
@@ -51,7 +66,7 @@ def outcome(plan, reference):
     with patch if reference else contextlib.nullcontext():
         try:
             result = simulator.run(plan)
-        except (EvalError, MapperViolationError) as exc:
+        except EvalError as exc:
             return type(exc).__name__, str(exc)
     return {name: (arr.dtype.str, arr.tobytes()) for name, arr in result.buffers.items()}
 
@@ -103,28 +118,10 @@ def test_compiled_matches_reference_on_random_workloads(seed, nodes, data):
     assert_paths_agree(buffers, edged, nodes)
 
 
-def test_mapper_violation_message_is_the_reference_one():
-    # The static footprint check passes (no shifted id lands in the extent),
-    # but every read clamps to cell 0, outside the fixed region.
-    x = Buffer("x", Box.from_shape((8,)), "float64", BufferInit.iota())
-    z = Buffer("z", Box.from_shape((8,)), "float64", BufferInit.zeros())
-    task = Task("t", Box.from_shape((2,)), [
-        Accessor("x", AccessMode.READ, Fixed(Region.from_box(Box((5,), (6,)))), name="r"),
-        Accessor("z", AccessMode.WRITE),
-    ], {"z": BinOp("+", IdComponent(0), Read("r", (-5,)))})
-    graph = TaskGraph({"x": x, "z": z})
-    graph.submit(task)
-    plan = generate_commands(graph, 2)
-    got = outcome(plan, reference=False)
-    assert got == outcome(plan, reference=True)
-    assert got == ("MapperViolationError",
-                   "accessor 'r' read (-5,) in task 't' outside mapped region {[5,6)} "
-                   "of buffer 'x'")
-
-
 def test_gather_across_boxes_of_a_fixed_region():
     # An L-shaped fixed region of two boxes; each chunk reads [k,k+1)x[0,4),
-    # which neither box holds alone but their union does.
+    # which neither box holds alone but their union does, so submit accepts
+    # the task.
     x = Buffer("x", Box.from_shape((4, 4)), "float64", BufferInit.iota())
     z = Buffer("z", Box.from_shape((2, 4)), "float64", BufferInit.zeros())
     ell = Region(2, [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))])
@@ -132,13 +129,13 @@ def test_gather_across_boxes_of_a_fixed_region():
         Accessor("x", AccessMode.READ, Fixed(ell), name="r"),
         Accessor("z", AccessMode.WRITE),
     ], {"z": BinOp("*", Read("r", (0, 0)), Num(0.5))})
+    assert static_footprint_check(task, {"x": x, "z": z}) == []
     for nodes in (1, 2):
         graph = TaskGraph({"x": x, "z": z})
         graph.submit(task)
         plan = generate_commands(graph, nodes)
-        with mock.patch.object(ReadView, "gather_masked",
-                               side_effect=AssertionError("gather_masked")):
-            got = outcome(plan, reference=False)
+        assert first_read_outside(plan) is None
+        got = outcome(plan, reference=False)
         assert got == outcome(plan, reference=True)
         want = np.arange(16, dtype=np.float64).reshape(4, 4)[:2] * 0.5
         assert got["z"] == ("<f8", want.tobytes())
@@ -159,7 +156,7 @@ def test_int_division_by_zero_message_is_the_reference_one():
         plan = generate_commands(graph, nodes)
         got = outcome(plan, reference=False)
         assert got == outcome(plan, reference=True)
-        assert got == ("EvalError", "integer division by zero at id (1, 0)")
+        assert got == ("EvalError", "integer division by zero at id (1, 0) in task 'div'")
 
 
 def test_nan_of_either_sign_is_stored_canonically():
@@ -183,19 +180,12 @@ NEGATIVE_NAN = float(np.uint64(0xFFF8000000000000).view(np.float64))
 
 @st.composite
 def gather_cases(draw):
-    """A read view over a 1-3-D extent with a region of 1-4 boxes, and a
-    shifted read box whose clamping per axis is none, low, high or both.
-    Half the regions also hold the clamped points the box reads, as pieces
-    left over once the earlier boxes are taken out. The box may carry
-    trailing kernel axes the buffer does not have."""
+    """A read over a 1-3-D extent of a box shifted by offsets, whose
+    clamping per axis is none, low, high or both. The box may carry trailing
+    kernel axes the buffer does not have."""
     dims = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(1, 5)) for _ in range(dims))
-    boxes = []
-    for _ in range(draw(st.integers(1, 3))):
-        lows = [draw(st.integers(0, n - 1)) for n in shape]
-        highs = [draw(st.integers(lo + 1, n)) for lo, n in zip(lows, shape)]
-        boxes.append(Box(tuple(lows), tuple(highs)))
-    mins, maxs, offsets, hit_lows, hit_highs = [], [], [], [], []
+    mins, maxs, offsets = [], [], []
     for n in shape:
         clamp = draw(st.sampled_from(("none", "none", "low", "high", "both")))
         below = clamp in ("low", "both")
@@ -206,10 +196,6 @@ def gather_cases(draw):
         mins.append(lo - off)
         maxs.append(hi - off)
         offsets.append(off)
-        hit_lows.append(min(max(lo, 0), n - 1))
-        hit_highs.append(min(max(hi - 1, 0), n - 1) + 1)
-    if draw(st.booleans()):
-        boxes.append(Box(tuple(hit_lows), tuple(hit_highs)))
     for _ in range(draw(st.integers(0, 3 - dims))):
         lo = draw(st.integers(0, 3))
         mins.append(lo)
@@ -218,61 +204,36 @@ def gather_cases(draw):
     edges = INT64_EDGES if integer else FLOAT_EDGES + (NEGATIVE_NAN,)
     values = draw(st.lists(st.sampled_from(edges), min_size=math.prod(shape),
                            max_size=math.prod(shape)))
-    return shape, boxes, tuple(mins), tuple(maxs), tuple(offsets), integer, values
+    return shape, tuple(mins), tuple(maxs), tuple(offsets), integer, values
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=gather_cases())
-# a row that neither box of an L-shaped region holds alone, unclamped
-@example(case=((4, 4), [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))],
-               (1, 0), (2, 4), (0, 0), False, [NEGATIVE_NAN] * 16))
-# the same row clamped at both edges of axis 1, and one clamped out of it
-@example(case=((4, 4), [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))],
-               (1, -2), (2, 6), (0, 0), False, [NEGATIVE_NAN] * 16))
-@example(case=((4, 4), [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))],
-               (2, -2), (3, 6), (0, 0), True, list(range(16))))
+# an unclamped row of a 4x4 buffer, that row clamped at both edges of axis 1,
+# and one clamped out of it
+@example(case=((4, 4), (1, 0), (2, 4), (0, 0), False, [NEGATIVE_NAN] * 16))
+@example(case=((4, 4), (1, -2), (2, 6), (0, 0), False, [NEGATIVE_NAN] * 16))
+@example(case=((4, 4), (2, -2), (3, 6), (0, 0), True, list(range(16))))
 def test_gather_matches_pointwise_reads(case):
-    shape, boxes, mins, maxs, offsets, integer, values = case
+    shape, mins, maxs, offsets, integer, values = case
     dtype = np.int64 if integer else np.float64
     data = np.array(values, dtype=dtype).reshape(shape)
     before = data.tobytes()
-    view = ReadView("r", "x", Region(len(shape), boxes), Box.from_shape(shape), data)
+    view = ReadView(Box.from_shape(shape), data)
 
     axes = [range(lo, hi) for lo, hi in zip(mins, maxs)][:len(shape)]
-    clamped, outside = [], []
+    clamped = []
     for point in itertools.product(*axes):
         read = tuple(p + off for p, off in zip(point, offsets))
         clamped.append(data[tuple(min(max(c, 0), n - 1) for c, n in zip(read, shape))])
-        try:
-            PointView(view).read(read)
-        except MapperViolationError:
-            outside.append(True)
-        else:
-            outside.append(False)
     want = np.array(clamped, dtype=dtype).reshape([len(a) for a in axes])
-    want_outside = np.array(outside).reshape(want.shape)
-
-    got, got_outside = view.gather_masked(mins, maxs, offsets)
-    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    assert (got_outside.dtype, got_outside.shape) == (np.dtype(bool), want.shape)
-    assert (got_outside == want_outside).all()
-
-    kernel_box = Box(mins, maxs)
-    evaluate = compile_kernel(Read("r", offsets), integer)
-    if want_outside.any():
-        assert view.gather(mins, maxs, offsets) is None
-        with pytest.raises(MapperViolationError) as got_error:
-            evaluate(kernel_box, {"r": view}, {})
-        with pytest.raises(MapperViolationError) as want_error:
-            compile_reference(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
-        assert str(got_error.value) == str(want_error.value)
-        return
     got = view.gather(mins, maxs, offsets)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     # A bare read stored as a kernel result: the store lands a canonical copy
     # and leaves the gathered source as it was, though it may be a view.
-    result = evaluate(kernel_box, {"r": view}, {})
+    kernel_box = Box(mins, maxs)
+    result = compile_kernel(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
     out = np.zeros(kernel_box.shape, dtype=dtype)
     simulator._store(out, Box.from_shape(kernel_box.shape), result, integer)
     assert data.tobytes() == before
@@ -281,69 +242,121 @@ def test_gather_matches_pointwise_reads(case):
     if not integer:
         stored[np.isnan(stored)] = math.nan
     assert out.tobytes() == stored.tobytes()
+    reference = compile_reference(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
+    assert np.array_equal(reference, stored, equal_nan=True)
 
 
 def test_error_corpus_matches_reference():
-    # Seeded workloads whose reads clamp outside their fixed region and whose
-    # int64 divisors may be zero, at 1-3 nodes: the compiled program names
-    # the same first failing id and operation as the scalar oracle.
+    # Seeded workloads whose reads may clamp outside their fixed region and
+    # whose int64 divisors may be zero, at 1-3 nodes. Submit rejects a task
+    # with such a read, and the pointwise oracle finds one in the plan built
+    # without the check; on the rest the oracle finds none, and the compiled
+    # program names the same first failing id as the scalar oracle.
     kinds = {}
     for seed in range(400):
         rng = random.Random(seed)
         buffers, tasks = error_workload(rng)
+        nodes = rng.randrange(1, 4)
         graph = TaskGraph(buffers)
-        for task in tasks:
-            graph.submit(task)
-        plan = generate_commands(graph, rng.randrange(1, 4))
-        got = outcome(plan, reference=False)
-        assert got == outcome(plan, reference=True), seed
-        kind = got[0] if isinstance(got, tuple) else "ok"
+        try:
+            for task in tasks:
+                graph.submit(task)
+        except ValidationError as exc:
+            assert "footprint violations" in str(exc), seed
+            assert first_read_outside(unchecked_plan(buffers, tasks, nodes)), seed
+            kind = "rejected"
+        else:
+            plan = generate_commands(graph, nodes)
+            assert first_read_outside(plan) is None, seed
+            got = outcome(plan, reference=False)
+            assert got == outcome(plan, reference=True), seed
+            kind = got[0] if isinstance(got, tuple) else "ok"
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds.get("MapperViolationError", 0) > 0 and kinds.get("EvalError", 0) > 0, kinds
+    assert kinds.get("rejected", 0) > 0 and kinds.get("EvalError", 0) > 0, kinds
 
 
-def _violation_and_division(zero_at, violation_first):
-    """A 3x4 int64 task whose read f[i.0-3, i.1+1] clamps to (0, min(i.1+1, 3))
-    and leaves the fixed region {(0,1), (0,2)} at ids with i.1 >= 2, and whose
-    divisor d[i] is zero only at zero_at; violation_first puts the read
-    before the division in evaluation order."""
-    values = [1] * 12
-    values[zero_at[0] * 4 + zero_at[1]] = 0
-    x = Buffer("x", Box.from_shape((3, 4)), "int64", BufferInit.explicit(values))
-    z = Buffer("z", Box.from_shape((3, 4)), "int64", BufferInit.zeros())
-    read, div = Read("f", (-3, 1)), BinOp("/", Num(7), Read("d", (0, 0)))
-    body = BinOp("+", read, div) if violation_first else BinOp("+", div, read)
-    task = Task("t", Box.from_shape((3, 4)), [
-        Accessor("x", AccessMode.READ, Fixed(Region.from_box(Box((0, 1), (1, 3)))), name="f"),
-        Accessor("x", AccessMode.READ, name="d"),
-        Accessor("z", AccessMode.WRITE),
+def _read_task(xshape, krange, mapper, offsets):
+    """Buffers x (iota) and z, and a task over range krange that writes z
+    with the sum of reads of x through mapper at the given offsets."""
+    body = Read("r", offsets[0])
+    for off in offsets[1:]:
+        body = BinOp("+", body, Read("r", off))
+    buffers = {"x": Buffer("x", Box.from_shape(xshape), "float64", BufferInit.iota()),
+               "z": Buffer("z", Box.from_shape(krange), "float64", BufferInit.zeros())}
+    task = Task("t", Box.from_shape(krange), [
+        Accessor("x", AccessMode.READ, mapper, name="r"), Accessor("z", AccessMode.WRITE),
     ], {"z": body})
-    graph = TaskGraph({"x": x, "z": z})
-    graph.submit(task)
-    return graph
+    return buffers, task
 
 
-def test_violation_and_zero_divisor_name_the_first_failing_id():
-    violation = ("MapperViolationError", "accessor 'f' read {} in task 't' outside mapped "
-                 "region {{[0,1)x[1,3)}} of buffer 'x'")
-    division = ("EvalError", "integer division by zero at id {}")
-    cases = [
-        # the division fails first in row-major order, the read first in the body
-        ((0, 1), True, 1, division, "(0, 1)"),
-        # the read fails first in row-major order, the division first in the body
-        ((1, 0), False, 1, violation, "(-3, 3)"),
-        # both fail first at id (0, 2): the body order decides
-        ((0, 2), True, 1, violation, "(-3, 3)"),
-        ((0, 2), False, 1, division, "(0, 2)"),
-        # at 3 nodes each row is a chunk; the first chunk in replay order fails
-        ((1, 0), False, 3, violation, "(-3, 3)"),
-        ((0, 1), True, 3, division, "(0, 1)"),
-    ]
-    for zero_at, violation_first, nodes, (kind, text), where in cases:
-        plan = generate_commands(_violation_and_division(zero_at, violation_first), nodes)
+@st.composite
+def footprint_workloads(draw):
+    """One task over a 1-3-D range that reads x through one of the five
+    mappers at one or two offsets in [-8, 8]. Each axis of x is drawn apart
+    from the range, so it may be shorter or longer; fixed and all may read an
+    x with fewer axes than the kernel, and a fixed region has 1-2 boxes."""
+    dims = draw(st.integers(1, 3))
+    krange = tuple(draw(st.integers(1, 6)) for _ in range(dims))
+    kind = draw(st.sampled_from(("one_to_one", "neighborhood", "slice", "fixed", "all")))
+    xdims = draw(st.integers(1, dims)) if kind in ("fixed", "all") else dims
+    xshape = tuple(draw(st.integers(1, 6)) for _ in range(xdims))
+    if kind == "one_to_one":
+        mapper = OneToOne()
+    elif kind == "neighborhood":
+        mapper = Neighborhood(tuple(draw(st.integers(0, 3)) for _ in range(dims)))
+    elif kind == "slice":
+        mapper = Slice(draw(st.integers(0, dims - 1)))
+    elif kind == "fixed":
+        boxes = []
+        for _ in range(draw(st.integers(1, 2))):
+            lows = [draw(st.integers(0, n - 1)) for n in xshape]
+            highs = [draw(st.integers(lo + 1, n)) for lo, n in zip(lows, xshape)]
+            boxes.append(Box(tuple(lows), tuple(highs)))
+        mapper = Fixed(Region(xdims, boxes))
+    else:
+        mapper = All()
+    offset = st.tuples(*(st.integers(-8, 8) for _ in range(xdims)))
+    return _read_task(xshape, krange, mapper, draw(st.lists(offset, min_size=1, max_size=2)))
+
+
+ELL = Region(2, [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(workload=footprint_workloads())
+# rows beyond a shorter x, under one_to_one and slice(1): rejected
+@example(workload=_read_task((4,), (10,), OneToOne(), [(0,)]))
+@example(workload=_read_task((4, 4), (10, 4), Slice(1), [(0, 2)]))
+# a read shifted wholly off the extent clamps onto a cell outside the region
+@example(workload=_read_task((4,), (4,), Fixed(Region.from_box(Box((3,), (4,)))), [(-4,)]))
+# the first and last rows read inside a fixed region, the middle rows in its hole
+@example(workload=_read_task((4,), (4,), Fixed(Region(1, [Box((0,), (1,)), Box((3,), (4,))])),
+                             [(0,)]))
+# every clamped read lies within a radius of its id: accepted
+@example(workload=_read_task((2,), (2,), Neighborhood((1,)), [(2,)]))
+# rows that only the union of two boxes holds: accepted
+@example(workload=_read_task((4, 4), (2, 4), Fixed(ELL), [(0, 0)]))
+def test_footprint_check_is_exact_over_splits(workload):
+    # Submit accepts a task iff no split along axis 0 makes a clamped read
+    # leave its mapped region: an accepted task reads inside its regions at
+    # 1-4 nodes and at one node per row, and runs to the serial result at
+    # each; a rejected one reads outside at one node per row.
+    buffers, task = workload
+    rows = task.global_range.maxs[0]
+    if static_footprint_check(task, buffers):
+        with pytest.raises(ValidationError, match="footprint violations"):
+            TaskGraph(buffers).submit(task)
+        assert first_read_outside(unchecked_plan(buffers, [task], rows)) is not None
+        return
+    serial = None
+    for nodes in sorted({1, 2, 3, 4, rows}):
+        graph = TaskGraph(buffers)
+        graph.submit(task)
+        plan = generate_commands(graph, nodes)
+        assert first_read_outside(plan) is None, nodes
         got = outcome(plan, reference=False)
-        assert got == outcome(plan, reference=True)
-        assert got == (kind, text.format(where)), (zero_at, violation_first, nodes)
+        assert serial is None or got == serial, nodes
+        serial = got
 
 
 LEVELS = (0.5, 1.0, 1.5, 2.0)
