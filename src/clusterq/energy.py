@@ -2,7 +2,9 @@
 
 Power draw at frequency f is P(f) = P_static + P_dyn_ref * (f / f_ref)^alpha.
 A chunk whose reference runtime is t_ref takes t(f) = t_ref * (beta +
-(1 - beta) * f_ref / f); beta is the frequency-insensitive fraction.
+(1 - beta) * f_ref / f); beta is the frequency-insensitive fraction. A
+DeviceModel computes P(f) and f_ref / f once per level, as exact rationals;
+frequency selection, the replay's durations and energy accounting read them.
 
 Frequency selection enumerates the device's discrete levels and minimizes the
 target objective; ties prefer the higher frequency. Plans are built with every
@@ -75,14 +77,26 @@ class DeviceModel:
             raise ValidationError(
                 f"alpha_exp {self.alpha_exp!r} is beyond the maximum magnitude of {MAX_ALPHA_EXP}")
         # A non-integral alpha_exp is applied in binary64, which can overflow
-        # (or divide by a ratio rounded to 0). P(f) is monotone in f, so the
-        # lowest and highest levels bound it.
-        for f in (levels[0], levels[-1]):
+        # (or divide by a ratio rounded to 0). P(f) is monotone in f, so if
+        # any level fails, the lowest or the highest does: they go first.
+        power = {}
+        for f in (levels[0], levels[-1], *levels[1:-1]):
             try:
-                self._power_exact(f)
+                power[f] = self._power_exact(f)
             except (OverflowError, ZeroDivisionError):
                 raise ValidationError(
                     f"power at {f} GHz is not within the binary64 range") from None
+        # Not a field: the scenario tables and require_finite read fields.
+        f_ref = Fraction(self.f_ref_ghz)
+        object.__setattr__(self, "level_table",
+                           {f: (power[f], f_ref / Fraction(f)) for f in levels})
+
+    def level(self, f_ghz: float) -> tuple[Fraction, Fraction]:
+        """Exact (P(f), f_ref / f) of one of the device's levels."""
+        entry = self.level_table.get(f_ghz)
+        if entry is None:
+            raise ValidationError(f"{f_ghz!r} GHz is not one of the levels {self.levels_ghz}")
+        return entry
 
     def power_watts(self, f_ghz: float) -> float:
         return float(self._power_exact(f_ghz))
@@ -97,36 +111,33 @@ class DeviceModel:
         return Fraction(self.p_static_w) + dyn
 
 
-def exec_time(t_ref, beta, f_ref_ghz, f_ghz) -> Fraction:
-    """Exact chunk runtime t_ref * (beta + (1 - beta) * f_ref / f)."""
-    t_ref = Fraction(t_ref)
+def exec_time(t_ref, beta, slowdown) -> Fraction:
+    """Exact chunk runtime t_ref * (beta + (1 - beta) * slowdown), where
+    slowdown is the level's f_ref / f from DeviceModel.level."""
     beta = Fraction(beta)
-    return t_ref * (beta + (1 - beta) * Fraction(f_ref_ghz) / Fraction(f_ghz))
+    return Fraction(t_ref) * (beta + (1 - beta) * slowdown)
 
 
-def _objective(device: DeviceModel, target: EnergyTarget, t_ref, beta, f_ghz) -> Fraction:
-    t = exec_time(t_ref, beta, device.f_ref_ghz, f_ghz)
-    e = device._power_exact(f_ghz) * t
-    if target is EnergyTarget.MIN_ENERGY:
-        return e
-    if target is EnergyTarget.MIN_EDP:
-        return e * t
-    if target is EnergyTarget.MIN_ED2P:
-        return e * t * t
-    raise ValidationError(f"no objective for target {target}")
+# Each objective is P(f) * t(f) ** k: energy, EDP and ED2P.
+_TIME_POWER = {EnergyTarget.MIN_ENERGY: 1, EnergyTarget.MIN_EDP: 2, EnergyTarget.MIN_ED2P: 3}
 
 
 def select_frequency(device: DeviceModel, target: EnergyTarget, chunk_t_ref, beta=0.0) -> float:
     """Frequency level minimizing the target objective; ties pick the higher
     level. MAX_PERF always selects the highest level."""
-    if Fraction(chunk_t_ref) <= 0:
+    t_ref = Fraction(chunk_t_ref)
+    if t_ref <= 0:
         raise ValidationError("chunk_t_ref must be positive")
     if target is EnergyTarget.MAX_PERF:
         return device.levels_ghz[-1]
+    k = _TIME_POWER.get(target)
+    if k is None:
+        raise ValidationError(f"no objective for target {target}")
     best = None
     best_obj = None
-    for f in device.levels_ghz:  # ascending, so <= keeps the higher level on ties
-        obj = _objective(device, target, chunk_t_ref, beta, f)
+    # ascending, so <= keeps the higher level on ties
+    for f, (power, slowdown) in device.level_table.items():
+        obj = power * exec_time(t_ref, beta, slowdown) ** k
         if best_obj is None or obj <= best_obj:
             best, best_obj = f, obj
     return best
@@ -179,7 +190,8 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
     Kernel energy for an event is P(f) * duration; device energy is the sum of
     its events' kernel energy plus P_static * idle time. Push events charge
     nothing beyond static draw. Event times must be exact rationals, as
-    simulator.run gives them; P(f) is computed once per node and frequency.
+    simulator.run gives them, and each frequency must be one of its device's
+    levels, whose P(f) the device computed once.
     """
     makespan = Fraction(makespan)
     report = EnergyReport(makespan_s=makespan)
@@ -187,19 +199,15 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
     busy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
     busy_energy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
     spans: dict[int, tuple[Fraction, Fraction]] = {}
-    power: dict[tuple[int, float], Fraction] = {}  # (node, frequency) -> P(f)
 
     for ev in trace:
         if ev.kind != "execute":
             continue
         node, f = ev.node, ev.frequency_ghz
-        p = power.get((node, f))
-        if p is None:
-            if not 0 <= node < len(devices):
-                raise ValidationError(f"trace event references unknown device {node}")
-            p = power[node, f] = devices[node]._power_exact(f)
+        if not 0 <= node < len(devices):
+            raise ValidationError(f"trace event references unknown device {node}")
         dur = ev.duration
-        energy = p * dur
+        energy = devices[node].level(f)[0] * dur
         busy[node] += dur
         busy_energy[node] += energy
         entry = tasks.get(ev.task_id)

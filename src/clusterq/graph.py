@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import AccessMode, Task, apply_mapper, static_footprint_check, validate_task
+from .model import AccessMode, Task, static_footprint_check, validate_task
 from .region import Region
 
 
@@ -63,7 +63,7 @@ class TaskGraph:
         writes: dict[str, Region] = {}
         for acc in task.accessors:
             extent = self.buffers[acc.buffer].extent
-            mapped = apply_mapper(acc.mapper, task.global_range, task.global_range, extent)
+            mapped = acc.mapper.map_chunk(task.global_range, extent)
             target = reads if acc.mode is AccessMode.READ else writes
             if acc.buffer in target:
                 target[acc.buffer] = target[acc.buffer].union(mapped)

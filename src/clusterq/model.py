@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .kernel import Expr
 from .region import Box, Region
 
@@ -145,7 +145,7 @@ class Buffer:
 class RangeMapper:
     """Maps a chunk of the kernel range to the buffer region it may access."""
 
-    def map_chunk(self, chunk: Box, kernel_range: Box, extent: Box) -> Region:
+    def map_chunk(self, chunk: Box, extent: Box) -> Region:
         raise NotImplementedError
 
 
@@ -156,7 +156,7 @@ def _clamp(box: Box, extent: Box) -> Region:
 
 @dataclass(frozen=True)
 class OneToOne(RangeMapper):
-    def map_chunk(self, chunk, kernel_range, extent):
+    def map_chunk(self, chunk, extent):
         if chunk.dims != extent.dims:
             raise ValidationError(
                 f"one_to_one requires matching dimensionality, kernel is {chunk.dims}D "
@@ -177,7 +177,7 @@ class Neighborhood(RangeMapper):
         if any(r < 0 for r in self.radii):
             raise ValidationError("neighborhood radii must be non-negative")
 
-    def map_chunk(self, chunk, kernel_range, extent):
+    def map_chunk(self, chunk, extent):
         if chunk.dims != extent.dims or len(self.radii) != extent.dims:
             raise ValidationError(
                 f"neighborhood({list(self.radii)}) does not fit a {chunk.dims}D kernel "
@@ -193,7 +193,7 @@ class Neighborhood(RangeMapper):
 class Fixed(RangeMapper):
     region: Region
 
-    def map_chunk(self, chunk, kernel_range, extent):
+    def map_chunk(self, chunk, extent):
         if self.region.dims != extent.dims:
             raise ValidationError(
                 f"fixed region is {self.region.dims}D but buffer is {extent.dims}D"
@@ -206,7 +206,7 @@ class Fixed(RangeMapper):
 
 @dataclass(frozen=True)
 class All(RangeMapper):
-    def map_chunk(self, chunk, kernel_range, extent):
+    def map_chunk(self, chunk, extent):
         return Region.from_box(extent)
 
     def __str__(self):
@@ -217,7 +217,7 @@ class All(RangeMapper):
 class Slice(RangeMapper):
     axis: int
 
-    def map_chunk(self, chunk, kernel_range, extent):
+    def map_chunk(self, chunk, extent):
         if chunk.dims != extent.dims:
             raise ValidationError(
                 f"slice requires matching dimensionality, kernel is {chunk.dims}D "
@@ -233,15 +233,6 @@ class Slice(RangeMapper):
 
     def __str__(self):
         return f"slice({self.axis})"
-
-
-def apply_mapper(mapper: RangeMapper, chunk: Box, kernel_range: Box, extent: Box) -> Region:
-    """Mapped buffer region for a chunk, always clamped to the buffer extent."""
-    if chunk.dims != kernel_range.dims:
-        raise DimensionError("chunk and kernel range dimensionality differ")
-    if not kernel_range.contains_box(chunk):
-        raise ValidationError(f"chunk {chunk} is not contained in kernel range {kernel_range}")
-    return mapper.map_chunk(chunk, kernel_range, extent)
 
 
 @dataclass(frozen=True)
@@ -330,7 +321,7 @@ def static_footprint_check(task: Task, buffers) -> list[FootprintViolation]:
     for name, offsets in collect_read_offsets(task).items():
         acc = by_name[name]
         extent = buffers[acc.buffer].extent
-        mapped = [(chunk, acc.mapper.map_chunk(chunk, rng, extent))
+        mapped = [(chunk, acc.mapper.map_chunk(chunk, extent))
                   for chunk in (rng, first, last)]
         for off in offsets:
             if not all(_reads_inside(chunk, off, extent, region) for chunk, region in mapped):
@@ -406,7 +397,7 @@ def validate_task(task: Task, buffers) -> None:
                     f"than the kernel range"
                 )
             # Trigger mapper/buffer dimensionality errors at validation time.
-            apply_mapper(acc.mapper, task.global_range, task.global_range, buf.extent)
+            acc.mapper.map_chunk(task.global_range, buf.extent)
 
     read_names = {a.name: a for a in task.reads()}
     if set(task.body) != {a.name for a in writes}:

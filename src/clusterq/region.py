@@ -74,14 +74,6 @@ class Box:
             a >= b for a, b in zip(self.maxs, other.maxs)
         )
 
-    def translate(self, offset) -> "Box":
-        if len(offset) != self.dims:
-            raise DimensionError("offset dimensionality mismatch")
-        return Box(
-            tuple(lo + d for lo, d in zip(self.mins, offset)),
-            tuple(hi + d for hi, d in zip(self.maxs, offset)),
-        )
-
     def dilate(self, radii) -> "Box":
         if len(radii) != self.dims:
             raise DimensionError("radius dimensionality mismatch")
@@ -254,19 +246,9 @@ class Region:
     def intersect_box(self, box: Box) -> "Region":
         return self.intersect(Region.from_box(box))
 
-    def translate(self, offset) -> "Region":
-        return _from_disjoint(self.dims, [b.translate(offset) for b in self.boxes])
-
     def contains_region(self, other: "Region") -> bool:
         self._check(other)
         return other.difference(self).is_empty()
-
-    def bounding_box(self):
-        if not self.boxes:
-            return None
-        mins = tuple(min(b.mins[k] for b in self.boxes) for k in range(self.dims))
-        maxs = tuple(max(b.maxs[k] for b in self.boxes) for k in range(self.dims))
-        return Box(mins, maxs)
 
     def _check(self, other):
         if not isinstance(other, Region):
@@ -308,8 +290,3 @@ def _from_disjoint(dims: int, boxes: list[Box]) -> Region:
     object.__setattr__(r, "dims", dims)
     object.__setattr__(r, "boxes", _canonical(dims, boxes))
     return r
-
-
-def normalize(r: Region) -> Region:
-    """Re-canonicalize a Region (idempotent)."""
-    return _from_disjoint(r.dims, list(r.boxes))

@@ -49,6 +49,7 @@ class Scenario:
     link: Optional[LinkModel] = None
     queue_target: Optional[EnergyTarget] = None
     expectations: list[tuple[str, list]] = field(default_factory=list)
+    path: str = "scenario"  # JSON path of the document, for error messages
 
 
 REQUIRED = object()  # the default of a field that must be given
@@ -359,7 +360,7 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> Scenario:
     return Scenario(buffers=f["buffers"], tasks=tasks, nodes=f["nodes"],
                     devices=[f["device"]] if f["device"] is not None else f["devices"],
                     link=f["link"], queue_target=f["target"] or f["queue_target"],
-                    expectations=expectations)
+                    expectations=expectations, path=path)
 
 
 def _model_to_json(obj, table: dict) -> dict:
@@ -549,8 +550,11 @@ class RunBundle:
 
 def build_graph(scenario: Scenario) -> TaskGraph:
     graph = TaskGraph({b.name: b for b in scenario.buffers})
-    for task in scenario.tasks:
-        graph.submit(task)
+    for i, task in enumerate(scenario.tasks):
+        try:
+            graph.submit(task)
+        except ValidationError as exc:
+            raise ValidationError(f"{scenario.path}.tasks[{i}]: {exc}") from exc
     return graph
 
 

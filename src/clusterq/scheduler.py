@@ -35,7 +35,7 @@ from typing import Optional
 from .energy import DeviceModel, EnergyTarget, select_frequency
 from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph
-from .model import ELEMENT_BYTES, AccessMode, Task, apply_mapper
+from .model import ELEMENT_BYTES, AccessMode, Task
 from .region import Box, Region
 
 # Devices, simulator lanes and energy accounts are allocated per node.
@@ -264,7 +264,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             need_by_buffer: dict[str, Region] = {}
             for acc in task.reads():
                 extent = graph.buffers[acc.buffer].extent
-                mapped = apply_mapper(acc.mapper, chunk.box, task.global_range, extent)
+                mapped = acc.mapper.map_chunk(chunk.box, extent)
                 read_specs.append((acc.name, acc.buffer, mapped))
                 if acc.buffer in need_by_buffer:
                     need_by_buffer[acc.buffer] = need_by_buffer[acc.buffer].union(mapped)
@@ -318,7 +318,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             write_specs = []
             for acc in task.writes():
                 extent = graph.buffers[acc.buffer].extent
-                mapped = apply_mapper(acc.mapper, chunk.box, task.global_range, extent)
+                mapped = acc.mapper.map_chunk(chunk.box, extent)
                 write_specs.append((acc.name, acc.buffer, mapped, version[acc.buffer]))
 
             exe = ExecuteCommand(

@@ -173,7 +173,7 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                 device = devices[node]
                 t_ref = Fraction(volume) / Fraction(device.throughput_ref)
                 dur = exec_durs[dur_key] = exec_time(
-                    t_ref, task.beta, device.f_ref_ghz, cmd.frequency_ghz)
+                    t_ref, task.beta, device.level(cmd.frequency_ghz)[1])
             finish = lane_free[node] = start + dur
 
             written = {bufname for _w, bufname, _r, _v in cmd.writes}

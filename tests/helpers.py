@@ -1,9 +1,9 @@
 """Shared test utilities: bitmap oracle for region algebra, an independent
 command-plan replay checker, a pointwise oracle of the footprint check,
 random workload generators, the scalar kernel evaluator that is the oracle of
-the compiled one, field mutations of the bundled scenario documents, and the
-dict forms of trace.json and buf_<name>.json that json.dump writes as the
-oracle of their writers."""
+the compiled one, a fresh evaluation of the power model, field mutations of
+the bundled scenario documents, and the dict forms of trace.json and
+buf_<name>.json that json.dump writes as the oracle of their writers."""
 
 import copy
 import json
@@ -527,6 +527,27 @@ def eval_box(expr, box, views, params, integer=False) -> np.ndarray:
 def compile_reference(expr, integer=False):
     """A stand-in for compile_kernel that evaluates each box with eval_box."""
     return lambda box, views, params: eval_box(expr, box, views, params, integer)
+
+
+# ---------------------------------------------------------- power model oracle
+
+def level_oracle(device, f):
+    """(P(f), f_ref / f) evaluated afresh from the device's floats by the
+    formulas of docs/formats.md: an integral alpha_exp is applied exactly,
+    any other in binary64."""
+    alpha = device.alpha_exp
+    if alpha == int(alpha):
+        ratio = Fraction(f) / Fraction(device.f_ref_ghz)
+        dyn = Fraction(device.p_dyn_ref_w) * ratio ** int(alpha)
+    else:
+        dyn = Fraction(device.p_dyn_ref_w * (f / device.f_ref_ghz) ** alpha)
+    return Fraction(device.p_static_w) + dyn, Fraction(device.f_ref_ghz) / Fraction(f)
+
+
+def chunk_time(t_ref, beta, device, f):
+    """Exact runtime t_ref * (beta + (1 - beta) * f_ref / f) at level f."""
+    beta = Fraction(beta)
+    return Fraction(t_ref) * (beta + (1 - beta) * Fraction(device.f_ref_ghz) / Fraction(f))
 
 
 # ------------------------------------------------------------- mutated input

@@ -332,7 +332,7 @@ def _one_read(xshape, zshape, mapper, body):
 ], ids=["one_to_one_beyond_x", "slice_beyond_x", "fixed_shifted_off_x"])
 def test_reads_outside_the_mapped_region_exit_2_at_submit(tmp_path, capsys, data, message):
     scn = write_scenario(tmp_path, data)
-    want = f"clusterq: task 't': footprint violations: {message}\n"
+    want = f"clusterq: {scn}.tasks[0]: task 't': footprint violations: {message}\n"
     for nodes in ("1", "2", "3"):
         assert run_cli("run", scn, "--nodes", nodes, "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err == want, nodes
@@ -340,6 +340,24 @@ def test_reads_outside_the_mapped_region_exit_2_at_submit(tmp_path, capsys, data
     assert capsys.readouterr().err == want
     assert run_cli("validate", scn, "--nodes", "3") == 2
     assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("second, message", [
+    ({"reads": [{"buffer": "x", "mapper": "one_to_one"}], "body": "x[i+1]"},
+     "footprint violations: accessor 'x' offset (1,): outside one_to_one mapped region"),
+    ({"beta": 2}, "beta must be within [0, 1]"),
+], ids=["footprint", "validate_task"])
+def test_submit_rejection_names_the_task_path(tmp_path, capsys, second, message):
+    # two tasks named alike: only the path tells which one is rejected
+    data = {"buffers": [{"name": "x", "extent": [4], "init": "iota"},
+                        {"name": "z", "extent": [4]}],
+            "tasks": [{"name": "t", "range": [4], "writes": ["z"], "body": "1"},
+                      {"name": "t", "range": [4], "writes": ["z"], "body": "2", **second}]}
+    scn = write_scenario(tmp_path, data)
+    for argv in (("run", scn, "--out", str(tmp_path / "out")), ("graph", scn),
+                 ("validate", scn, "--nodes", "2")):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"clusterq: {scn}.tasks[1]: task 't': {message}\n"
 
 
 def test_reads_within_the_radius_validate_at_every_split(tmp_path, capsys):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clusterq import simulator
-from clusterq.energy import DeviceModel, EnergyTarget, account_energy, exec_time
+from clusterq.energy import DeviceModel, EnergyTarget, account_energy
 from clusterq.errors import EvalError, ValidationError
 from clusterq.graph import TaskGraph
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, postorder
@@ -47,10 +47,12 @@ from clusterq.simulator import LinkModel, TraceEvent
 
 from helpers import (
     buffer_dump,
+    chunk_time,
     compile_reference,
     error_workload,
     first_read_outside,
     json_dump_text,
+    level_oracle,
     random_workload,
     trace_to_chrome,
     unchecked_plan,
@@ -393,9 +395,9 @@ def test_replay_times_and_energy_match_fresh_computation(seed, nodes, link, data
             device = devices[ev.node]
             t_ref = Fraction(cmd.chunk.box.volume()) / Fraction(device.throughput_ref)
             beta = graph.task(cmd.task_id).beta
-            assert ev.duration == exec_time(t_ref, beta, device.f_ref_ghz, ev.frequency_ghz)
+            assert ev.duration == chunk_time(t_ref, beta, device, ev.frequency_ghz)
             busy[ev.node] += ev.duration
-            kernel[ev.node] += device._power_exact(ev.frequency_ghz) * ev.duration
+            kernel[ev.node] += level_oracle(device, ev.frequency_ghz)[0] * ev.duration
         elif ev.kind == "push":
             assert ev.duration == link.transfer_time(ev.bytes)
         else:

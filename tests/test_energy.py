@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterq.energy import (
     DeviceModel,
@@ -16,18 +17,17 @@ from clusterq.energy import (
 from clusterq.errors import ValidationError
 from clusterq.simulator import LinkModel, TraceEvent
 
+from helpers import chunk_time, level_oracle
+
 
 REF = DeviceModel(levels_ghz=(0.5, 1.0, 1.5, 2.0), f_ref_ghz=1.0,
                   p_static_w=10.0, p_dyn_ref_w=10.0, alpha_exp=3.0)
 
 
 def objective(device, target, t_ref, beta, f):
-    """Independent evaluation of the selection objectives, alpha = 3 only."""
-    t = Fraction(t_ref) * (Fraction(beta)
-                           + (1 - Fraction(beta)) * Fraction(device.f_ref_ghz) / Fraction(f))
-    p = Fraction(device.p_static_w) + Fraction(device.p_dyn_ref_w) * (
-        Fraction(f) / Fraction(device.f_ref_ghz)) ** 3
-    e = p * t
+    """Independent evaluation of the selection objectives."""
+    t = chunk_time(t_ref, beta, device, f)
+    e = level_oracle(device, f)[0] * t
     if target is EnergyTarget.MIN_ENERGY:
         return e
     if target is EnergyTarget.MIN_EDP:
@@ -93,6 +93,35 @@ def test_selection_is_objective_optimal_on_random_devices():
                 assert best <= obj
                 if obj == best:
                     assert chosen >= f  # ties resolved upward
+
+
+@st.composite
+def devices(draw):
+    """Devices with integral and non-integral exponents, with and without
+    static power."""
+    levels = tuple(sorted(draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=6,
+                                        unique=True))))
+    alpha = draw(st.one_of(st.integers(-4, 4).map(float),
+                           st.floats(-4.0, 4.0).filter(lambda a: not a.is_integer())))
+    return DeviceModel(levels_ghz=levels, f_ref_ghz=draw(st.sampled_from(levels)),
+                       p_static_w=draw(st.one_of(st.just(0.0), st.floats(0.0, 50.0))),
+                       p_dyn_ref_w=draw(st.floats(0.0, 50.0)), alpha_exp=alpha)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(device=devices(), t_ref=st.floats(1e-6, 1e3),
+       beta=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+def test_level_table_and_selection_match_fresh_evaluation(device, t_ref, beta):
+    assert list(device.level_table) == list(device.levels_ghz)
+    for f in device.levels_ghz:
+        assert device.level_table[f] == device.level(f) == level_oracle(device, f)
+    assert select_frequency(device, EnergyTarget.MAX_PERF, t_ref, beta) == device.levels_ghz[-1]
+    for target in (EnergyTarget.MIN_ENERGY, EnergyTarget.MIN_EDP, EnergyTarget.MIN_ED2P):
+        obj = {f: objective(device, target, t_ref, beta, f) for f in device.levels_ghz}
+        best = min(obj.values())
+        # brute-force argmin; ties go to the higher level
+        want = max(f for f, o in obj.items() if o == best)
+        assert select_frequency(device, target, t_ref, beta) == want
 
 
 def test_min_edp_brackets_continuous_minimizer():
@@ -178,10 +207,13 @@ def test_device_rejects_non_finite_level():
 
 
 def test_exec_time_exact():
-    assert exec_time(1, 0.0, 1.0, 2.0) == Fraction(1, 2)
-    assert exec_time(1, 1.0, 1.0, 0.5) == Fraction(1)
-    assert exec_time(1, 0.5, 1.0, 2.0) == Fraction(3, 4)
-    assert exec_time(Fraction(3), 0.0, 2.0, 0.5) == Fraction(12)
+    slowdown = {f: REF.level(f)[1] for f in REF.levels_ghz}
+    assert slowdown == {0.5: 2, 1.0: 1, 1.5: Fraction(2, 3), 2.0: Fraction(1, 2)}
+    assert exec_time(1, 0.0, slowdown[2.0]) == Fraction(1, 2)
+    assert exec_time(1, 1.0, slowdown[0.5]) == Fraction(1)
+    assert exec_time(1, 0.5, slowdown[2.0]) == Fraction(3, 4)
+    slow = DeviceModel(levels_ghz=(0.5, 2.0), f_ref_ghz=2.0)
+    assert exec_time(Fraction(3), 0.0, slow.level(0.5)[1]) == Fraction(12)
 
 
 # ------------------------------------------------------------------- accounting
@@ -265,6 +297,11 @@ def test_task_duration_spans_chunks():
 def test_unknown_device_rejected():
     with pytest.raises(ValidationError):
         account_energy([exe(3, 0, 1, 1.0)], [REF], Fraction(1))
+
+
+def test_frequency_not_a_level_rejected():
+    with pytest.raises(ValidationError, match=r"^0\.75 GHz is not one of the levels"):
+        account_energy([exe(0, 0, 1, 1.0), exe(0, 1, 1, 0.75, cid=1)], [REF], Fraction(2))
 
 
 def test_empty_trace():

@@ -20,7 +20,6 @@ from clusterq.model import (
     ReadView,
     Slice,
     Task,
-    apply_mapper,
     collect_read_offsets,
     static_footprint_check,
     validate_task,
@@ -142,46 +141,46 @@ def test_buffer_extent_must_start_at_zero():
 
 def test_one_to_one_identity():
     chunk = Box((2,), (5,))
-    r = apply_mapper(OneToOne(), chunk, EXTENT8, EXTENT8)
+    r = OneToOne().map_chunk(chunk, EXTENT8)
     assert r == Region.from_box(chunk)
 
 
 def test_one_to_one_dims_mismatch():
     with pytest.raises(ValidationError):
-        apply_mapper(OneToOne(), Box((0,), (4,)), EXTENT8, Box.from_shape((4, 4)))
+        OneToOne().map_chunk(Box((0,), (4,)), Box.from_shape((4, 4)))
 
 
 def test_neighborhood_clamps_at_borders():
-    r = apply_mapper(Neighborhood((2,)), Box((0,), (3,)), EXTENT8, EXTENT8)
+    r = Neighborhood((2,)).map_chunk(Box((0,), (3,)), EXTENT8)
     assert r == Region(1, [Box((0,), (5,))])
-    r = apply_mapper(Neighborhood((2,)), Box((6,), (8,)), EXTENT8, EXTENT8)
+    r = Neighborhood((2,)).map_chunk(Box((6,), (8,)), EXTENT8)
     assert r == Region(1, [Box((4,), (8,))])
 
 
 def test_neighborhood_2d():
     extent = Box.from_shape((6, 6))
-    r = apply_mapper(Neighborhood((1, 2)), Box((2, 2), (4, 4)), extent, extent)
+    r = Neighborhood((1, 2)).map_chunk(Box((2, 2), (4, 4)), extent)
     assert r == Region(2, [Box((1, 0), (5, 6))])
 
 
 def test_all_mapper_ignores_chunk():
     extent = Box.from_shape((4, 4))
-    r = apply_mapper(All(), Box((1, 1), (2, 2)), extent, extent)
+    r = All().map_chunk(Box((1, 1), (2, 2)), extent)
     assert r == Region.from_box(extent)
 
 
 def test_fixed_mapper_constant():
     reg = Region(1, [Box((0,), (2,)), Box((6,), (8,))])
-    r1 = apply_mapper(Fixed(reg), Box((0,), (4,)), EXTENT8, EXTENT8)
-    r2 = apply_mapper(Fixed(reg), Box((4,), (8,)), EXTENT8, EXTENT8)
+    r1 = Fixed(reg).map_chunk(Box((0,), (4,)), EXTENT8)
+    r2 = Fixed(reg).map_chunk(Box((4,), (8,)), EXTENT8)
     assert r1 == reg and r2 == reg
 
 
 def test_slice_mapper_expands_axis():
     extent = Box.from_shape((4, 6))
-    r = apply_mapper(Slice(1), Box((1, 2), (2, 3)), extent, extent)
+    r = Slice(1).map_chunk(Box((1, 2), (2, 3)), extent)
     assert r == Region(2, [Box((1, 0), (2, 6))])
-    r = apply_mapper(Slice(0), Box((1, 2), (2, 3)), extent, extent)
+    r = Slice(0).map_chunk(Box((1, 2), (2, 3)), extent)
     assert r == Region(2, [Box((0, 2), (4, 3))])
 
 
@@ -195,7 +194,7 @@ def test_mapper_region_always_inside_extent():
             Neighborhood((rng.randrange(3), rng.randrange(3))),
             Fixed(Region.from_box(random_box(rng, (8, 8)))),
         ])
-        r = apply_mapper(mapper, chunk, extent, extent)
+        r = mapper.map_chunk(chunk, extent)
         assert Region.from_box(extent).contains_region(r)
 
 

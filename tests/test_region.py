@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clusterq.errors import DimensionError
-from clusterq.region import Box, Region, box_subtract, normalize
+from clusterq.region import Box, Region, box_subtract
 
 from helpers import box_bitmap, random_box, random_region, region_bitmap
 
@@ -51,7 +51,6 @@ def test_box_contains_and_dilate():
     assert b.contains_box(Box((4,), (5,)))
     assert not b.contains_box(Box((5,), (6,)))
     assert b.dilate((1,)) == Box((1,), (6,))
-    assert b.translate((3,)) == Box((5,), (8,))
 
 
 def test_box_subtract_1d():
@@ -128,7 +127,7 @@ def test_region_construction_deterministic_and_idempotent():
         r1 = Region(dims, boxes)
         r2 = Region(dims, list(boxes))
         assert r1.boxes == r2.boxes
-        assert normalize(r1).boxes == r1.boxes
+        assert Region(dims, r1.boxes).boxes == r1.boxes
         shuffled = list(boxes)
         rng.shuffle(shuffled)
         r3 = Region(dims, shuffled + boxes)  # duplicates must not matter
@@ -203,13 +202,6 @@ def test_region_contains():
     assert not r.contains_region(Region(2, [Box((3, 3), (5, 5))]))
 
 
-def test_region_translate_and_bounding_box():
-    r = Region(1, [Box((0,), (2,)), Box((5,), (6,))])
-    t = r.translate((10,))
-    assert t.boxes == (Box((10,), (12,)), Box((15,), (16,)))
-    assert r.bounding_box() == Box((0,), (6,))
-
-
 def test_region_intersect_box():
     r = Region(1, [Box((0,), (4,)), Box((6,), (9,))])
     assert r.intersect_box(Box((2,), (7,))).volume() == 3
@@ -221,12 +213,6 @@ def test_region_immutable():
         r.boxes = ()
     with pytest.raises(TypeError):
         hash(r)
-
-
-def test_normalize_module_function():
-    r = Region(1, [Box((0,), (2,)), Box((2,), (4,)), Box((1,), (3,))])
-    assert r.boxes == (Box((0,), (4,)),)
-    assert normalize(r).boxes == r.boxes
 
 
 def test_mixed_dim_ops_rejected():
