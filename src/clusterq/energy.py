@@ -98,9 +98,6 @@ class DeviceModel:
             raise ValidationError(f"{f_ghz!r} GHz is not one of the levels {self.levels_ghz}")
         return entry
 
-    def power_watts(self, f_ghz: float) -> float:
-        return float(self._power_exact(f_ghz))
-
     def _power_exact(self, f_ghz: float) -> Fraction:
         ratio = Fraction(f_ghz) / Fraction(self.f_ref_ghz)
         alpha = self.alpha_exp

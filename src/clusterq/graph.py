@@ -1,18 +1,24 @@
 """Task dependency graph with region-precise conflict edges.
 
-Submitting a task maps every accessor over the full kernel range and records
-an edge to each earlier task whose mapped region conflicts: RAW for an earlier
-write overlapping a new read, WAR for an earlier read overlapping a new write,
-WAW for overlapping writes. The conflict region is stored on the edge. Edges
-always point from an earlier to a later submission, so the graph is acyclic by
-construction and submission order is a topological order. Host initialization
-is a virtual task with id 0; it seeds the scheduler's region table rather than
-appearing as a graph node.
+Submitting a task maps every accessor over the full kernel range and finds
+its predecessors through two region maps per buffer, as Celerity does (Knorr,
+Thoman, Fahringer, IJPP 2023): the last writer of each region, and the readers
+of each region since its last write. A read depends on the last writers it
+overlaps; a write depends on the last writers and on the readers since. Both
+maps are cut where the task writes, so a task touches only the entries its
+regions overlap, never the whole history. A task that conflicts with an
+earlier one reaches it through these predecessors, so the ancestor bitset (a
+Python int with bit p set for every task p it transitively depends on) is the
+one a scan of every earlier task gives, and the predecessors that no other
+predecessor already implies are found from it without walking the graph.
 
-Each task also records its predecessor set and its ancestors as a bitset (a
-Python int with bit p set for every task p it transitively depends on), so
-the predecessors that no other predecessor already implies are found without
-walking the graph.
+The full conflict edges are a view computed on demand by that scan: RAW for
+an earlier write overlapping a new read, WAR for an earlier read overlapping a
+new write, WAW for overlapping writes, with the conflict region on the edge.
+Edges always point from an earlier to a later submission, so the graph is
+acyclic by construction and submission order is a topological order. Host
+initialization is a virtual task with id 0; it seeds the scheduler's region
+table rather than appearing as a graph node.
 """
 
 import enum
@@ -38,15 +44,36 @@ class Edge:
     region: Region
 
 
+def _overlapping(entries, region: Region):
+    """Task ids of the (region, task id) entries that overlap region."""
+    return {tid for r, tid in entries if r.overlaps(region)}
+
+
+def _cut(entries, region: Region) -> list:
+    """The (region, task id) entries with region removed from each."""
+    out = []
+    for r, tid in entries:
+        if r.overlaps(region):
+            r = r.difference(region)
+            if r.is_empty():
+                continue
+        out.append((r, tid))
+    return out
+
+
 class TaskGraph:
     def __init__(self, buffers):
         self.buffers = dict(buffers)
         self.tasks: list[Task] = []
-        self.edges: list[Edge] = []
         # Full-range mapped regions per task id, split by mode.
         self._reads: dict[int, dict[str, Region]] = {}
         self._writes: dict[int, dict[str, Region]] = {}
-        # Predecessor ids and ancestor bitset per task id; index 0 is unused.
+        # Per buffer, pairwise disjoint (region, last writer) entries, and
+        # (region, reader) entries for the reads since those regions' last write.
+        self._last_writers: dict[str, list] = {}
+        self._readers: dict[str, list] = {}
+        # Predecessor ids found through those maps and ancestor bitset per
+        # task id; index 0 is unused.
         self._preds: list[set[int]] = [set()]
         self._ancestors: list[int] = [0]
 
@@ -71,18 +98,16 @@ class TaskGraph:
                 target[acc.buffer] = mapped
 
         preds = set()
-        for earlier in self.tasks:
-            eid = earlier.id
-            for buffer in sorted(set(self._reads[eid]) | set(self._writes[eid])):
-                ew = self._writes[eid].get(buffer)
-                er = self._reads[eid].get(buffer)
-                for kind, old, new in (
-                    (DepKind.RAW, ew, reads), (DepKind.WAR, er, writes), (DepKind.WAW, ew, writes)
-                ):
-                    if old is not None and buffer in new and old.overlaps(new[buffer]):
-                        conflict = old.intersect(new[buffer])
-                        self.edges.append(Edge(eid, tid, kind, buffer, conflict))
-                        preds.add(eid)
+        for buffer, region in reads.items():
+            preds |= _overlapping(self._last_writers.get(buffer, ()), region)
+        for buffer, region in writes.items():
+            preds |= _overlapping(self._last_writers.get(buffer, ()), region)
+            preds |= _overlapping(self._readers.get(buffer, ()), region)
+            self._last_writers[buffer] = _cut(self._last_writers.get(buffer, ()), region)
+            self._last_writers[buffer].append((region, tid))
+            self._readers[buffer] = _cut(self._readers.get(buffer, ()), region)
+        for buffer, region in reads.items():
+            self._readers.setdefault(buffer, []).append((region, tid))
 
         ancestors = 0
         for p in preds:
@@ -97,8 +122,30 @@ class TaskGraph:
     def task(self, tid: int) -> Task:
         return self.tasks[tid - 1]
 
+    def _edges_into(self, tid: int) -> list[Edge]:
+        """Conflict edges from every earlier task into tid, by a scan of the
+        earlier tasks' mapped regions."""
+        reads, writes = self._reads[tid], self._writes[tid]
+        edges = []
+        for eid in range(1, tid):
+            for buffer in sorted(set(self._reads[eid]) | set(self._writes[eid])):
+                ew = self._writes[eid].get(buffer)
+                er = self._reads[eid].get(buffer)
+                for kind, old, new in (
+                    (DepKind.RAW, ew, reads), (DepKind.WAR, er, writes), (DepKind.WAW, ew, writes)
+                ):
+                    if old is not None and buffer in new and old.overlaps(new[buffer]):
+                        edges.append(Edge(eid, tid, kind, buffer, old.intersect(new[buffer])))
+        return edges
+
+    @property
+    def edges(self) -> list[Edge]:
+        """Every conflict edge, grouped by destination in submission order."""
+        return [e for t in self.tasks for e in self._edges_into(t.id)]
+
     def predecessors(self, tid: int) -> list[int]:
-        return sorted(self._preds[tid])
+        """Every earlier task that tid conflicts with."""
+        return sorted({e.src for e in self._edges_into(tid)})
 
     def reduced_predecessors(self, tid: int) -> list[int]:
         """Predecessors that are not an ancestor of another predecessor: the

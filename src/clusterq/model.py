@@ -11,6 +11,7 @@ mapped region for some chunk of some split is rejected at submit
 """
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import kernel
 from .errors import ValidationError
 from .kernel import Expr
-from .region import Box, Region
+from .region import Box, Region, clamped
 
 ELEMENT_KINDS = ("float64", "int64")
 ELEMENT_BYTES = 8
@@ -149,11 +150,6 @@ class RangeMapper:
         raise NotImplementedError
 
 
-def _clamp(box: Box, extent: Box) -> Region:
-    hit = box.intersect(extent)
-    return Region.from_box(hit) if hit is not None else Region.empty(extent.dims)
-
-
 @dataclass(frozen=True)
 class OneToOne(RangeMapper):
     def map_chunk(self, chunk, extent):
@@ -162,7 +158,7 @@ class OneToOne(RangeMapper):
                 f"one_to_one requires matching dimensionality, kernel is {chunk.dims}D "
                 f"but buffer is {extent.dims}D"
             )
-        return _clamp(chunk, extent)
+        return clamped(chunk.mins, chunk.maxs, extent)
 
     def __str__(self):
         return "one_to_one"
@@ -183,7 +179,9 @@ class Neighborhood(RangeMapper):
                 f"neighborhood({list(self.radii)}) does not fit a {chunk.dims}D kernel "
                 f"over a {extent.dims}D buffer"
             )
-        return _clamp(chunk.dilate(self.radii), extent)
+        # The radii are non-negative ints of the buffer's dimensionality.
+        return clamped(tuple(map(operator.sub, chunk.mins, self.radii)),
+                       tuple(map(operator.add, chunk.maxs, self.radii)), extent)
 
     def __str__(self):
         return f"neighborhood({list(self.radii)})"
@@ -229,7 +227,7 @@ class Slice(RangeMapper):
         maxs = list(chunk.maxs)
         mins[self.axis] = extent.mins[self.axis]
         maxs[self.axis] = extent.maxs[self.axis]
-        return _clamp(Box(tuple(mins), tuple(maxs)), extent)
+        return clamped(tuple(mins), tuple(maxs), extent)
 
     def __str__(self):
         return f"slice({self.axis})"

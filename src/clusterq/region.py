@@ -74,17 +74,6 @@ class Box:
             a >= b for a, b in zip(self.maxs, other.maxs)
         )
 
-    def dilate(self, radii) -> "Box":
-        if len(radii) != self.dims:
-            raise DimensionError("radius dimensionality mismatch")
-        for r in radii:
-            if r < 0:
-                raise ValueError("radii must be non-negative")
-        return Box(
-            tuple(lo - r for lo, r in zip(self.mins, radii)),
-            tuple(hi + r for hi, r in zip(self.maxs, radii)),
-        )
-
     def __str__(self):
         return "x".join(f"[{lo},{hi})" for lo, hi in zip(self.mins, self.maxs))
 
@@ -281,6 +270,18 @@ class Region:
 
     def __repr__(self):
         return f"Region({self.dims}, {list(self.boxes)!r})"
+
+
+def clamped(mins: tuple, maxs: tuple, extent: Box) -> Region:
+    """The box [mins, maxs) cut to extent, as a Region built without the
+    checks of Box and Region: mins and maxs are int tuples of extent's
+    dimensionality."""
+    lo = tuple(map(max, mins, extent.mins))
+    hi = tuple(map(min, maxs, extent.maxs))
+    for a, b in zip(lo, hi):
+        if a >= b:
+            return _from_disjoint(extent.dims, [])
+    return _from_disjoint(extent.dims, [_box(lo, hi)])
 
 
 def _from_disjoint(dims: int, boxes: list[Box]) -> Region:

@@ -81,6 +81,22 @@ def _number(value, path: str):
     return value
 
 
+# Every int of at most this magnitude converts to binary64.
+_INT_BOUND = 2 ** 1023
+
+
+def _numbers(value, path: str) -> list:
+    """A list of numbers, each read as _number reads it, in one pass. An
+    item's path is built only when the item is neither a float nor an int
+    well within the binary64 range; _number then accepts it or raises."""
+    items = _as_list(value, path)
+    for i, item in enumerate(items):
+        kind = type(item)
+        if kind is not float and not (kind is int and -_INT_BOUND <= item <= _INT_BOUND):
+            _number(item, f"{path}[{i}]")
+    return list(items)
+
+
 def _list_of(parse):
     """Parser for a list whose items parse reads."""
     def parse_list(value, path: str) -> list:
@@ -189,7 +205,7 @@ INIT_KINDS = {
     "iota": ({}, BufferInit.iota),
     "uninitialized": ({}, BufferInit.uninitialized),
     "constant": ({"value": (_number, REQUIRED)}, BufferInit.constant),
-    "values": ({"values": (_list_of(_number), REQUIRED)}, BufferInit.explicit),
+    "values": ({"values": (_numbers, REQUIRED)}, BufferInit.explicit),
 }
 _init = _tagged("init", INIT_KINDS, lambda value, names: (
     f"unknown init shorthand '{value}' (expected one of {sorted(names)})"
@@ -299,7 +315,7 @@ def _model_table(model, parsers: dict) -> dict:
     return {f.name: (parsers.get(f.name, _number), f.default) for f in fields(model)}
 
 
-DEVICE = _model_table(DeviceModel, {"levels_ghz": _list_of(_number)})
+DEVICE = _model_table(DeviceModel, {"levels_ghz": _numbers})
 LINK = _model_table(LinkModel, {})
 
 
@@ -313,7 +329,7 @@ def _devices(value, path: str) -> list:
 def _expectation(value, path: str, buffers: dict) -> tuple[str, list]:
     f = _read(value, path, {
         "buffer": (_as_str, REQUIRED),
-        "values": (_list_of(_number), REQUIRED),
+        "values": (_numbers, REQUIRED),
     })
     name, values = f["buffer"], f["values"]
     if name not in buffers:

@@ -9,10 +9,14 @@ in one walk over that buffer's entries: each entry's part of the requirement
 counts toward coverage, and a part the chunk's node does not hold gets a Push
 from the lowest-id holder plus a matching AwaitPush. Cells no entry covers are
 an uninitialized read. Then comes an Execute per chunk. A task bumps the
-version of each buffer it writes once; after the task, written regions get
-that version with the writer as sole holder, and transferred regions gain the
-destination as holder, so re-reading resident data never produces a second
-transfer.
+version of each buffer it writes once. After the task, transferred regions
+gain the destination as holder, so re-reading resident data never produces a
+second transfer: each piece remembers the entry it was cut from, and only
+those entries are split, in place. Then one pass per written buffer cuts the
+task's chunk writes, which are pairwise disjoint, out of every entry and
+appends them in Execute order, at the new version with the writer as sole
+holder. The entries and their box decomposition are the ones that applying
+each piece and each chunk write in turn, by a scan of every entry, would give.
 
 Executes are planned at their device's top frequency level, so the structure
 does not depend on the energy target; assign_frequencies then sets each
@@ -135,9 +139,10 @@ class _Entry:
 class RegionMapTable:
     """Tracks buffer sub-regions to (version, holder nodes).
 
-    A buffer's entries are pairwise disjoint: add_holder splits an entry
-    where a node gains part of it, and write cuts the written region out of
-    every entry before adding it as a new one.
+    A buffer's entries are pairwise disjoint. add_holders splits only the
+    entries a task's transferred pieces were cut from, in place, and write
+    cuts a task's written regions out of every entry in one pass before
+    appending them as new entries.
     """
 
     def __init__(self, buffers):
@@ -152,33 +157,52 @@ class RegionMapTable:
                 self.entries[name] = []
                 self.version_counter[name] = 0
 
-    def add_holder(self, buffer: str, region: Region, node: int, producer: Optional[int]):
-        """Record that `node` now also holds `region` at its current version."""
-        new_entries = []
-        for e in self.entries[buffer]:
-            if not e.region.overlaps(region):
-                new_entries.append(e)
-                continue
-            part = e.region.intersect(region)
-            rest = e.region.difference(part)
-            if not rest.is_empty():
-                new_entries.append(_Entry(rest, e.version, dict(e.holders)))
-            holders = dict(e.holders)
-            holders[node] = producer
-            new_entries.append(_Entry(part, e.version, holders))
-        self.entries[buffer] = new_entries
+    def add_holders(self, buffer: str, gains: dict):
+        """Record that nodes now also hold pieces at their current version.
 
-    def write(self, buffer: str, region: Region, version: int, node: int, producer: int):
-        new_entries = []
+        gains maps the index of an entry of buffer to the (region, node,
+        producer) pieces cut from that entry, in transfer order. Each such
+        entry is replaced where it stands by its splits; a piece overlaps
+        no other entry, so every other entry stays as it is.
+        """
+        entries = self.entries[buffer]
+        for index in sorted(gains, reverse=True):
+            pieces = [entries[index]]
+            for region, node, producer in gains[index]:
+                split = []
+                for e in pieces:
+                    if not e.region.overlaps(region):
+                        split.append(e)
+                        continue
+                    part = e.region.intersect(region)
+                    rest = e.region.difference(part)
+                    if not rest.is_empty():
+                        split.append(_Entry(rest, e.version, dict(e.holders)))
+                    holders = dict(e.holders)
+                    holders[node] = producer
+                    split.append(_Entry(part, e.version, holders))
+                pieces = split
+            entries[index:index + 1] = pieces
+
+    def write(self, buffer: str, version: int, writes):
+        """Record one task's writes of buffer: pairwise disjoint (region,
+        node, producer) triples in Execute order, each now held only by its
+        node at version."""
+        kept = []
         for e in self.entries[buffer]:
-            if not e.region.overlaps(region):
-                new_entries.append(e)
-                continue
-            rest = e.region.difference(region)
-            if not rest.is_empty():
-                new_entries.append(_Entry(rest, e.version, e.holders))
-        new_entries.append(_Entry(region, version, {node: producer}))
-        self.entries[buffer] = new_entries
+            region = e.region
+            for written, _node, _producer in writes:
+                if region.overlaps(written):
+                    region = region.difference(written)
+                    if region.is_empty():
+                        break
+            if region is e.region:
+                kept.append(e)
+            elif not region.is_empty():
+                kept.append(_Entry(region, e.version, e.holders))
+        kept.extend(_Entry(region, version, {node: producer})
+                    for region, node, producer in writes)
+        self.entries[buffer] = kept
 
     def bump_version(self, buffer: str) -> int:
         self.version_counter[buffer] += 1
@@ -255,9 +279,10 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
 
         version = {acc.buffer: table.bump_version(acc.buffer) for acc in task.writes()}
 
-        task_pushes: list[PushCommand] = []
+        pushes_from: dict[int, list[PushCommand]] = {}  # source node -> pushes
         task_execs: list[ExecuteCommand] = []
-        pending_gains = []  # (buffer, region, dst node, awaitpush id)
+        # buffer -> entry index -> (piece, dst node, awaitpush id) cut from it
+        pending_gains: dict[str, dict[int, list]] = {}
 
         for chunk in chunks:
             read_specs = []
@@ -274,7 +299,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             await_ids = []
             for buffer, need in need_by_buffer.items():
                 found = 0
-                for entry in table.entries[buffer]:
+                for index, entry in enumerate(table.entries[buffer]):
                     if not entry.region.overlaps(need):
                         continue
                     part = entry.region.intersect(need)
@@ -293,7 +318,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                         version=entry.version,
                     )
                     commands.append(push)
-                    task_pushes.append(push)
+                    pushes_from.setdefault(src, []).append(push)
                     ap = AwaitPushCommand(
                         id=new_id(),
                         deps=(push.id,),
@@ -305,7 +330,8 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                     )
                     commands.append(ap)
                     await_ids.append(ap.id)
-                    pending_gains.append((buffer, part, chunk.node, ap.id))
+                    pending_gains.setdefault(buffer, {}).setdefault(index, []).append(
+                        (part, chunk.node, ap.id))
                 if found != need.volume():
                     uncovered = need
                     for entry in table.entries[buffer]:
@@ -336,9 +362,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
         # node's own Execute overwrites it within the same task.
         for exe in task_execs:
             extra = set()
-            for push in task_pushes:
-                if push.src != exe.node:
-                    continue
+            for push in pushes_from.get(exe.node, ()):
                 for _, buffer, region, _v in exe.writes:
                     if buffer == push.buffer and region.overlaps(push.region):
                         extra.add(push.id)
@@ -346,11 +370,11 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             if extra:
                 exe.deps = tuple(sorted(set(exe.deps) | extra))
 
-        for buffer, part, dst, ap_id in pending_gains:
-            table.add_holder(buffer, part, dst, ap_id)
-        for exe in task_execs:
-            for _, buffer, region, v in exe.writes:
-                table.write(buffer, region, v, exe.node, exe.id)
+        for buffer, gains in pending_gains.items():
+            table.add_holders(buffer, gains)
+        for buffer, v in version.items():
+            table.write(buffer, v, [(region, exe.node, exe.id) for exe in task_execs
+                                    for _, b, region, _v in exe.writes if b == buffer])
 
         exec_ids_by_task[tid] = [e.id for e in task_execs]
 
@@ -364,12 +388,22 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
 
 
 def assign_frequencies(plan: Plan, target: EnergyTarget = EnergyTarget.MAX_PERF):
-    """Set each Execute's frequency for its task's target, else the queue's."""
+    """Set each Execute's frequency for its task's target, else the queue's.
+
+    Every level's objective carries the chunk's t_ref**k, a positive factor
+    common to all levels, so the level chosen depends only on (device,
+    target, beta): it is selected once per such key, for the first chunk
+    with that key, and reused.
+    """
+    chosen = {}
     for exe in plan.executes():
         task = plan.graph.task(exe.task_id)
         device = plan.devices[exe.node]
-        t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
-        exe.frequency_ghz = select_frequency(device, task.target or target, t_ref, task.beta)
+        key = (device, task.target or target, task.beta)
+        if key not in chosen:
+            t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
+            chosen[key] = select_frequency(device, key[1], t_ref, task.beta)
+        exe.frequency_ghz = chosen[key]
     plan.target = target
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: bitmap oracle for region algebra, an independent
 command-plan replay checker, a pointwise oracle of the footprint check,
+full-scan references of the task graph and of the scheduler's region map,
 random workload generators, the scalar kernel evaluator that is the oracle of
 the compiled one, a fresh evaluation of the power model, field mutations of
 the bundled scenario documents, and the dict forms of trace.json and
@@ -34,7 +35,13 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 from clusterq.scenario import bundled_scenario_path
-from clusterq.scheduler import AwaitPushCommand, ExecuteCommand, PushCommand, generate_commands
+from clusterq.scheduler import (
+    AwaitPushCommand,
+    ExecuteCommand,
+    PushCommand,
+    generate_commands,
+    split_task,
+)
 
 
 # ---------------------------------------------------------------- region oracle
@@ -223,6 +230,118 @@ def unchecked_plan(buffers, tasks, nodes):
         for task in tasks:
             graph.submit(task)
     return generate_commands(graph, nodes)
+
+
+# --------------------------------------------------------- full-scan references
+
+def full_scan_graph(graph):
+    """The task graph by a scan of every earlier task for each task: the
+    conflict edges as (src, dst, kind name, buffer, boxes), and per task id
+    the set of earlier tasks it conflicts with and the bitset of its
+    ancestors. Regions are mapped afresh from each task's accessors."""
+    mapped = {}
+    for task in graph.tasks:
+        regions = {AccessMode.READ: {}, AccessMode.WRITE: {}}
+        for acc in task.accessors:
+            region = acc.mapper.map_chunk(task.global_range, graph.buffers[acc.buffer].extent)
+            by_buffer = regions[acc.mode]
+            by_buffer[acc.buffer] = (by_buffer[acc.buffer].union(region)
+                                     if acc.buffer in by_buffer else region)
+        mapped[task.id] = regions
+    edges, preds, ancestors = [], {}, {}
+    for task in graph.tasks:
+        reads, writes = mapped[task.id][AccessMode.READ], mapped[task.id][AccessMode.WRITE]
+        preds[task.id] = set()
+        for eid in range(1, task.id):
+            er, ew = mapped[eid][AccessMode.READ], mapped[eid][AccessMode.WRITE]
+            for buffer in sorted(set(er) | set(ew)):
+                for kind, old, new in (("RAW", ew, reads), ("WAR", er, writes),
+                                       ("WAW", ew, writes)):
+                    if buffer in old and buffer in new:
+                        conflict = old[buffer].intersect(new[buffer])
+                        if not conflict.is_empty():
+                            edges.append((eid, task.id, kind, buffer, conflict.boxes))
+                            preds[task.id].add(eid)
+        ancestors[task.id] = 0
+        for p in preds[task.id]:
+            ancestors[task.id] |= (1 << p) | ancestors[p]
+    return edges, preds, ancestors
+
+
+def full_scan_table(graph, node_count):
+    """The pushes and the region map of command generation, with the table
+    updated one transferred piece and one written chunk at a time, each by a
+    scan of every entry of the buffer.
+
+    Returns the pushes as (id, deps, src, dst, buffer, boxes, version) and,
+    after each task, every buffer's entries as (boxes, version, holders).
+    """
+    entries = {}  # buffer -> [[region, version, {node: producer}]]
+    versions = {}
+    for name, buf in graph.buffers.items():
+        initialized = buf.init.is_initialized
+        entries[name] = [[Region.from_box(buf.extent), 1, {0: None}]] if initialized else []
+        versions[name] = 1 if initialized else 0
+
+    def add_holder(buffer, region, node, producer):
+        out = []
+        for reg, version, holders in entries[buffer]:
+            if not reg.overlaps(region):
+                out.append([reg, version, holders])
+                continue
+            part = reg.intersect(region)
+            rest = reg.difference(part)
+            if not rest.is_empty():
+                out.append([rest, version, dict(holders)])
+            out.append([part, version, {**holders, node: producer}])
+        entries[buffer] = out
+
+    def write(buffer, region, version, node, producer):
+        out = []
+        for reg, v, holders in entries[buffer]:
+            if reg.overlaps(region):
+                reg = reg.difference(region)
+                if reg.is_empty():
+                    continue
+            out.append([reg, v, holders])
+        entries[buffer] = out + [[region, version, {node: producer}]]
+
+    next_id = 0
+    pushes, after_task = [], []
+    for tid in graph.topological_order():
+        task = graph.task(tid)
+        version = {}
+        for acc in task.writes():
+            versions[acc.buffer] += 1
+            version[acc.buffer] = versions[acc.buffer]
+        gains, execs = [], []
+        for chunk in split_task(task, node_count):
+            need = {}
+            for acc in task.reads():
+                region = acc.mapper.map_chunk(chunk.box, graph.buffers[acc.buffer].extent)
+                need[acc.buffer] = (need[acc.buffer].union(region)
+                                    if acc.buffer in need else region)
+            for buffer, region in need.items():
+                for reg, v, holders in entries[buffer]:
+                    if not reg.overlaps(region) or chunk.node in holders:
+                        continue
+                    part = reg.intersect(region)
+                    src = min(holders)
+                    deps = () if holders[src] is None else (holders[src],)
+                    pushes.append((next_id, deps, src, chunk.node, buffer, part.boxes, v))
+                    gains.append((buffer, part, chunk.node, next_id + 1))
+                    next_id += 2
+            execs.append((chunk, next_id))
+            next_id += 1
+        for gain in gains:
+            add_holder(*gain)
+        for chunk, exe_id in execs:
+            for acc in task.writes():
+                region = acc.mapper.map_chunk(chunk.box, graph.buffers[acc.buffer].extent)
+                write(acc.buffer, region, version[acc.buffer], chunk.node, exe_id)
+        after_task.append({name: [(reg.boxes, v, dict(holders)) for reg, v, holders in es]
+                           for name, es in entries.items()})
+    return pushes, after_task
 
 
 # --------------------------------------------------------------- random workloads

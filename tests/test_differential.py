@@ -5,10 +5,13 @@ oracle's pointwise reads, submit's footprint check against a pointwise check
 of every read of the plan at every split,
 the replay's durations and energy against a fresh computation per event,
 Execute dependencies on the transitively reduced task predecessors against
-dependencies on all of them, and the trace.json and buf_<name>.json writers
+dependencies on all of them, the region map's per-task splicing against a
+full scan of its entries per transferred piece and written chunk, and the
+trace.json and buf_<name>.json writers
 against json.dump of their dict forms."""
 
 import contextlib
+import copy
 import itertools
 import math
 import os
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clusterq import simulator
+from clusterq import scheduler, simulator
 from clusterq.energy import DeviceModel, EnergyTarget, account_energy
 from clusterq.errors import EvalError, ValidationError
 from clusterq.graph import TaskGraph
@@ -51,6 +54,7 @@ from helpers import (
     compile_reference,
     error_workload,
     first_read_outside,
+    full_scan_table,
     json_dump_text,
     level_oracle,
     random_workload,
@@ -450,6 +454,41 @@ def test_reduced_dependencies_match_full_dependencies(seed, nodes):
     assert got.makespan == want.makespan
     assert {name: (arr.dtype.str, arr.tobytes()) for name, arr in got.buffers.items()} == \
         {name: (arr.dtype.str, arr.tobytes()) for name, arr in want.buffers.items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 5), repeats=st.integers(1, 2))
+def test_region_map_matches_full_scan(seed, nodes, repeats):
+    buffers, tasks = random_workload(random.Random(seed))
+    tasks = [copy.copy(t) for t in tasks * repeats]
+    graph = TaskGraph(buffers)
+    for task in tasks:
+        graph.submit(task)
+    pushes, after_task = full_scan_table(graph, nodes)
+
+    tables = []
+
+    class Recorded(scheduler.RegionMapTable):
+        def __init__(self, bufs):
+            super().__init__(bufs)
+            tables.append(self)
+
+    # Each prefix of the queue leaves the table as it stands after its last task.
+    for count in range(1, len(tasks) + 1):
+        prefix = TaskGraph(buffers)
+        for task in tasks[:count]:
+            prefix.submit(copy.copy(task))
+        with mock.patch.object(scheduler, "RegionMapTable", Recorded):
+            plan = generate_commands(prefix, nodes)
+        got = {name: [(e.region.boxes, e.version, e.holders) for e in entries]
+               for name, entries in tables[-1].entries.items()}
+        assert got == after_task[count - 1]
+        assert {name: [(r.boxes, v, h) for r, v, h in entries]
+                for name, entries in plan.final_locations.items()} == \
+            {name: [(boxes, v, frozenset(h)) for boxes, v, h in entries]
+             for name, entries in after_task[count - 1].items()}
+    assert [(p.id, p.deps, p.src, p.dst, p.buffer, p.region.boxes, p.version)
+            for p in plan.pushes()] == pushes
 
 
 def written(write, *args) -> bytes:

@@ -168,9 +168,9 @@ def test_nonpositive_t_ref_rejected():
 # ------------------------------------------------------------------ power model
 
 def test_power_model_values():
-    assert REF.power_watts(1.0) == 20.0
-    assert REF.power_watts(2.0) == 90.0
-    assert REF.power_watts(0.5) == 11.25
+    assert REF.level_table[1.0][0] == 20.0
+    assert REF.level_table[2.0][0] == 90.0
+    assert REF.level_table[0.5][0] == 11.25
 
 
 def test_device_validation():

@@ -1,8 +1,10 @@
 """Task graph construction: region-precise dependency edges."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterq.errors import ValidationError
 from clusterq.graph import DepKind, TaskGraph
@@ -19,7 +21,7 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 
-from helpers import random_workload
+from helpers import full_scan_graph, random_workload
 
 
 def buf(name, n=8, kind="float64", init=None):
@@ -227,3 +229,41 @@ def test_reduced_predecessors_follow_ancestors_transitively():
     assert g.predecessors(3) == [2]
     assert g.predecessors(4) == [1, 3]
     assert g.reduced_predecessors(4) == [3]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), repeats=st.integers(1, 3))
+def test_last_writer_maps_match_full_scan(seed, repeats):
+    # The workload's queue submitted `repeats` times over, so that later
+    # tasks meet partly overwritten last-writer and reader entries.
+    buffers, tasks = random_workload(random.Random(seed))
+    g = TaskGraph(buffers)
+    for t in tasks * repeats:
+        g.submit(copy.copy(t))
+    edges, preds, ancestors = full_scan_graph(g)
+    assert [(e.src, e.dst, e.kind.value, e.buffer, e.region.boxes) for e in g.edges] == edges
+    for t in g.tasks:
+        assert g._ancestors[t.id] == ancestors[t.id]
+        assert g._preds[t.id] <= preds[t.id]
+        assert g.predecessors(t.id) == sorted(preds[t.id])
+        want, covered = [], 0
+        for p in sorted(preds[t.id], reverse=True):
+            if not (covered >> p) & 1:
+                want.append(p)
+                covered |= ancestors[p]
+        assert g.reduced_predecessors(t.id) == sorted(want)
+
+
+def test_stored_predecessors_stay_linear_on_a_long_chain():
+    # A bench-shaped chain: 400 tasks ping-pong a radius-1 stencil between
+    # two 64-cell buffers. Each task conflicts with every earlier one (the
+    # full scan finds 119,800 edges); through the last-writer maps it stores
+    # only the previous task and the last writer of its output.
+    g = TaskGraph({"a": buf("a", n=64), "b": buf("b", n=64)})
+    for k in range(400):
+        src, dst = ("a", "b") if k % 2 == 0 else ("b", "a")
+        g.submit(task(f"step{k}", reads=(src,), writes=(dst,), n=64,
+                      read_mappers={src: Neighborhood((1,))},
+                      body_src=f"r_{src}[i-1] + r_{src}[i] + r_{src}[i+1]"))
+    assert sum(len(p) for p in g._preds) <= 3 * len(g.tasks)
+    assert g.reduced_predecessors(400) == [399]

@@ -45,12 +45,11 @@ def test_box_intersect():
     assert a.intersect(Box((4, 0), (5, 4))) is None  # half-open, only touching
 
 
-def test_box_contains_and_dilate():
+def test_box_contains():
     b = Box((2,), (5,))
     assert b.contains_box(Box((2,), (3,)))
     assert b.contains_box(Box((4,), (5,)))
     assert not b.contains_box(Box((5,), (6,)))
-    assert b.dilate((1,)) == Box((1,), (6,))
 
 
 def test_box_subtract_1d():

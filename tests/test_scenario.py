@@ -251,6 +251,36 @@ def test_numbers_must_fit_binary64():
     assert s.tasks[0].params == {"p": big}
 
 
+NUMBER_LISTS = {
+    "buffers[0].init.values": lambda values: {
+        "buffers": [{"name": "x", "extent": [4], "init": {"kind": "values", "values": values}}]},
+    "expectations[0].values": lambda values: {
+        **MINIMAL, "expectations": [{"buffer": "x", "values": values}]},
+    "device.levels_ghz": lambda values: {**MINIMAL, "device": {"levels_ghz": values}},
+}
+
+
+@pytest.mark.parametrize("path", sorted(NUMBER_LISTS))
+@pytest.mark.parametrize("index", (0, 2, 3))
+@pytest.mark.parametrize("bad, message", (
+    (True, "expected a number, got bool"),
+    ("1", "expected a number, got str"),
+    (None, "expected a number, got NoneType"),
+    (2 ** 1100, "integer is not within the binary64 range"),
+    (-(2 ** 1024 - 2 ** 970), "integer is not within the binary64 range"),
+))
+def test_number_lists_name_the_failing_item(path, index, bad, message):
+    values = [0.5, 1, 1.5, 2.0]
+    values[index] = bad
+    err(NUMBER_LISTS[path](values), rf"^{re.escape(f'scenario.{path}[{index}]: {message}')}$")
+
+
+def test_number_lists_accept_every_binary64_integer():
+    big = int(1.7976931348623157e308)
+    s = scenario_from_dict(NUMBER_LISTS["expectations[0].values"]([big, -big, 2 ** 1023, 0]))
+    assert s.expectations[0][1] == [big, -big, 2 ** 1023, 0]
+
+
 def test_fixed_box_with_min_above_max_names_the_box():
     data = {"buffers": [{"name": "x", "extent": [4]}, {"name": "z", "extent": [4]}],
             "tasks": [{"name": "t", "range": [4], "writes": ["z"], "body": "1.0",

@@ -3,10 +3,12 @@
 import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterq import scheduler
 from clusterq.energy import DeviceModel, EnergyTarget, select_frequency
 from clusterq.errors import UninitializedReadError, ValidationError
 from clusterq.graph import TaskGraph
@@ -136,7 +138,7 @@ def test_table_write_supersedes():
     bufs = {"x": fbuf("x")}
     table = RegionMapTable(bufs)
     v = table.bump_version("x")
-    table.write("x", Region(1, [Box((0,), (4,))]), v, node=1, producer=7)
+    table.write("x", v, [(Region(1, [Box((0,), (4,))]), 1, 7)])
     assert resident(table, "x", 0) == Region(1, [Box((4,), (8,))])
     assert resident(table, "x", 1) == Region(1, [Box((0,), (4,))])
     versions = {e.version for e in table.entries["x"]}
@@ -146,7 +148,8 @@ def test_table_write_supersedes():
 def test_table_add_holder_keeps_producer():
     bufs = {"x": fbuf("x")}
     table = RegionMapTable(bufs)
-    table.add_holder("x", Region(1, [Box((2,), (5,))]), node=3, producer=11)
+    # node 3 gains [2,5) from entry 0, the host-initialized whole buffer
+    table.add_holders("x", {0: [(Region(1, [Box((2,), (5,))]), 3, 11)]})
     assert resident(table, "x", 3) == Region(1, [Box((2,), (5,))])
     # original holder still covers everything
     assert resident(table, "x", 0) == Region.from_box(Box.from_shape((8,)))
@@ -488,3 +491,21 @@ def test_plan_structure_does_not_depend_on_target(seed, nodes, data):
         again = generate_commands(graph, nodes, devices=devices)
         assign_frequencies(again, target)
         assert again.commands == plan.commands
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.5, 1.0))
+def test_one_selection_per_device_target_and_beta(beta):
+    # 7 cells over 3 nodes: chunks of 3, 2 and 2 cells, so t_ref differs.
+    task = simple_task(n=7, reads=("x",))
+    task.beta = beta
+    graph = graph_of({"x": fbuf("x", 7), "z": fbuf("z", 7)}, task)
+    device = DEVICE_POOL[1]
+    for target in TARGETS:
+        plan = generate_commands(graph, 3, devices=device)
+        with mock.patch.object(scheduler, "select_frequency", wraps=select_frequency) as spy:
+            assign_frequencies(plan, target)
+        assert spy.call_count == 1
+        assert [e.chunk.box.volume() for e in plan.executes()] == [3, 2, 2]
+        for exe in plan.executes():
+            t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
+            assert exe.frequency_ghz == select_frequency(device, target, t_ref, beta)
