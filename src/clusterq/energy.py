@@ -18,10 +18,11 @@ covers them.
 """
 
 import enum
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Optional
 
 from .errors import ValidationError
+from .value import Frozen, Value
 
 
 class EnergyTarget(enum.Enum):
@@ -41,25 +42,30 @@ _INF = float("inf")
 def require_finite(model):
     """Reject a model whose number fields are not all finite: the exact
     rationals time and energy are computed in have no infinity or NaN."""
-    for f in fields(model):
-        value = getattr(model, f.name)
+    for name in model._fields:
+        value = getattr(model, name)
         for v in value if isinstance(value, tuple) else (value,):
             if not -_INF < v < _INF:
-                raise ValidationError(f"{f.name} must be a finite number, got {v!r}")
+                raise ValidationError(f"{name} must be a finite number, got {v!r}")
 
 
-@dataclass(frozen=True)
-class DeviceModel:
-    levels_ghz: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
-    f_ref_ghz: float = 1.0
-    p_static_w: float = 10.0
-    p_dyn_ref_w: float = 10.0
-    alpha_exp: float = 3.0
-    throughput_ref: float = 1e9  # elements per second at f_ref
+class DeviceModel(Frozen):
+    # The fields, with their defaults in __init__, are also the scenario
+    # schema's device object; level_table and _hash are derived from them.
+    _fields = ("levels_ghz", "f_ref_ghz", "p_static_w", "p_dyn_ref_w", "alpha_exp",
+               "throughput_ref")
+    __slots__ = _fields + ("level_table", "_hash")
 
-    def __post_init__(self):
-        levels = tuple(float(f) for f in self.levels_ghz)
+    def __init__(self, levels_ghz: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0),
+                 f_ref_ghz: float = 1.0, p_static_w: float = 10.0, p_dyn_ref_w: float = 10.0,
+                 alpha_exp: float = 3.0, throughput_ref: float = 1e9):
+        levels = tuple(float(f) for f in levels_ghz)
         object.__setattr__(self, "levels_ghz", levels)
+        object.__setattr__(self, "f_ref_ghz", f_ref_ghz)
+        object.__setattr__(self, "p_static_w", p_static_w)
+        object.__setattr__(self, "p_dyn_ref_w", p_dyn_ref_w)
+        object.__setattr__(self, "alpha_exp", alpha_exp)
+        object.__setattr__(self, "throughput_ref", throughput_ref)  # elements per second at f_ref
         require_finite(self)
         if not levels:
             raise ValidationError("device needs at least one frequency level")
@@ -86,10 +92,14 @@ class DeviceModel:
             except (OverflowError, ZeroDivisionError):
                 raise ValidationError(
                     f"power at {f} GHz is not within the binary64 range") from None
-        # Not a field: the scenario tables and require_finite read fields.
         f_ref = Fraction(self.f_ref_ghz)
         object.__setattr__(self, "level_table",
                            {f: (power[f], f_ref / Fraction(f)) for f in levels})
+        # assign_frequencies hashes the device of every Execute.
+        object.__setattr__(self, "_hash", hash(self._values(self)))
+
+    def __hash__(self):
+        return self._hash
 
     def level(self, f_ghz: float) -> tuple[Fraction, Fraction]:
         """Exact (P(f), f_ref / f) of one of the device's levels."""
@@ -122,51 +132,65 @@ _TIME_POWER = {EnergyTarget.MIN_ENERGY: 1, EnergyTarget.MIN_EDP: 2, EnergyTarget
 def select_frequency(device: DeviceModel, target: EnergyTarget, chunk_t_ref, beta=0.0) -> float:
     """Frequency level minimizing the target objective; ties pick the higher
     level. MAX_PERF always selects the highest level."""
-    t_ref = Fraction(chunk_t_ref)
-    if t_ref <= 0:
+    if Fraction(chunk_t_ref) <= 0:
         raise ValidationError("chunk_t_ref must be positive")
     if target is EnergyTarget.MAX_PERF:
         return device.levels_ghz[-1]
     k = _TIME_POWER.get(target)
     if k is None:
         raise ValidationError(f"no objective for target {target}")
+    # The objective is P(f) * (t_ref * (beta + (1 - beta) * f_ref / f)) ** k.
+    # Its factor t_ref ** k is positive and the same at every level, so it is
+    # left out: the exact values it scales order the levels the same way.
+    beta = Fraction(beta)
+    sensitive = 1 - beta
     best = None
     best_obj = None
     # ascending, so <= keeps the higher level on ties
     for f, (power, slowdown) in device.level_table.items():
-        obj = power * exec_time(t_ref, beta, slowdown) ** k
+        obj = power * (beta + sensitive * slowdown) ** k
         if best_obj is None or obj <= best_obj:
             best, best_obj = f, obj
     return best
 
 
-@dataclass
-class TaskEnergy:
-    task_id: int
-    name: str
-    duration_s: Fraction
-    energy_j: Fraction
-    frequency_ghz_per_node: dict[int, float]
+class TaskEnergy(Value):
+    __slots__ = _fields = ("task_id", "name", "duration_s", "energy_j", "frequency_ghz_per_node")
+
+    def __init__(self, task_id: int, name: str, duration_s: Fraction, energy_j: Fraction,
+                 frequency_ghz_per_node: dict[int, float]):
+        self.task_id = task_id
+        self.name = name
+        self.duration_s = duration_s
+        self.energy_j = energy_j
+        self.frequency_ghz_per_node = frequency_ghz_per_node
 
 
-@dataclass
-class DeviceEnergy:
-    node: int
-    energy_j: Fraction
-    busy_s: Fraction
-    idle_s: Fraction
-    static_power_w: float = 0.0
+class DeviceEnergy(Value):
+    __slots__ = _fields = ("node", "energy_j", "busy_s", "idle_s", "static_power_w")
+
+    def __init__(self, node: int, energy_j: Fraction, busy_s: Fraction, idle_s: Fraction,
+                 static_power_w: float = 0.0):
+        self.node = node
+        self.energy_j = energy_j
+        self.busy_s = busy_s
+        self.idle_s = idle_s
+        self.static_power_w = static_power_w
 
     @property
     def idle_energy_j(self) -> Fraction:
         return Fraction(self.static_power_w) * self.idle_s
 
 
-@dataclass
-class EnergyReport:
-    per_task: list[TaskEnergy] = field(default_factory=list)
-    per_device: list[DeviceEnergy] = field(default_factory=list)
-    makespan_s: Fraction = Fraction(0)
+class EnergyReport(Value):
+    __slots__ = _fields = ("per_task", "per_device", "makespan_s")
+
+    def __init__(self, per_task: Optional[list[TaskEnergy]] = None,
+                 per_device: Optional[list[DeviceEnergy]] = None,
+                 makespan_s: Fraction = Fraction(0)):
+        self.per_task = [] if per_task is None else per_task
+        self.per_device = [] if per_device is None else per_device
+        self.makespan_s = makespan_s
 
     @property
     def total_kernel_energy(self) -> Fraction:

@@ -22,11 +22,11 @@ table rather than appearing as a graph node.
 """
 
 import enum
-from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import AccessMode, Task, static_footprint_check, validate_task
 from .region import Region
+from .value import Frozen
 
 
 class DepKind(enum.Enum):
@@ -35,13 +35,15 @@ class DepKind(enum.Enum):
     WAW = "WAW"
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    kind: DepKind
-    buffer: str
-    region: Region
+class Edge(Frozen):
+    __slots__ = _fields = ("src", "dst", "kind", "buffer", "region")
+
+    def __init__(self, src: int, dst: int, kind: DepKind, buffer: str, region: Region):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "buffer", buffer)
+        object.__setattr__(self, "region", region)
 
 
 def _overlapping(entries, region: Region):

@@ -29,45 +29,57 @@ which operand numpy propagates.
 """
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import EvalError, KernelNameError, KernelSyntaxError
+from .value import Frozen
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Union[int, float]
+class Num(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Union[int, float]):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
+class Param(Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class IdComponent:
-    axis: int
+class IdComponent(Frozen):
+    __slots__ = _fields = ("axis",)
+
+    def __init__(self, axis: int):
+        object.__setattr__(self, "axis", axis)
 
 
-@dataclass(frozen=True)
-class Read:
-    accessor: str
-    offsets: tuple[int, ...]
+class Read(Frozen):
+    __slots__ = _fields = ("accessor", "offsets")
+
+    def __init__(self, accessor: str, offsets: tuple[int, ...]):
+        object.__setattr__(self, "accessor", accessor)
+        object.__setattr__(self, "offsets", offsets)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(Frozen):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class BinOp(Frozen):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        object.__setattr__(self, "op", op)  # one of + - * /
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 Expr = Union[Num, Param, IdComponent, Read, Neg, BinOp]

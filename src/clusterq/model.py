@@ -12,7 +12,6 @@ mapped region for some chunk of some split is rejected at submit
 
 import enum
 import operator
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -21,6 +20,7 @@ from . import kernel
 from .errors import ValidationError
 from .kernel import Expr
 from .region import Box, Region, clamped
+from .value import Frozen, Value
 
 ELEMENT_KINDS = ("float64", "int64")
 ELEMENT_BYTES = 8
@@ -52,13 +52,15 @@ class AccessMode(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
-class BufferInit:
+class BufferInit(Frozen):
     """How a buffer's initial contents are produced on node 0."""
 
-    kind: str  # zeros | iota | constant | values | uninitialized
-    value: Optional[float] = None
-    values: Optional[tuple] = None
+    __slots__ = _fields = ("kind", "value", "values")
+
+    def __init__(self, kind: str, value: Optional[float] = None, values: Optional[tuple] = None):
+        object.__setattr__(self, "kind", kind)  # zeros | iota | constant | values | uninitialized
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def zeros(cls):
@@ -98,14 +100,15 @@ class BufferInit:
         return np.zeros(shape, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class Buffer:
-    name: str
-    extent: Box
-    element_kind: str = "float64"
-    init: BufferInit = field(default_factory=BufferInit.zeros)
+class Buffer(Frozen):
+    __slots__ = _fields = ("name", "extent", "element_kind", "init")
 
-    def __post_init__(self):
+    def __init__(self, name: str, extent: Box, element_kind: str = "float64",
+                 init: BufferInit = BufferInit.zeros()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "element_kind", element_kind)
+        object.__setattr__(self, "init", init)
         if any(lo != 0 for lo in self.extent.mins):
             raise ValidationError(f"buffer '{self.name}': extent must start at 0")
         if self.extent.is_empty():
@@ -143,15 +146,18 @@ class Buffer:
         return np.int64 if self.element_kind == "int64" else np.float64
 
 
-class RangeMapper:
+class RangeMapper(Frozen):
     """Maps a chunk of the kernel range to the buffer region it may access."""
+
+    __slots__ = ()
 
     def map_chunk(self, chunk: Box, extent: Box) -> Region:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class OneToOne(RangeMapper):
+    __slots__ = ()
+
     def map_chunk(self, chunk, extent):
         if chunk.dims != extent.dims:
             raise ValidationError(
@@ -164,12 +170,11 @@ class OneToOne(RangeMapper):
         return "one_to_one"
 
 
-@dataclass(frozen=True)
 class Neighborhood(RangeMapper):
-    radii: tuple[int, ...]
+    __slots__ = _fields = ("radii",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(int(r) for r in self.radii))
+    def __init__(self, radii: tuple[int, ...]):
+        object.__setattr__(self, "radii", tuple(int(r) for r in radii))
         if any(r < 0 for r in self.radii):
             raise ValidationError("neighborhood radii must be non-negative")
 
@@ -187,9 +192,11 @@ class Neighborhood(RangeMapper):
         return f"neighborhood({list(self.radii)})"
 
 
-@dataclass(frozen=True)
 class Fixed(RangeMapper):
-    region: Region
+    __slots__ = _fields = ("region",)
+
+    def __init__(self, region: Region):
+        object.__setattr__(self, "region", region)
 
     def map_chunk(self, chunk, extent):
         if self.region.dims != extent.dims:
@@ -202,8 +209,9 @@ class Fixed(RangeMapper):
         return f"fixed({self.region})"
 
 
-@dataclass(frozen=True)
 class All(RangeMapper):
+    __slots__ = ()
+
     def map_chunk(self, chunk, extent):
         return Region.from_box(extent)
 
@@ -211,9 +219,11 @@ class All(RangeMapper):
         return "all"
 
 
-@dataclass(frozen=True)
 class Slice(RangeMapper):
-    axis: int
+    __slots__ = _fields = ("axis",)
+
+    def __init__(self, axis: int):
+        object.__setattr__(self, "axis", axis)
 
     def map_chunk(self, chunk, extent):
         if chunk.dims != extent.dims:
@@ -233,33 +243,34 @@ class Slice(RangeMapper):
         return f"slice({self.axis})"
 
 
-@dataclass(frozen=True)
-class Accessor:
-    buffer: str
-    mode: AccessMode
-    mapper: RangeMapper = field(default_factory=OneToOne)
-    name: Optional[str] = None
+class Accessor(Frozen):
+    __slots__ = _fields = ("buffer", "mode", "mapper", "name")
 
-    def __post_init__(self):
-        if self.name is None:
-            object.__setattr__(self, "name", self.buffer)
+    def __init__(self, buffer: str, mode: AccessMode, mapper: RangeMapper = OneToOne(),
+                 name: Optional[str] = None):
+        object.__setattr__(self, "buffer", buffer)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mapper", mapper)
+        object.__setattr__(self, "name", buffer if name is None else name)
 
 
-@dataclass
-class Task:
+class Task(Value):
     """One data-parallel kernel submission."""
 
-    name: str
-    global_range: Box
-    accessors: tuple[Accessor, ...]
-    body: dict[str, Expr]
-    params: dict[str, float] = field(default_factory=dict)
-    beta: float = 0.0  # frequency-insensitive fraction of the runtime
-    target: Optional["object"] = None  # per-task energy target override
-    id: Optional[int] = None
+    __slots__ = _fields = ("name", "global_range", "accessors", "body", "params", "beta",
+                           "target", "id")
 
-    def __post_init__(self):
-        self.accessors = tuple(self.accessors)
+    def __init__(self, name: str, global_range: Box, accessors: tuple[Accessor, ...],
+                 body: dict[str, Expr], params: Optional[dict[str, float]] = None,
+                 beta: float = 0.0, target: Optional["object"] = None, id: Optional[int] = None):
+        self.name = name
+        self.global_range = global_range
+        self.accessors = tuple(accessors)
+        self.body = body
+        self.params = {} if params is None else params
+        self.beta = beta  # frequency-insensitive fraction of the runtime
+        self.target = target  # per-task energy target override
+        self.id = id
 
     @property
     def dims(self) -> int:
@@ -282,11 +293,13 @@ def collect_read_offsets(task: Task) -> dict[str, list[tuple[int, ...]]]:
     return {name: sorted(offs) for name, offs in sorted(offsets.items())}
 
 
-@dataclass(frozen=True)
-class FootprintViolation:
-    accessor: str
-    offset: tuple[int, ...]
-    reason: str
+class FootprintViolation(Frozen):
+    __slots__ = _fields = ("accessor", "offset", "reason")
+
+    def __init__(self, accessor: str, offset: tuple[int, ...], reason: str):
+        object.__setattr__(self, "accessor", accessor)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "reason", reason)
 
     def __str__(self):
         return f"accessor '{self.accessor}' offset {self.offset}: {self.reason}"

@@ -8,21 +8,18 @@ of a Region is contractual; the particular box decomposition is not, which is
 why Region equality compares cell sets rather than box lists.
 """
 
-from dataclasses import dataclass
-
 from .errors import DimensionError
+from .value import Frozen
 
 MAX_DIMS = 3
 
 
-@dataclass(frozen=True)
-class Box:
-    mins: tuple[int, ...]
-    maxs: tuple[int, ...]
+class Box(Frozen):
+    __slots__ = _fields = ("mins", "maxs")
 
-    def __post_init__(self):
-        mins = tuple(int(v) for v in self.mins)
-        maxs = tuple(int(v) for v in self.maxs)
+    def __init__(self, mins: tuple[int, ...], maxs: tuple[int, ...]):
+        mins = tuple(int(v) for v in mins)
+        maxs = tuple(int(v) for v in maxs)
         if not 1 <= len(mins) <= MAX_DIMS:
             raise DimensionError(f"boxes support 1 to {MAX_DIMS} dimensions, got {len(mins)}")
         if len(mins) != len(maxs):
@@ -85,7 +82,7 @@ def _require_same_dims(a, b):
 
 def _box(mins: tuple, maxs: tuple) -> Box:
     """Box from int tuples an internal operation derived from valid boxes,
-    built without the checks of Box.__post_init__."""
+    built without the checks of Box.__init__."""
     b = object.__new__(Box)
     object.__setattr__(b, "mins", mins)
     object.__setattr__(b, "maxs", maxs)

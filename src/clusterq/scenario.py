@@ -11,7 +11,6 @@ gives each field's parser and default.
 
 import json
 from copy import copy
-from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Optional
 
@@ -38,18 +37,26 @@ from .model import (
 from .region import Box, Region
 from .scheduler import Plan, assign_frequencies, generate_commands
 from .simulator import LinkModel, RunResult, run
+from .value import Value
 
 
-@dataclass
-class Scenario:
-    buffers: list[Buffer] = field(default_factory=list)
-    tasks: list[Task] = field(default_factory=list)
-    nodes: Optional[int] = None
-    devices: Optional[list[DeviceModel]] = None
-    link: Optional[LinkModel] = None
-    queue_target: Optional[EnergyTarget] = None
-    expectations: list[tuple[str, list]] = field(default_factory=list)
-    path: str = "scenario"  # JSON path of the document, for error messages
+class Scenario(Value):
+    __slots__ = _fields = ("buffers", "tasks", "nodes", "devices", "link", "queue_target",
+                           "expectations", "path")
+
+    def __init__(self, buffers: Optional[list[Buffer]] = None,
+                 tasks: Optional[list[Task]] = None, nodes: Optional[int] = None,
+                 devices: Optional[list[DeviceModel]] = None, link: Optional[LinkModel] = None,
+                 queue_target: Optional[EnergyTarget] = None,
+                 expectations: Optional[list[tuple[str, list]]] = None, path: str = "scenario"):
+        self.buffers = [] if buffers is None else buffers
+        self.tasks = [] if tasks is None else tasks
+        self.nodes = nodes
+        self.devices = devices
+        self.link = link
+        self.queue_target = queue_target
+        self.expectations = [] if expectations is None else expectations
+        self.path = path  # JSON path of the document, for error messages
 
 
 REQUIRED = object()  # the default of a field that must be given
@@ -311,8 +318,10 @@ def _task(value, path: str, buffers: dict) -> Task:
 
 
 def _model_table(model, parsers: dict) -> dict:
-    """Table of a model dataclass's fields and defaults, read as numbers or by parsers."""
-    return {f.name: (parsers.get(f.name, _number), f.default) for f in fields(model)}
+    """Table of a model's fields and their defaults in its __init__, which
+    has one for every field, read as numbers or by parsers."""
+    return {name: (parsers.get(name, _number), default)
+            for name, default in zip(model._fields, model.__init__.__defaults__, strict=True)}
 
 
 DEVICE = _model_table(DeviceModel, {"levels_ghz": _numbers})
@@ -554,14 +563,17 @@ def bundled_scenario_path(name: str):
     return candidate if candidate.is_file() else None
 
 
-@dataclass
-class RunBundle:
-    scenario: Scenario
-    plan: Plan
-    result: RunResult
-    energy: object
-    nodes: int
-    target: EnergyTarget
+class RunBundle(Value):
+    __slots__ = _fields = ("scenario", "plan", "result", "energy", "nodes", "target")
+
+    def __init__(self, scenario: Scenario, plan: Plan, result: RunResult, energy: object,
+                 nodes: int, target: EnergyTarget):
+        self.scenario = scenario
+        self.plan = plan
+        self.result = result
+        self.energy = energy
+        self.nodes = nodes
+        self.target = target
 
 
 def build_graph(scenario: Scenario) -> TaskGraph:

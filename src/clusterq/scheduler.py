@@ -32,7 +32,6 @@ Executes already wait for its Executes. Reachability is unchanged, and the
 number of dependencies grows linearly with the queue length.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -41,16 +40,19 @@ from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph
 from .model import ELEMENT_BYTES, AccessMode, Task
 from .region import Box, Region
+from .value import Frozen, Value
 
 # Devices, simulator lanes and energy accounts are allocated per node.
 MAX_NODES = 2 ** 16
 
 
-@dataclass(frozen=True)
-class Chunk:
-    task_id: int
-    box: Box
-    node: int
+class Chunk(Frozen):
+    __slots__ = _fields = ("task_id", "box", "node")
+
+    def __init__(self, task_id: int, box: Box, node: int):
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "node", node)
 
 
 def split_task(task: Task, node_count: int) -> list[Chunk]:
@@ -72,20 +74,28 @@ def split_task(task: Task, node_count: int) -> list[Chunk]:
     return chunks
 
 
-@dataclass
-class Command:
-    id: int
-    deps: tuple[int, ...]
+class Command(Value):
+    __slots__ = _fields = ("id", "deps")
+
+    def __init__(self, id: int, deps: tuple[int, ...]):
+        self.id = id
+        self.deps = deps
 
 
-@dataclass
 class ExecuteCommand(Command):
-    chunk: Chunk
-    frequency_ghz: float
-    # (accessor name, buffer, mapped region) per read accessor
-    reads: tuple = ()
-    # (accessor name, buffer, mapped region, version written) per write accessor
-    writes: tuple = ()
+    __slots__ = ("chunk", "frequency_ghz", "reads", "writes")
+    _fields = Command._fields + __slots__
+
+    def __init__(self, id: int, deps: tuple[int, ...], chunk: Chunk, frequency_ghz: float,
+                 reads: tuple = (), writes: tuple = ()):
+        self.id = id
+        self.deps = deps
+        self.chunk = chunk
+        self.frequency_ghz = frequency_ghz
+        # (accessor name, buffer, mapped region) per read accessor
+        self.reads = reads
+        # (accessor name, buffer, mapped region, version written) per write accessor
+        self.writes = writes
 
     @property
     def node(self):
@@ -96,13 +106,19 @@ class ExecuteCommand(Command):
         return self.chunk.task_id
 
 
-@dataclass
 class PushCommand(Command):
-    src: int
-    dst: int
-    buffer: str
-    region: Region
-    version: int
+    __slots__ = ("src", "dst", "buffer", "region", "version")
+    _fields = Command._fields + __slots__
+
+    def __init__(self, id: int, deps: tuple[int, ...], src: int, dst: int, buffer: str,
+                 region: Region, version: int):
+        self.id = id
+        self.deps = deps
+        self.src = src
+        self.dst = dst
+        self.buffer = buffer
+        self.region = region
+        self.version = version
 
     @property
     def node(self):
@@ -113,27 +129,35 @@ class PushCommand(Command):
         return ELEMENT_BYTES * self.region.volume()
 
 
-@dataclass
 class AwaitPushCommand(Command):
-    dst: int
-    buffer: str
-    region: Region
-    version: int
-    push_id: int
+    __slots__ = ("dst", "buffer", "region", "version", "push_id")
+    _fields = Command._fields + __slots__
+
+    def __init__(self, id: int, deps: tuple[int, ...], dst: int, buffer: str, region: Region,
+                 version: int, push_id: int):
+        self.id = id
+        self.deps = deps
+        self.dst = dst
+        self.buffer = buffer
+        self.region = region
+        self.version = version
+        self.push_id = push_id
 
     @property
     def node(self):
         return self.dst
 
 
-@dataclass
-class _Entry:
+class _Entry(Value):
     """One version-uniform piece of a buffer: who holds it and which command
     materialized it on each holder (None for host-initialized data)."""
 
-    region: Region
-    version: int
-    holders: dict[int, Optional[int]]
+    __slots__ = _fields = ("region", "version", "holders")
+
+    def __init__(self, region: Region, version: int, holders: dict[int, Optional[int]]):
+        self.region = region
+        self.version = version
+        self.holders = holders
 
 
 class RegionMapTable:
@@ -215,16 +239,21 @@ class RegionMapTable:
         }
 
 
-@dataclass
-class Plan:
+class Plan(Value):
     """Output of command generation, consumed by the simulator."""
 
-    graph: TaskGraph
-    node_count: int
-    commands: list[Command]
-    devices: list[DeviceModel]
-    final_locations: dict = field(default_factory=dict)
-    target: Optional[EnergyTarget] = None  # queue target of assign_frequencies
+    __slots__ = _fields = ("graph", "node_count", "commands", "devices", "final_locations",
+                           "target")
+
+    def __init__(self, graph: TaskGraph, node_count: int, commands: list[Command],
+                 devices: list[DeviceModel], final_locations: Optional[dict] = None,
+                 target: Optional[EnergyTarget] = None):
+        self.graph = graph
+        self.node_count = node_count
+        self.commands = commands
+        self.devices = devices
+        self.final_locations = {} if final_locations is None else final_locations
+        self.target = target  # queue target of assign_frequencies
 
     def executes(self):
         return [c for c in self.commands if isinstance(c, ExecuteCommand)]

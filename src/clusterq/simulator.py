@@ -30,7 +30,6 @@ replay order, naming that box's first failing id and its task. Every float
 result is stored with NaNs in canonical form.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Optional
@@ -42,6 +41,7 @@ from .errors import EvalError, ValidationError
 from .kernel import compile_kernel
 from .model import ELEMENT_BYTES, ReadView
 from .scheduler import AwaitPushCommand, ExecuteCommand, Plan, PushCommand
+from .value import Frozen, Value
 
 # bench/tracing.py's kernel.eval hook wraps this name to count per-cell
 # kernel evaluations. The simulator makes none, so the name is bound only
@@ -49,12 +49,14 @@ from .scheduler import AwaitPushCommand, ExecuteCommand, Plan, PushCommand
 eval_kernel = None
 
 
-@dataclass(frozen=True)
-class LinkModel:
-    latency_s: float = 1e-6
-    bandwidth_bytes_per_s: float = 1e9
+class LinkModel(Frozen):
+    # The fields, with their defaults in __init__, are also the scenario
+    # schema's link object.
+    __slots__ = _fields = ("latency_s", "bandwidth_bytes_per_s")
 
-    def __post_init__(self):
+    def __init__(self, latency_s: float = 1e-6, bandwidth_bytes_per_s: float = 1e9):
+        object.__setattr__(self, "latency_s", latency_s)
+        object.__setattr__(self, "bandwidth_bytes_per_s", bandwidth_bytes_per_s)
         require_finite(self)
         if self.latency_s < 0:
             raise ValidationError("link latency must be nonnegative")
@@ -65,30 +67,38 @@ class LinkModel:
         return Fraction(self.latency_s) + Fraction(nbytes) / Fraction(self.bandwidth_bytes_per_s)
 
 
-@dataclass
-class TraceEvent:
-    kind: str  # "execute" | "push" | "await_push"
-    node: int
-    command_id: int
-    start: Fraction
-    duration: Fraction
-    bytes: int = 0
-    frequency_ghz: Optional[float] = None
-    task_id: Optional[int] = None
-    task_name: Optional[str] = None
-    label: str = ""
+class TraceEvent(Value):
+    __slots__ = _fields = ("kind", "node", "command_id", "start", "duration", "bytes",
+                           "frequency_ghz", "task_id", "task_name", "label")
+
+    def __init__(self, kind: str, node: int, command_id: int, start: Fraction,
+                 duration: Fraction, bytes: int = 0, frequency_ghz: Optional[float] = None,
+                 task_id: Optional[int] = None, task_name: Optional[str] = None,
+                 label: str = ""):
+        self.kind = kind  # "execute" | "push" | "await_push"
+        self.node = node
+        self.command_id = command_id
+        self.start = start
+        self.duration = duration
+        self.bytes = bytes
+        self.frequency_ghz = frequency_ghz
+        self.task_id = task_id
+        self.task_name = task_name
+        self.label = label
 
     @property
     def finish(self) -> Fraction:
         return self.start + self.duration
 
 
-@dataclass
-class RunResult:
-    buffers: dict  # name -> np.ndarray, gathered final contents
-    trace: list
-    makespan: Fraction
-    plan: Plan
+class RunResult(Value):
+    __slots__ = _fields = ("buffers", "trace", "makespan", "plan")
+
+    def __init__(self, buffers: dict, trace: list, makespan: Fraction, plan: Plan):
+        self.buffers = buffers  # name -> np.ndarray, gathered final contents
+        self.trace = trace
+        self.makespan = makespan
+        self.plan = plan
 
 
 # The quiet NaN that JSON `NaN` and Python's float("nan") are.

@@ -494,3 +494,14 @@ def test_mutated_bundled_scenario_ends_without_traceback(name, data):
                 cli.main(["validate", path]),
             ]
     assert set(codes) <= {0, 1, 2}, out.getvalue()
+
+
+def test_import_generates_no_code():
+    # Value types are slotted classes written out by hand: importing the CLI
+    # in a fresh interpreter must not load dataclasses, whose decorator
+    # builds each class's methods with exec.
+    code = "import sys, clusterq.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,13 +1,17 @@
 """Buffers, range mappers, task validation, and runtime read views."""
 
+import copy
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from clusterq.energy import DeviceEnergy, DeviceModel, EnergyReport, EnergyTarget, TaskEnergy
 from clusterq.errors import ValidationError
-from clusterq.kernel import parse_kernel
+from clusterq.graph import DepKind, Edge, TaskGraph
+from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, parse_kernel
 from clusterq.model import (
     Accessor,
     AccessMode,
@@ -15,8 +19,10 @@ from clusterq.model import (
     Buffer,
     BufferInit,
     Fixed,
+    FootprintViolation,
     Neighborhood,
     OneToOne,
+    RangeMapper,
     ReadView,
     Slice,
     Task,
@@ -25,6 +31,18 @@ from clusterq.model import (
     validate_task,
 )
 from clusterq.region import Box, Region
+from clusterq.scenario import RunBundle, Scenario
+from clusterq.scheduler import (
+    AwaitPushCommand,
+    Chunk,
+    Command,
+    ExecuteCommand,
+    Plan,
+    PushCommand,
+    _Entry,
+)
+from clusterq.simulator import LinkModel, RunResult, TraceEvent
+from clusterq.value import Frozen, Value
 
 from helpers import random_box, region_bitmap
 
@@ -371,3 +389,110 @@ def test_read_view_2d():
     v = ReadView(extent, data)
     assert v.gather((1, 2), (2, 3), (0, 0)).tolist() == [[6.0]]
     assert v.gather((5, -1), (6, 0), (0, 0)).tolist() == [[data[2, 0]]]
+
+
+# ------------------------------------------------------------------ value types
+
+def _value_cases():
+    """(class, frozen, constructor keyword arguments) for every value type.
+    The arguments are in the constructor's order and already in the form the
+    constructor stores, so the repr can be written from them."""
+    box = Box((0, 0), (2, 3))
+    region = Region.from_box(Box((1,), (3,)))
+    chunk = Chunk(1, Box((0,), (2,)), 0)
+    device = DeviceModel(levels_ghz=(0.5, 1.0), f_ref_ghz=1.0, p_static_w=2.0,
+                         p_dyn_ref_w=3.0, alpha_exp=2.0, throughput_ref=1e6)
+    write = Accessor("y", AccessMode.WRITE, OneToOne(), "y")
+    cases = [
+        (Box, True, dict(mins=(0, 0), maxs=(2, 3))),
+        (Num, True, dict(value=1.5)),
+        (Param, True, dict(name="alpha")),
+        (IdComponent, True, dict(axis=1)),
+        (Read, True, dict(accessor="x", offsets=(-1,))),
+        (Neg, True, dict(operand=Num(2))),
+        (BinOp, True, dict(op="+", left=Param("a"), right=Read("x", (0,)))),
+        (BufferInit, True, dict(kind="constant", value=2.0, values=None)),
+        (Buffer, True, dict(name="x", extent=Box((0,), (2,)), element_kind="int64",
+                            init=BufferInit("values", values=(1, 2)))),
+        (OneToOne, True, dict()),
+        (Neighborhood, True, dict(radii=(1, 2))),
+        (Fixed, True, dict(region=region)),
+        (All, True, dict()),
+        (Slice, True, dict(axis=0)),
+        (Accessor, True, dict(buffer="x", mode=AccessMode.READ, mapper=Neighborhood((1,)),
+                              name="xs")),
+        (Task, False, dict(name="t", global_range=box, accessors=(write,),
+                           body={"y": Num(1)}, params={"a": 2.0}, beta=0.5,
+                           target=EnergyTarget.MIN_EDP, id=3)),
+        (FootprintViolation, True, dict(accessor="x", offset=(1,), reason="outside")),
+        (Edge, True, dict(src=1, dst=2, kind=DepKind.RAW, buffer="x", region=region)),
+        (Chunk, True, dict(task_id=1, box=box, node=0)),
+        (Command, False, dict(id=1, deps=(0,))),
+        (ExecuteCommand, False, dict(id=2, deps=(0, 1), chunk=chunk, frequency_ghz=1.5,
+                                     reads=(("x", "x", region),), writes=())),
+        (PushCommand, False, dict(id=3, deps=(2,), src=0, dst=1, buffer="x", region=region,
+                                  version=1)),
+        (AwaitPushCommand, False, dict(id=4, deps=(), dst=1, buffer="x", region=region,
+                                       version=1, push_id=3)),
+        (_Entry, False, dict(region=region, version=1, holders={0: None, 1: 3})),
+        (Plan, False, dict(graph=TaskGraph({}), node_count=2, commands=[], devices=[device],
+                           final_locations={"x": []}, target=None)),
+        (LinkModel, True, dict(latency_s=2e-6, bandwidth_bytes_per_s=1e8)),
+        (TraceEvent, False, dict(kind="push", node=0, command_id=3, start=Fraction(1, 3),
+                                 duration=Fraction(2), bytes=8, frequency_ghz=None,
+                                 task_id=None, task_name=None, label="x")),
+        (RunResult, False, dict(buffers={"x": [1.0]}, trace=[], makespan=Fraction(1),
+                                plan=None)),
+        (DeviceModel, True, dict(levels_ghz=(0.5, 1.0), f_ref_ghz=1.0, p_static_w=2.0,
+                                 p_dyn_ref_w=3.0, alpha_exp=2.0, throughput_ref=1e6)),
+        (TaskEnergy, False, dict(task_id=1, name="t", duration_s=Fraction(1),
+                                 energy_j=Fraction(2), frequency_ghz_per_node={0: 1.0})),
+        (DeviceEnergy, False, dict(node=0, energy_j=Fraction(3), busy_s=Fraction(1),
+                                   idle_s=Fraction(2), static_power_w=1.0)),
+        (EnergyReport, False, dict(per_task=[], per_device=[], makespan_s=Fraction(3))),
+        (Scenario, False, dict(buffers=[], tasks=[], nodes=2, devices=None, link=LinkModel(),
+                               queue_target=EnergyTarget.MIN_ENERGY,
+                               expectations=[("x", [1.0])], path="p")),
+        (RunBundle, False, dict(scenario=None, plan=None, result=None, energy=None, nodes=2,
+                                target=EnergyTarget.MAX_PERF)),
+    ]
+    return cases
+
+
+VALUE_CASES = _value_cases()
+
+
+def test_value_cases_cover_every_value_type():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+    assert {cls for cls, _, _ in VALUE_CASES} == set(subclasses(Value)) - {Frozen, RangeMapper}
+    assert len(VALUE_CASES) == 34
+
+
+@pytest.mark.parametrize("cls, frozen, kwargs", VALUE_CASES,
+                         ids=[cls.__name__ for cls, _, _ in VALUE_CASES])
+def test_value_semantics(cls, frozen, kwargs):
+    a = cls(**kwargs)
+    b = cls(*kwargs.values())
+    assert a == b and not a != b
+    assert copy.copy(a) == a and type(copy.copy(a)) is cls
+    args = ", ".join(f"{name}={value!r}" for name, value in kwargs.items())
+    assert repr(a) == f"{cls.__qualname__}({args})"
+    assert a != object()
+    if not frozen:
+        with pytest.raises(TypeError):
+            hash(a)
+        return
+    try:
+        expected = hash(tuple(kwargs.values()))
+    except TypeError:  # a Region field: unhashable, as the field tuple is
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+    for name in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b

@@ -1,6 +1,6 @@
 """Chunk splitting, transfer inference, and command graph structure."""
 
-import dataclasses
+import copy
 import random
 from fractions import Fraction
 from unittest import mock
@@ -456,9 +456,14 @@ DEVICE_POOL = (
 
 
 def structure(plan):
-    """Every command with the Execute frequencies blanked out."""
-    return [dataclasses.replace(c, frequency_ghz=None) if isinstance(c, ExecuteCommand) else c
-            for c in plan.commands]
+    """Every command, with copies of the Executes whose frequencies are blanked out."""
+    commands = []
+    for c in plan.commands:
+        if isinstance(c, ExecuteCommand):
+            c = copy.copy(c)
+            c.frequency_ghz = None
+        commands.append(c)
+    return commands
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
