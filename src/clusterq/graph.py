@@ -5,12 +5,16 @@ its predecessors through two region maps per buffer, as Celerity does (Knorr,
 Thoman, Fahringer, IJPP 2023): the last writer of each region, and the readers
 of each region since its last write. A read depends on the last writers it
 overlaps; a write depends on the last writers and on the readers since. Both
-maps are cut where the task writes, so a task touches only the entries its
-regions overlap, never the whole history. A task that conflicts with an
-earlier one reaches it through these predecessors, so the ancestor bitset (a
-Python int with bit p set for every task p it transitively depends on) is the
-one a scan of every earlier task gives, and the predecessors that no other
-predecessor already implies are found from it without walking the graph.
+maps are (region, task id) lists that region.overlapping queries and
+region.cut cuts, as it cuts the scheduler's region map. A write cuts both
+maps. A read cuts the reader entries of the tasks it already depends on: a
+later write there depends on it, and so reaches them. So a task touches only
+the entries its regions overlap, never the whole history. A task that
+conflicts with an earlier one reaches it through these predecessors, so the
+ancestor bitset (a Python int with bit p set for every task p it transitively
+depends on) is the one a scan of every earlier task gives, and the
+predecessors that no other predecessor already implies are found from it
+without walking the graph.
 
 The full conflict edges are a view computed on demand by that scan: RAW for
 an earlier write overlapping a new read, WAR for an earlier read overlapping a
@@ -25,7 +29,7 @@ import enum
 
 from .errors import ValidationError
 from .model import AccessMode, Task, static_footprint_check, validate_task
-from .region import Region
+from .region import Region, cut, overlapping
 from .value import Frozen
 
 
@@ -46,21 +50,9 @@ class Edge(Frozen):
         object.__setattr__(self, "region", region)
 
 
-def _overlapping(entries, region: Region):
-    """Task ids of the (region, task id) entries that overlap region."""
-    return {tid for r, tid in entries if r.overlaps(region)}
-
-
-def _cut(entries, region: Region) -> list:
-    """The (region, task id) entries with region removed from each."""
-    out = []
-    for r, tid in entries:
-        if r.overlaps(region):
-            r = r.difference(region)
-            if r.is_empty():
-                continue
-        out.append((r, tid))
-    return out
+def dot_string(text: str) -> str:
+    """text as a DOT quoted string, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 class TaskGraph:
@@ -100,20 +92,24 @@ class TaskGraph:
                 target[acc.buffer] = mapped
 
         preds = set()
-        for buffer, region in reads.items():
-            preds |= _overlapping(self._last_writers.get(buffer, ()), region)
-        for buffer, region in writes.items():
-            preds |= _overlapping(self._last_writers.get(buffer, ()), region)
-            preds |= _overlapping(self._readers.get(buffer, ()), region)
-            self._last_writers[buffer] = _cut(self._last_writers.get(buffer, ()), region)
-            self._last_writers[buffer].append((region, tid))
-            self._readers[buffer] = _cut(self._readers.get(buffer, ()), region)
-        for buffer, region in reads.items():
-            self._readers.setdefault(buffer, []).append((region, tid))
-
+        for table, regions in ((self._last_writers, reads), (self._last_writers, writes),
+                               (self._readers, writes)):
+            for buffer, region in regions.items():
+                preds.update(p for _, (_r, p) in overlapping(table.get(buffer, ()), region))
         ancestors = 0
         for p in preds:
             ancestors |= (1 << p) | self._ancestors[p]
+
+        for buffer, region in writes.items():
+            self._last_writers[buffer] = cut(self._last_writers.get(buffer, ()), [region])
+            self._last_writers[buffer].append((region, tid))
+            self._readers[buffer] = cut(self._readers.get(buffer, ()), [region])
+        for buffer, region in reads.items():
+            readers = self._readers.get(buffer, [])
+            known = [e for e in readers if (ancestors >> e[1]) & 1]
+            others = [e for e in readers if not (ancestors >> e[1]) & 1]
+            self._readers[buffer] = others + cut(known, [region]) + [(region, tid)]
+
         self.tasks.append(task)
         self._reads[tid] = reads
         self._writes[tid] = writes
@@ -170,10 +166,9 @@ class TaskGraph:
     def to_dot(self) -> str:
         lines = ["digraph tasks {"]
         for t in self.tasks:
-            lines.append(f'  T{t.id} [label="T{t.id}: {t.name}"];')
+            lines.append(f"  T{t.id} [label={dot_string(f'T{t.id}: {t.name}')}];")
         for e in self.edges:
-            lines.append(
-                f'  T{e.src} -> T{e.dst} [label="{e.kind.value} {e.buffer} {e.region}"];'
-            )
+            label = dot_string(f"{e.kind.value} {e.buffer} {e.region}")
+            lines.append(f"  T{e.src} -> T{e.dst} [label={label}];")
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -109,6 +109,8 @@ class Buffer(Frozen):
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "element_kind", element_kind)
         object.__setattr__(self, "init", init)
+        if "/" in name or "\0" in name:
+            raise ValidationError(f"buffer {name!r}: name must not contain '/' or NUL")
         if any(lo != 0 for lo in self.extent.mins):
             raise ValidationError(f"buffer '{self.name}': extent must start at 0")
         if self.extent.is_empty():

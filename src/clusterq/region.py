@@ -5,7 +5,9 @@ union of pairwise disjoint boxes kept in a canonical form: empty boxes are
 dropped, adjacent boxes are merged greedily per dimension until a fixed point,
 and the result is sorted lexicographically by (mins, maxs). Only the cell set
 of a Region is contractual; the particular box decomposition is not, which is
-why Region equality compares cell sets rather than box lists.
+why Region equality compares cell sets rather than box lists. A region map is a
+list of entries, tuples whose first item is a Region; overlapping and cut are
+its one lookup and its one cut.
 """
 
 from .errors import DimensionError
@@ -288,3 +290,28 @@ def _from_disjoint(dims: int, boxes: list[Box]) -> Region:
     object.__setattr__(r, "dims", dims)
     object.__setattr__(r, "boxes", _canonical(dims, boxes))
     return r
+
+
+def overlapping(entries, region: Region):
+    """(index, entry) for each entry that shares a cell with region, in order."""
+    for index, entry in enumerate(entries):
+        if entry[0].overlaps(region):
+            yield index, entry
+
+
+def cut(entries, regions) -> list:
+    """entries with each of regions removed in turn from every entry's region;
+    an untouched entry stays the same object, one cut to nothing is dropped."""
+    out = []
+    for entry in entries:
+        rest = entry[0]
+        for region in regions:
+            if rest.overlaps(region):
+                rest = rest.difference(region)
+                if rest.is_empty():
+                    break
+        if rest is entry[0]:
+            out.append(entry)
+        elif rest:
+            out.append((rest,) + entry[1:])
+    return out

@@ -468,11 +468,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+        try:
+            data = json.loads(fh.read())
+        except ValueError as exc:  # a JSONDecodeError, an integer too long, or not UTF-8
+            raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(data, path=str(path))
 
 

@@ -3,18 +3,19 @@
 Tasks are split along dimension 0 into contiguous chunks, one per node (chunk
 k runs on node k; sizes differ by at most one with larger chunks first). A
 RegionMapTable tracks, per buffer, which nodes hold which sub-regions at which
-version; a buffer's entries are pairwise disjoint. Walking tasks in topological
-order, the generator resolves each chunk's mapped read requirement of a buffer
-in one walk over that buffer's entries: each entry's part of the requirement
-counts toward coverage, and a part the chunk's node does not hold gets a Push
-from the lowest-id holder plus a matching AwaitPush. Cells no entry covers are
-an uninitialized read. Then comes an Execute per chunk. A task bumps the
-version of each buffer it writes once. After the task, transferred regions
-gain the destination as holder, so re-reading resident data never produces a
-second transfer: each piece remembers the entry it was cut from, and only
-those entries are split, in place. Then one pass per written buffer cuts the
-task's chunk writes, which are pairwise disjoint, out of every entry and
-appends them in Execute order, at the new version with the writer as sole
+version, as pairwise disjoint (region, version, holders) entries. Walking
+tasks in topological order, the generator resolves each chunk's mapped read
+requirement of a buffer with one region.overlapping query over that buffer's
+entries: each entry's part of the requirement counts toward coverage, and a
+part the chunk's node does not hold gets a Push from the lowest-id holder plus
+a matching AwaitPush. Cells no entry covers are an uninitialized read. Then
+comes an Execute per chunk. A task bumps the version of each buffer it writes
+once. After the task, transferred regions gain the destination as holder, so
+re-reading resident data never produces a second transfer: each piece
+remembers the entry it was cut from, and only those entries are split, in
+place. Then one region.cut per written buffer
+takes the task's chunk writes, which are pairwise disjoint, out of every entry
+in Execute order and appends them, at the new version with the writer as sole
 holder. The entries and their box decomposition are the ones that applying
 each piece and each chunk write in turn, by a scan of every entry, would give.
 
@@ -37,9 +38,9 @@ from typing import Optional
 
 from .energy import DeviceModel, EnergyTarget, select_frequency
 from .errors import UninitializedReadError, ValidationError
-from .graph import TaskGraph
+from .graph import TaskGraph, dot_string
 from .model import ELEMENT_BYTES, AccessMode, Task
-from .region import Box, Region
+from .region import Box, Region, cut, overlapping
 from .value import Frozen, Value
 
 # Devices, simulator lanes and energy accounts are allocated per node.
@@ -148,34 +149,24 @@ class AwaitPushCommand(Command):
         return self.dst
 
 
-class _Entry(Value):
-    """One version-uniform piece of a buffer: who holds it and which command
-    materialized it on each holder (None for host-initialized data)."""
-
-    __slots__ = _fields = ("region", "version", "holders")
-
-    def __init__(self, region: Region, version: int, holders: dict[int, Optional[int]]):
-        self.region = region
-        self.version = version
-        self.holders = holders
-
-
 class RegionMapTable:
     """Tracks buffer sub-regions to (version, holder nodes).
 
-    A buffer's entries are pairwise disjoint. add_holders splits only the
-    entries a task's transferred pieces were cut from, in place, and write
-    cuts a task's written regions out of every entry in one pass before
-    appending them as new entries.
+    A buffer's entries are pairwise disjoint (region, version, holders)
+    tuples; holders maps each node holding the region to the command that
+    materialized it there (None for host-initialized data). add_holders
+    splits only the entries a task's transferred pieces were cut from, in
+    place, and write cuts a task's written regions out of every entry in one
+    pass before appending them as new entries.
     """
 
     def __init__(self, buffers):
-        self.entries: dict[str, list[_Entry]] = {}
+        self.entries: dict[str, list[tuple]] = {}
         self.version_counter: dict[str, int] = {}
         for name, buf in buffers.items():
             if buf.init.is_initialized:
                 full = Region.from_box(buf.extent)
-                self.entries[name] = [_Entry(full, 1, {0: None})]
+                self.entries[name] = [(full, 1, {0: None})]
                 self.version_counter[name] = 1
             else:
                 self.entries[name] = []
@@ -194,17 +185,16 @@ class RegionMapTable:
             pieces = [entries[index]]
             for region, node, producer in gains[index]:
                 split = []
-                for e in pieces:
-                    if not e.region.overlaps(region):
-                        split.append(e)
+                for piece in pieces:
+                    have, version, holders = piece
+                    if not have.overlaps(region):
+                        split.append(piece)
                         continue
-                    part = e.region.intersect(region)
-                    rest = e.region.difference(part)
+                    part = have.intersect(region)
+                    rest = have.difference(part)
                     if not rest.is_empty():
-                        split.append(_Entry(rest, e.version, dict(e.holders)))
-                    holders = dict(e.holders)
-                    holders[node] = producer
-                    split.append(_Entry(part, e.version, holders))
+                        split.append((rest, version, holders))
+                    split.append((part, version, {**holders, node: producer}))
                 pieces = split
             entries[index:index + 1] = pieces
 
@@ -212,20 +202,8 @@ class RegionMapTable:
         """Record one task's writes of buffer: pairwise disjoint (region,
         node, producer) triples in Execute order, each now held only by its
         node at version."""
-        kept = []
-        for e in self.entries[buffer]:
-            region = e.region
-            for written, _node, _producer in writes:
-                if region.overlaps(written):
-                    region = region.difference(written)
-                    if region.is_empty():
-                        break
-            if region is e.region:
-                kept.append(e)
-            elif not region.is_empty():
-                kept.append(_Entry(region, e.version, e.holders))
-        kept.extend(_Entry(region, version, {node: producer})
-                    for region, node, producer in writes)
+        kept = cut(self.entries[buffer], [region for region, _node, _producer in writes])
+        kept.extend((region, version, {node: producer}) for region, node, producer in writes)
         self.entries[buffer] = kept
 
     def bump_version(self, buffer: str) -> int:
@@ -234,7 +212,7 @@ class RegionMapTable:
 
     def snapshot(self):
         return {
-            name: [(e.region, e.version, frozenset(e.holders)) for e in entries]
+            name: [(region, version, frozenset(holders)) for region, version, holders in entries]
             for name, entries in self.entries.items()
         }
 
@@ -328,15 +306,14 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             await_ids = []
             for buffer, need in need_by_buffer.items():
                 found = 0
-                for index, entry in enumerate(table.entries[buffer]):
-                    if not entry.region.overlaps(need):
-                        continue
-                    part = entry.region.intersect(need)
+                entries = table.entries[buffer]
+                for index, (have, held_version, holders) in overlapping(entries, need):
+                    part = have.intersect(need)
                     found += part.volume()
-                    if chunk.node in entry.holders:
+                    if chunk.node in holders:
                         continue
-                    src = min(entry.holders)
-                    producer = entry.holders[src]
+                    src = min(holders)
+                    producer = holders[src]
                     push = PushCommand(
                         id=new_id(),
                         deps=(producer,) if producer is not None else (),
@@ -344,7 +321,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                         dst=chunk.node,
                         buffer=buffer,
                         region=part,
-                        version=entry.version,
+                        version=held_version,
                     )
                     commands.append(push)
                     pushes_from.setdefault(src, []).append(push)
@@ -354,7 +331,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                         dst=chunk.node,
                         buffer=buffer,
                         region=part,
-                        version=entry.version,
+                        version=held_version,
                         push_id=push.id,
                     )
                     commands.append(ap)
@@ -362,9 +339,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                     pending_gains.setdefault(buffer, {}).setdefault(index, []).append(
                         (part, chunk.node, ap.id))
                 if found != need.volume():
-                    uncovered = need
-                    for entry in table.entries[buffer]:
-                        uncovered = uncovered.difference(entry.region)
+                    [(uncovered,)] = cut([(need,)], [have for have, _v, _h in entries])
                     raise UninitializedReadError(
                         f"task '{task.name}' (id {tid}) reads {uncovered} of buffer "
                         f"'{buffer}' which was never written or host-initialized"
@@ -451,7 +426,7 @@ def export_command_graph(plan: Plan) -> str:
             )
         else:
             label = f"C{cmd.id}: AwaitPush {cmd.buffer} {cmd.region} v{cmd.version} n{cmd.dst}"
-        lines.append(f'  C{cmd.id} [label="{label}"];')
+        lines.append(f"  C{cmd.id} [label={dot_string(label)}];")
     for cmd in plan.commands:
         for dep in sorted(cmd.deps):
             lines.append(f"  C{dep} -> C{cmd.id};")

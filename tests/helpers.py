@@ -688,7 +688,8 @@ BUNDLED["machine"] = {
     "link": {"latency_s": 2e-6, "bandwidth_bytes_per_s": 5e8},
 }
 ODD_VALUES = (None, True, 0, -1, 2, 2 ** 63, 10 ** 400, 0.5, -0.0, math.nan, math.inf,
-              "", "x", "MIN_EDP", "all", [], [0], [1, 2], {}, {"kind": "x"})
+              "", "x", "a/b", "a\u0000b", "MIN_EDP", "all", [], [0], [1, 2], {},
+              {"kind": "x"})
 KEYS = sorted({"bogus", "nodes", "device", "devices", "link", "target", "queue_target",
                "buffers", "tasks", "expectations", "name", "extent", "element_kind", "init",
                "kind", "value", "values", "range", "reads", "writes", "body", "params",

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -382,6 +383,27 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert "missing required field 'extent'" in capsys.readouterr().err
 
 
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    scn = tmp_path / "latin1.json"
+    scn.write_bytes(b'{"buffers": [{"name": "\xff", "extent": [4]}]}')
+    rc = run_cli("run", str(scn), "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert f"{scn}: invalid JSON: 'utf-8' codec can't decode byte 0xff" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\u0000b"])
+def test_buffer_name_that_cannot_name_a_file_exits_2(tmp_path, capsys, name):
+    scn = write_scenario(tmp_path, {"buffers": [{"name": "x", "extent": [4]},
+                                                {"name": name, "extent": [4]}]})
+    for argv in (["run", scn, "--out", str(tmp_path / "out")], ["graph", scn],
+                 ["validate", scn]):
+        assert run_cli(*argv) == 2
+        assert f"{scn}.buffers[1]: buffer {name!r}: name must not contain '/' or NUL" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_kernel_error_path_in_message(tmp_path, capsys):
     data = {"buffers": [{"name": "x", "extent": [4]}],
             "tasks": [{"name": "t", "range": [4], "writes": ["x"],
@@ -433,6 +455,28 @@ def test_graph_command_dot_to_file(tmp_path):
     assert dot.startswith("digraph commands {")
     assert dot.count("Execute") == 2
     assert "AwaitPush" in dot
+
+
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_graph_labels_are_valid_dot_for_any_name(tmp_path, capsys):
+    q, p = 'q"\\', 'p\\"'
+    scn = write_scenario(tmp_path, {
+        "buffers": [{"name": q, "extent": [4], "init": "iota"}, {"name": p, "extent": [4]}],
+        "tasks": [{"name": 'say "hi"\\', "range": [4],
+                   "reads": [{"buffer": q, "name": "r"}], "writes": [p], "body": "r[i]"},
+                  {"name": "back", "range": [4], "reads": [{"buffer": p, "name": "r"}],
+                   "writes": [q], "body": "r[i]"}]})
+    dots = {}
+    for kind in ("task", "command"):
+        assert run_cli("graph", scn, "--kind", kind, "--nodes", "2") == 0
+        dots[kind] = capsys.readouterr().out
+        labels = [line.split("[label=", 1)[1][:-len("];")]
+                  for line in dots[kind].splitlines() if "[label=" in line]
+        assert labels and all(DOT_STRING.fullmatch(label) for label in labels), labels
+    assert 'T1 [label="T1: say \\"hi\\"\\\\"];' in dots["task"]
+    assert 'Push q\\"\\\\ ' in dots["command"]
 
 
 # -------------------------------------------------------------------- validate

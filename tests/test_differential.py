@@ -480,7 +480,7 @@ def test_region_map_matches_full_scan(seed, nodes, repeats):
             prefix.submit(copy.copy(task))
         with mock.patch.object(scheduler, "RegionMapTable", Recorded):
             plan = generate_commands(prefix, nodes)
-        got = {name: [(e.region.boxes, e.version, e.holders) for e in entries]
+        got = {name: [(r.boxes, v, h) for r, v, h in entries]
                for name, entries in tables[-1].entries.items()}
         assert got == after_task[count - 1]
         assert {name: [(r.boxes, v, h) for r, v, h in entries]

@@ -267,3 +267,18 @@ def test_stored_predecessors_stay_linear_on_a_long_chain():
                       body_src=f"r_{src}[i-1] + r_{src}[i] + r_{src}[i+1]"))
     assert sum(len(p) for p in g._preds) <= 3 * len(g.tasks)
     assert g.reduced_predecessors(400) == [399]
+
+
+def test_reader_entries_stay_bounded_on_a_long_chain():
+    # A 200-task ping-pong chain whose tasks also read a constant buffer x.
+    # Each task depends on every earlier one, so its read of x cuts their
+    # reader entries: a later write of x depends on it and reaches them
+    # through it.
+    g = TaskGraph({"a": buf("a", n=64), "b": buf("b", n=64), "x": buf("x", n=64)})
+    for k in range(200):
+        src, dst = ("a", "b") if k % 2 == 0 else ("b", "a")
+        g.submit(task(f"step{k}", reads=(src, "x"), writes=(dst,), n=64))
+    assert len(g._readers["x"]) <= 1
+    overwrite = g.submit(task("overwrite", writes=("x",), n=64))
+    assert g.predecessors(overwrite) == list(range(1, 201))
+    assert g.reduced_predecessors(overwrite) == [200]

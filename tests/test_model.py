@@ -39,7 +39,6 @@ from clusterq.scheduler import (
     ExecuteCommand,
     Plan,
     PushCommand,
-    _Entry,
 )
 from clusterq.simulator import LinkModel, RunResult, TraceEvent
 from clusterq.value import Frozen, Value
@@ -434,7 +433,6 @@ def _value_cases():
                                   version=1)),
         (AwaitPushCommand, False, dict(id=4, deps=(), dst=1, buffer="x", region=region,
                                        version=1, push_id=3)),
-        (_Entry, False, dict(region=region, version=1, holders={0: None, 1: 3})),
         (Plan, False, dict(graph=TaskGraph({}), node_count=2, commands=[], devices=[device],
                            final_locations={"x": []}, target=None)),
         (LinkModel, True, dict(latency_s=2e-6, bandwidth_bytes_per_s=1e8)),
@@ -468,7 +466,7 @@ def test_value_cases_cover_every_value_type():
             yield sub
             yield from subclasses(sub)
     assert {cls for cls, _, _ in VALUE_CASES} == set(subclasses(Value)) - {Frozen, RangeMapper}
-    assert len(VALUE_CASES) == 34
+    assert len(VALUE_CASES) == 33
 
 
 @pytest.mark.parametrize("cls, frozen, kwargs", VALUE_CASES,

@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterq.errors import DimensionError
-from clusterq.region import Box, Region, box_subtract
+from clusterq.region import Box, Region, box_subtract, cut, overlapping
 
 from helpers import box_bitmap, random_box, random_region, region_bitmap
 
@@ -168,6 +169,32 @@ def test_overlaps_oracle():
     assert touching.overlaps(Region(2, [Box((1, 1), (3, 3))]))
     with pytest.raises(DimensionError):
         touching.overlaps(Region(1, [Box((0,), (1,))]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_region_map_overlapping_and_cut_oracle(seed):
+    rng = random.Random(seed)
+    shape = rng.choice(((16,), (12, 9), (6, 5, 4)))
+    entries = [(random_region(rng, shape), k, {"tag": k}) for k in range(rng.randrange(6))]
+    regions = [random_region(rng, shape) for _ in range(rng.randrange(3))]
+    cells = [region_bitmap(r, shape) for r, _k, _t in entries]
+
+    query = random_region(rng, shape)
+    hit = region_bitmap(query, shape)
+    assert list(overlapping(entries, query)) == \
+        [(i, e) for i, (e, c) in enumerate(zip(entries, cells)) if (c & hit).any()]
+
+    removed = np.zeros(shape, dtype=bool)
+    for r in regions:
+        removed |= region_bitmap(r, shape)
+    kept = [(e, c & ~removed) for e, c in zip(entries, cells) if (c & ~removed).any()]
+    got = cut(entries, regions)
+    assert [e[1:] for e in got] == [e[1:] for e, _c in kept]
+    for g, (e, c) in zip(got, kept):
+        assert np.array_equal(region_bitmap(g[0], shape), c)
+        # An entry no region touches is kept as the same object.
+        assert (g is e) == np.array_equal(c, region_bitmap(e[0], shape))
 
 
 def test_inclusion_exclusion():

@@ -141,7 +141,7 @@ def test_table_write_supersedes():
     table.write("x", v, [(Region(1, [Box((0,), (4,))]), 1, 7)])
     assert resident(table, "x", 0) == Region(1, [Box((4,), (8,))])
     assert resident(table, "x", 1) == Region(1, [Box((0,), (4,))])
-    versions = {e.version for e in table.entries["x"]}
+    versions = {v for _r, v, _h in table.entries["x"]}
     assert versions == {1, 2}
 
 
@@ -153,7 +153,7 @@ def test_table_add_holder_keeps_producer():
     assert resident(table, "x", 3) == Region(1, [Box((2,), (5,))])
     # original holder still covers everything
     assert resident(table, "x", 0) == Region.from_box(Box.from_shape((8,)))
-    holders = [e.holders for e in table.entries["x"] if 3 in e.holders]
+    holders = [h for _r, _v, h in table.entries["x"] if 3 in h]
     assert holders == [{0: None, 3: 11}]
 
 
