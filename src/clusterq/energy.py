@@ -219,7 +219,7 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
     tasks: dict[int, TaskEnergy] = {}
     busy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
     busy_energy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
-    spans: dict[int, tuple[Fraction, Fraction]] = {}
+    spans: dict[int, list] = {}  # task id -> [earliest start, latest finish], exact int compares
 
     for ev in trace:
         if ev.kind != "execute":
@@ -239,8 +239,11 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
         entry.frequency_ghz_per_node[node] = f
         start = ev.start
         finish = start + dur
-        lo, hi = spans.get(ev.task_id, (start, finish))
-        spans[ev.task_id] = (min(lo, start), max(hi, finish))
+        lo, hi = span = spans.setdefault(ev.task_id, [start, finish])
+        if start.numerator * lo.denominator < lo.numerator * start.denominator:
+            span[0] = start
+        if hi.numerator * finish.denominator < finish.numerator * hi.denominator:
+            span[1] = finish
 
     for tid in sorted(tasks):
         entry = tasks[tid]

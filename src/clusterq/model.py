@@ -111,6 +111,12 @@ class Buffer(Frozen):
         object.__setattr__(self, "init", init)
         if "/" in name or "\0" in name:
             raise ValidationError(f"buffer {name!r}: name must not contain '/' or NUL")
+        try:  # the dump buf_<name>.json must be a file name
+            fits = len(f"buf_{name}.json".encode()) <= 255
+        except UnicodeEncodeError:  # a lone surrogate, which no file name holds
+            fits = False
+        if not fits:
+            raise ValidationError("buffer name: buf_<name>.json must be at most 255 bytes in UTF-8")
         if any(lo != 0 for lo in self.extent.mins):
             raise ValidationError(f"buffer '{self.name}': extent must start at 0")
         if self.extent.is_empty():

@@ -6,9 +6,12 @@ dropped, adjacent boxes are merged greedily per dimension until a fixed point,
 and the result is sorted lexicographically by (mins, maxs). Only the cell set
 of a Region is contractual; the particular box decomposition is not, which is
 why Region equality compares cell sets rather than box lists. A region map is a
-list of entries, tuples whose first item is a Region; overlapping and cut are
-its one lookup and its one cut.
+list of entries, tuples whose first item is a Region; overlapping and cut, its
+one lookup and its one cut, visit only the entries a SpanIndex finds nearby.
 """
+
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from .errors import DimensionError
 from .value import Frozen
@@ -292,26 +295,72 @@ def _from_disjoint(dims: int, boxes: list[Box]) -> Region:
     return r
 
 
-def overlapping(entries, region: Region):
-    """(index, entry) for each entry that shares a cell with region, in order."""
-    for index, entry in enumerate(entries):
-        if entry[0].overlaps(region):
-            yield index, entry
+def _span(boxes) -> tuple:
+    """The axis-0 span [lo, hi) of a non-empty region's boxes, sorted by mins."""
+    return boxes[0].mins[0], (boxes[0].maxs[0] if len(boxes) == 1 else
+                              max([b.maxs[0] for b in boxes]))
+
+
+class SpanIndex:
+    """A region map's entries by axis-0 span, valid while they do not change:
+    (lo, hi, position) by ascending lo, and the running maximum of the his, as
+    spans of disjoint multi-box entries can overlap. Empty entries are left out."""
+
+    def __init__(self, entries):
+        self.spans = sorted([_span(e[0].boxes) + (i,) for i, e in enumerate(entries)
+                             if e[0].boxes])
+        self.reach = list(accumulate([hi for _lo, hi, _i in self.spans], max))
+
+    def candidates(self, region: Region) -> list:
+        """Positions, ascending, of the entries whose span meets region's."""
+        if not region.boxes:
+            return []
+        lo, hi = _span(region.boxes)
+        # Before first, every entry ends by lo; from last on, all start at hi or later.
+        first, last = bisect_right(self.reach, lo), bisect_left(self.spans, (hi,))
+        return sorted([i for _lo, end, i in self.spans[first:last] if end > lo])
+
+
+def overlapping(entries, region: Region, index=None):
+    """(position, entry) for each entry that shares a cell with region, in
+    order; index, a SpanIndex of entries, is built if not given."""
+    for i in (index or SpanIndex(entries)).candidates(region):
+        if entries[i][0].overlaps(region):
+            yield i, entries[i]
+
+
+def inside(region: Region, other: Region) -> bool:
+    """Whether each box of region lies in one box of other, which is enough for
+    region to lie in other; then region.intersect(other) has region's boxes."""
+    for b in region.boxes:
+        for c in other.boxes:
+            for blo, bhi, clo, chi in zip(b.mins, b.maxs, c.mins, c.maxs):
+                if blo < clo or bhi > chi:
+                    break
+            else:
+                break  # b lies in c
+        else:
+            return False
+    return True
 
 
 def cut(entries, regions) -> list:
     """entries with each of regions removed in turn from every entry's region;
     an untouched entry stays the same object, one cut to nothing is dropped."""
+    index, cutters = SpanIndex(entries), {}  # position -> regions whose span meets its
+    for region in regions:
+        for i in index.candidates(region):
+            cutters.setdefault(i, []).append(region)
     out = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         rest = entry[0]
-        for region in regions:
+        for region in cutters.get(i, ()):
             if rest.overlaps(region):
+                if inside(rest, region):
+                    break
                 rest = rest.difference(region)
                 if rest.is_empty():
                     break
-        if rest is entry[0]:
-            out.append(entry)
-        elif rest:
-            out.append((rest,) + entry[1:])
+        else:
+            out.append(entry if rest is entry[0] else (rest,) + entry[1:])
     return out

@@ -291,7 +291,7 @@ TASK = {
 }
 
 
-def _task(value, path: str, buffers: dict) -> Task:
+def _task(value, path: str, buffers: dict, parsed: dict) -> Task:
     f = _read(value, path, TASK)
     reads, writes, body = f["reads"], f["writes"], f["body"]
     if isinstance(body, str):
@@ -311,8 +311,11 @@ def _task(value, path: str, buffers: dict) -> Task:
     kernels = {}
     for wname, text in body.items():
         text = _as_str(text, f"{path}.body.{wname}")
-        kernels[wname] = _make(parse_kernel, f"{path}.body.{wname}", text=text,
-                               reads=read_arity, params=set(f["params"]), dims=f["range"].dims)
+        key = (text, frozenset(read_arity.items()), frozenset(f["params"]), f["range"].dims)
+        if key not in parsed:
+            parsed[key] = _make(parse_kernel, f"{path}.body.{wname}", text=text,
+                                reads=read_arity, params=set(f["params"]), dims=key[3])
+        kernels[wname] = parsed[key]
     return Task(name=f["name"], global_range=f["range"], accessors=reads + writes, body=kernels,
                 params=f["params"], beta=f["beta"], target=f["target"])
 
@@ -379,7 +382,8 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> Scenario:
             raise ScenarioError(f"{path}.buffers[{i}]: duplicate buffer name '{buf.name}'")
         buffers[buf.name] = buf
 
-    tasks = [_task(t, f"{path}.tasks[{i}]", buffers) for i, t in enumerate(f["tasks"])]
+    parsed = {}  # (text, read arities, parameter names, dims) -> body, for this document
+    tasks = [_task(t, f"{path}.tasks[{i}]", buffers, parsed) for i, t in enumerate(f["tasks"])]
     expectations = [_expectation(e, f"{path}.expectations[{i}]", buffers)
                     for i, e in enumerate(f["expectations"])]
     return Scenario(buffers=f["buffers"], tasks=tasks, nodes=f["nodes"],

@@ -5,17 +5,18 @@ k runs on node k; sizes differ by at most one with larger chunks first). A
 RegionMapTable tracks, per buffer, which nodes hold which sub-regions at which
 version, as pairwise disjoint (region, version, holders) entries. Walking
 tasks in topological order, the generator resolves each chunk's mapped read
-requirement of a buffer with one region.overlapping query over that buffer's
-entries: each entry's part of the requirement counts toward coverage, and a
-part the chunk's node does not hold gets a Push from the lowest-id holder plus
-a matching AwaitPush. Cells no entry covers are an uninitialized read. Then
-comes an Execute per chunk. A task bumps the version of each buffer it writes
-once. After the task, transferred regions gain the destination as holder, so
-re-reading resident data never produces a second transfer: each piece
-remembers the entry it was cut from, and only those entries are split, in
-place. Then one region.cut per written buffer
-takes the task's chunk writes, which are pairwise disjoint, out of every entry
-in Execute order and appends them, at the new version with the writer as sole
+requirement of a buffer with one region.overlapping query of the buffer's
+region.SpanIndex, built once per task, so a chunk visits only the entries near
+its axis-0 span: each entry's part of the requirement counts toward coverage,
+and a part the chunk's node does not hold gets a Push from the lowest-id
+holder plus a matching AwaitPush. Cells no entry covers are an uninitialized
+read. Then comes an Execute per chunk. A task bumps the version of each buffer
+it writes once. After the task, transferred regions gain the destination as
+holder, so re-reading resident data never produces a second transfer: each
+piece remembers the entry it was cut from, and only those entries are split,
+in place. Then one region.cut per written buffer takes the task's chunk
+writes, which are pairwise disjoint, out of the entries their spans meet, in
+Execute order, and appends them, at the new version with the writer as sole
 holder. The entries and their box decomposition are the ones that applying
 each piece and each chunk write in turn, by a scan of every entry, would give.
 
@@ -40,7 +41,7 @@ from .energy import DeviceModel, EnergyTarget, select_frequency
 from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph, dot_string
 from .model import ELEMENT_BYTES, AccessMode, Task
-from .region import Box, Region, cut, overlapping
+from .region import Box, Region, SpanIndex, cut, inside, overlapping
 from .value import Frozen, Value
 
 # Devices, simulator lanes and energy accounts are allocated per node.
@@ -156,8 +157,8 @@ class RegionMapTable:
     tuples; holders maps each node holding the region to the command that
     materialized it there (None for host-initialized data). add_holders
     splits only the entries a task's transferred pieces were cut from, in
-    place, and write cuts a task's written regions out of every entry in one
-    pass before appending them as new entries.
+    place, and write cuts a task's written regions out of the entries they
+    meet in one pass before appending them as new entries.
     """
 
     def __init__(self, buffers):
@@ -190,9 +191,10 @@ class RegionMapTable:
                     if not have.overlaps(region):
                         split.append(piece)
                         continue
-                    part = have.intersect(region)
-                    rest = have.difference(part)
-                    if not rest.is_empty():
+                    part = region if inside(region, have) else have.intersect(region)
+                    # A piece equal to the split it lands on leaves no rest.
+                    rest = have.difference(part) if part.boxes != have.boxes else None
+                    if rest:
                         split.append((rest, version, holders))
                     split.append((part, version, {**holders, node: producer}))
                 pieces = split
@@ -290,6 +292,8 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
         task_execs: list[ExecuteCommand] = []
         # buffer -> entry index -> (piece, dst node, awaitpush id) cut from it
         pending_gains: dict[str, dict[int, list]] = {}
+        # The entries change only after the chunks, so each is indexed once per task.
+        indexes = {b: SpanIndex(table.entries[b]) for b in {acc.buffer for acc in task.reads()}}
 
         for chunk in chunks:
             read_specs = []
@@ -307,8 +311,9 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             for buffer, need in need_by_buffer.items():
                 found = 0
                 entries = table.entries[buffer]
-                for index, (have, held_version, holders) in overlapping(entries, need):
-                    part = have.intersect(need)
+                for index, (have, held_version, holders) in overlapping(
+                        entries, need, indexes[buffer]):
+                    part = have if inside(have, need) else have.intersect(need)
                     found += part.volume()
                     if chunk.node in holders:
                         continue

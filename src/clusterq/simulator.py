@@ -8,7 +8,10 @@ kernels; a Push starts as soon as its dependencies are done and takes
 latency + bytes / bandwidth on the link.
 
 Time is kept as exact rationals end to end so accounting identities hold
-structurally; values become floats only at serialization. Each distinct
+structurally; values become floats only at serialization. The maxima above
+compare integer cross-products of numerators and denominators read once per
+finish time, and the makespan is the latest finish of a command nothing
+depends on, as no command finishes before its dependencies. Each distinct
 duration is computed once per run: an Execute's per (node, chunk volume,
 beta, frequency), a Push's per byte count.
 
@@ -22,8 +25,8 @@ Execute does not write wraps the live array, which nothing changes while it
 runs. A read that needs no clamping to the extent is a view of that array,
 not a copy.
 
-Each (task, write accessor) body is compiled once per run and evaluates a
-whole write box per call. Reads are not checked: submit's footprint check
+Each distinct body is compiled once per run, per element kind, and evaluates
+a whole write box per call. Reads are not checked: submit's footprint check
 keeps them inside their mapped regions. The only runtime error is an int64
 division by zero; the run raises it for the first failing write box in
 replay order, naming that box's first failing id and its task. Every float
@@ -39,7 +42,7 @@ import numpy as np
 from .energy import exec_time, require_finite
 from .errors import EvalError, ValidationError
 from .kernel import compile_kernel
-from .model import ELEMENT_BYTES, ReadView
+from .model import ReadView
 from .scheduler import AwaitPushCommand, ExecuteCommand, Plan, PushCommand
 from .value import Frozen, Value
 
@@ -139,6 +142,17 @@ class _Storage:
         return self.arrays[key]
 
 
+_ZERO = (Fraction(0), 0, 1)
+
+
+def _latest(times, last=_ZERO) -> tuple:
+    """The latest of last and times, (Fraction, numerator, denominator) triples."""
+    for time in times:
+        if time[1] * last[2] > last[1] * time[2]:
+            last = time
+    return last
+
+
 def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     if link is None:
         link = LinkModel()
@@ -156,26 +170,23 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     heap = [cid for cid, deg in sorted(indegree.items()) if deg == 0]
     heapify(heap)
 
-    zero = Fraction(0)
-    finish_time: dict[int, Fraction] = {}
-    lane_free: dict[int, Fraction] = {n: zero for n in range(plan.node_count)}
-    payloads: dict[int, list] = {}  # push id -> [(box index, values)]
-    kernels = {}  # (task id, write accessor) -> compiled body
+    finished: dict[int, tuple] = {}  # command id -> its finish as a _latest triple
+    lane_free: dict[int, tuple] = {n: _ZERO for n in range(plan.node_count)}
+    payloads: dict[int, tuple] = {}  # push id -> (label text, bytes, [(box index, values)])
+    kernels = {}  # (id of a body, integer) -> compiled body
     exec_durs = {}  # (node, chunk volume, beta, frequency) -> duration
     push_durs = {}  # bytes -> duration
     trace: list[TraceEvent] = []
-    makespan = zero
-    done = 0
 
     while heap:
         cid = heappop(heap)
         cmd = by_id[cid]
-        dep_ready = max((finish_time[d] for d in cmd.deps), default=zero)
+        ready = _latest([finished[dep] for dep in cmd.deps])
 
         if isinstance(cmd, ExecuteCommand):
             task = plan.graph.task(cmd.task_id)
             node = cmd.node
-            start = max(dep_ready, lane_free[node])
+            start = _latest((lane_free[node],), ready)[0]
             volume = cmd.chunk.box.volume()
             dur_key = (node, volume, task.beta, cmd.frequency_ghz)
             dur = exec_durs.get(dur_key)
@@ -184,7 +195,8 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                 t_ref = Fraction(volume) / Fraction(device.throughput_ref)
                 dur = exec_durs[dur_key] = exec_time(
                     t_ref, task.beta, device.level(cmd.frequency_ghz)[1])
-            finish = lane_free[node] = start + dur
+            finish = start + dur
+            lane_free[node] = finished[cid] = (finish, finish.numerator, finish.denominator)
 
             written = {bufname for _w, bufname, _r, _v in cmd.writes}
             arrays = {}  # buffer -> the array this Execute's reads see
@@ -199,7 +211,7 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                 views[name] = ReadView(buffers[bufname].extent, data)
             for wname, bufname, region, _v in cmd.writes:
                 integer = buffers[bufname].element_kind == "int64"
-                key = (cmd.task_id, wname)
+                key = (id(task.body[wname]), integer)  # tasks of one text share its body
                 if key not in kernels:
                     kernels[key] = compile_kernel(task.body[wname], integer)
                 arr = storage.array(bufname, node)
@@ -217,46 +229,47 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             ))
 
         elif isinstance(cmd, PushCommand):
-            start = dep_ready
-            dur = push_durs.get(cmd.bytes)
+            start = ready[0]
+            nbytes = cmd.bytes
+            dur = push_durs.get(nbytes)
             if dur is None:
-                dur = push_durs[cmd.bytes] = link.transfer_time(cmd.bytes)
+                dur = push_durs[nbytes] = link.transfer_time(nbytes)
             finish = start + dur
+            finished[cid] = (finish, finish.numerator, finish.denominator)
             src_arr = storage.array(cmd.buffer, cmd.src)
-            payloads[cid] = [
+            text = f"{cmd.buffer} {cmd.region}"
+            payloads[cid] = (text, nbytes, [
                 (index, src_arr[index].copy()) for index in map(_index, cmd.region)
-            ]
+            ])
             trace.append(TraceEvent(
                 kind="push", node=cmd.src, command_id=cid, start=start, duration=dur,
-                bytes=cmd.bytes,
-                label=f"{cmd.buffer} {cmd.region} n{cmd.src}->n{cmd.dst}",
+                bytes=nbytes, label=f"{text} n{cmd.src}->n{cmd.dst}",
             ))
 
         elif isinstance(cmd, AwaitPushCommand):
-            start = finish = dep_ready
+            finished[cid] = ready
+            start = ready[0]
             dst_arr = storage.array(cmd.buffer, cmd.dst)
-            for index, values in payloads.pop(cmd.push_id):
+            text, nbytes, slices = payloads.pop(cmd.push_id)
+            for index, values in slices:
                 dst_arr[index] = values
             trace.append(TraceEvent(
-                kind="await_push", node=cmd.dst, command_id=cid, start=start, duration=zero,
-                bytes=ELEMENT_BYTES * cmd.region.volume(),
-                label=f"{cmd.buffer} {cmd.region} n{cmd.dst}",
+                kind="await_push", node=cmd.dst, command_id=cid, start=start, duration=_ZERO[0],
+                bytes=nbytes, label=f"{text} n{cmd.dst}",
             ))
         else:
             raise ValidationError(f"unknown command type {type(cmd).__name__}")
 
-        finish_time[cid] = finish
-        if finish > makespan:
-            makespan = finish
-        done += 1
         for nxt in dependents[cid]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 heappush(heap, nxt)
 
-    if done != len(plan.commands):
+    if len(finished) != len(plan.commands):
         stuck = sorted(cid for cid, deg in indegree.items() if deg > 0)
         raise ValidationError(f"command graph has a cycle involving ids {stuck}")
+
+    makespan = _latest([finished[cid] for cid, after in dependents.items() if not after])[0]
 
     final = {}
     for name, entries in plan.final_locations.items():

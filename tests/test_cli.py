@@ -392,16 +392,30 @@ def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["a/b", "a\u0000b"])
+# buf_<name>.json must be a file name of at most 255 bytes of UTF-8, and a
+# lone surrogate has no UTF-8 at all.
+@pytest.mark.parametrize("name", ["a/b", "a\u0000b", "x" * 247, "\u00e9" * 124, "x" * 300,
+                                  "x\ud800"])
 def test_buffer_name_that_cannot_name_a_file_exits_2(tmp_path, capsys, name):
     scn = write_scenario(tmp_path, {"buffers": [{"name": "x", "extent": [4]},
                                                 {"name": name, "extent": [4]}]})
+    error = (f"buffer {name!r}: name must not contain '/' or NUL" if "/" in name or "\0" in name
+             else "buffer name: buf_<name>.json must be at most 255 bytes in UTF-8")
     for argv in (["run", scn, "--out", str(tmp_path / "out")], ["graph", scn],
                  ["validate", scn]):
         assert run_cli(*argv) == 2
-        assert f"{scn}.buffers[1]: buffer {name!r}: name must not contain '/' or NUL" in \
-            capsys.readouterr().err
+        assert f"{scn}.buffers[1]: {error}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["x" * 246, "\u00e9" * 123])
+def test_buffer_name_of_255_bytes_runs(tmp_path, name):
+    scn = write_scenario(tmp_path, {
+        "buffers": [{"name": name, "extent": [4]}],
+        "tasks": [{"name": "t", "range": [4], "writes": [name], "body": "1.0"}]})
+    out = tmp_path / "out"
+    assert run_cli("run", scn, "--out", str(out)) == 0
+    assert read_json(out / f"buf_{name}.json")["values"] == [1.0] * 4
 
 
 def test_kernel_error_path_in_message(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterq.errors import DimensionError
-from clusterq.region import Box, Region, box_subtract, cut, overlapping
+from clusterq.region import Box, Region, SpanIndex, box_subtract, cut, inside, overlapping
 
 from helpers import box_bitmap, random_box, random_region, region_bitmap
 
@@ -195,6 +195,92 @@ def test_region_map_overlapping_and_cut_oracle(seed):
         assert np.array_equal(region_bitmap(g[0], shape), c)
         # An entry no region touches is kept as the same object.
         assert (g is e) == np.array_equal(c, region_bitmap(e[0], shape))
+
+
+def full_scan_overlapping(entries, region):
+    """The reference lookup: every entry tested, in list order."""
+    return [(i, e) for i, e in enumerate(entries) if e[0].overlaps(region)]
+
+
+def full_scan_cut(entries, regions):
+    """The reference cut: every region removed from every entry it overlaps."""
+    out = []
+    for entry in entries:
+        rest = entry[0]
+        for region in regions:
+            if rest.overlaps(region):
+                rest = rest.difference(region)
+        if rest is entry[0]:
+            out.append(entry)
+        elif rest:
+            out.append((rest,) + entry[1:])
+    return out
+
+
+def assert_same_cut(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[1:] == w[1:] and g[0].boxes == w[0].boxes
+        assert (g is w) == (g[0] is w[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(((16,), (12, 9), (6, 5, 4))))
+def test_span_index_matches_full_scan(seed, shape):
+    rng = random.Random(seed)
+    dims = len(shape)
+    # Pairwise disjoint entries, as a region map holds: each a random region
+    # minus the ones before it, so in 2D and 3D many have several boxes and
+    # axis-0 spans that overlap other entries' spans; some are empty.
+    taken, entries = Region(dims), []
+    for k in range(rng.randrange(9)):
+        region = Region(dims) if rng.random() < 0.1 else \
+            random_region(rng, shape).difference(taken)
+        taken = taken.union(region)
+        entries.append((region, k))
+    queries = [random_region(rng, shape) for _ in range(3)] + [Region(dims)]
+    index = SpanIndex(entries)
+    for query in queries:
+        want = full_scan_overlapping(entries, query)
+        assert list(overlapping(entries, query)) == want
+        assert list(overlapping(entries, query, index)) == want
+    regions = rng.sample(queries, rng.randrange(len(queries) + 1))
+    assert_same_cut(cut(entries, regions), full_scan_cut(entries, regions))
+    # Cutting with the entries' own regions drops every non-empty entry,
+    # and leaves the empty ones as they are.
+    assert cut(entries, [e[0] for e in entries]) == [e for e in entries if not e[0]]
+
+
+def test_span_index_reaches_past_short_spans():
+    # Sorted by start, the ends run 9, 3, 5: the first entry reaches past
+    # the others, so an index that bisected the ends alone would miss it.
+    long_l = Region(2, [Box((0, 0), (9, 1)), Box((0, 1), (1, 3))])
+    entries = [(long_l, "L"), (Region(2, [Box((1, 1), (3, 3))]), "a"),
+               (Region(2, [Box((3, 1), (5, 3))]), "b"), (Region(2), "empty")]
+    for query, hits in (
+        (Region(2, [Box((7, 0), (8, 3))]), ["L"]),
+        (Region(2, [Box((4, 2), (8, 3))]), ["b"]),
+        (Region(2, [Box((0, 2), (6, 3))]), ["L", "a", "b"]),
+        (Region(2, [Box((5, 1), (9, 3))]), []),
+        (Region(2), []),
+    ):
+        assert [e[1] for _i, e in overlapping(entries, query)] == hits
+        assert full_scan_overlapping(entries, query) == list(overlapping(entries, query))
+    regions = [Region(2, [Box((0, 0), (9, 3))])]
+    assert cut(entries, regions) == [(Region(2), "empty")]
+    assert_same_cut(cut(entries, regions), full_scan_cut(entries, regions))
+
+
+def test_inside_is_box_containment():
+    outer = Region(2, [Box((0, 0), (4, 2)), Box((0, 2), (2, 4))])
+    assert inside(Region(2, [Box((1, 0), (3, 2))]), outer)
+    assert inside(Region(2, [Box((0, 0), (1, 1)), Box((1, 2), (2, 4))]), outer)
+    assert not inside(Region(2, [Box((3, 1), (5, 2))]), outer)
+    # Inside as cells, but its one box spans two boxes of outer.
+    assert not inside(Region(2, [Box((0, 1), (2, 3))]), outer)
+    assert inside(Region(2), outer)
+    part = Region(2, [Box((1, 0), (3, 2))])
+    assert part.intersect(outer).boxes == outer.intersect(part).boxes == part.boxes
 
 
 def test_inclusion_exclusion():

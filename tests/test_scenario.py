@@ -147,6 +147,25 @@ def test_multi_write_dict_body():
     assert set(s.tasks[0].body) == {"a", "b"}
 
 
+def test_tasks_of_one_body_text_share_its_parse():
+    def task(name, params, body="x[i] + 1.0"):
+        return {"name": name, "range": [4], "reads": ["x"], "writes": ["y"],
+                "params": params, "body": body}
+    data = {"buffers": [{"name": "x", "extent": [4]}, {"name": "y", "extent": [4]}],
+            "tasks": [task("a", {"w": 2}), task("b", {"w": 3}), task("c", {}),
+                      task("d", {"w": 2}, "x[i] + 1.0 ")]}
+    a, b, c, d = (t.body["y"] for t in scenario_from_dict(data).tasks)
+    assert a is b
+    # Other parameter names or other text parse on their own, equal or not.
+    assert a == c and a is not c
+    assert a == d and a is not d
+    # Nothing is kept from one document to the next.
+    assert scenario_from_dict(data).tasks[0].body["y"] is not a
+    # A body that fails is reported at its first task.
+    data["tasks"] = [task("a", {}, "1 +"), task("b", {}, "1 +")]
+    err(data, r"scenario\.tasks\[0\]\.body\.y")
+
+
 # ------------------------------------------------------------------ error paths
 
 def test_error_paths_carry_json_paths():

@@ -15,6 +15,7 @@ from clusterq.kernel import compile_kernel, parse_kernel
 from clusterq.model import (
     Accessor,
     AccessMode,
+    All,
     Buffer,
     BufferInit,
     Neighborhood,
@@ -205,6 +206,26 @@ def test_two_node_makespan_hand_computed():
         if ev.kind == "await_push":
             assert ev.duration == Fraction(0)
             assert ev.start == Fraction(5)
+
+
+@pytest.mark.parametrize("cells", [(8, 16), (16, 8)])
+def test_readiness_is_the_exact_latest_finish(cells):
+    # At 1e30 bytes/s the 64- and 128-byte pushes finish 64e-30 s apart,
+    # below the spacing of binary64 near their 1e-6 s latency: equal as
+    # floats, different as rationals. Node 1's Execute waits for both.
+    t = make_task("sum", "r_x[i] + r_y[i]", reads=("x", "y"),
+                  mappers={"x": All(), "y": All()})
+    buffers = {"x": fbuf("x", cells[0]), "y": fbuf("y", cells[1]), "z": fbuf("z")}
+    res = run(plan_for(buffers, [t], 2), link=LinkModel(1e-6, 1e30))
+    pushes = [ev for ev in res.trace if ev.kind == "push"]
+    assert sorted(ev.bytes for ev in pushes) == [64, 128]
+    first, second = (ev.finish for ev in pushes)
+    assert first != second and float(first) == float(second)
+    later = max(first, second)
+    assert later == Fraction(1e-6) + Fraction(128) / Fraction(1e30)
+    [execute] = [ev for ev in res.trace if ev.kind == "execute" and ev.node == 1]
+    assert execute.start == later
+    assert res.makespan == max(ev.finish for ev in res.trace)
 
 
 def test_execute_lane_serializes_per_node():
