@@ -134,7 +134,7 @@ def _cmd_run(args) -> int:
     for line in failures:
         print(f"expectation failed: {line}", file=sys.stderr)
     print(
-        f"nodes={bundle.nodes} target={bundle.target.value} "
+        f"nodes={bundle.plan.node_count} target={bundle.plan.target.value} "
         f"makespan={float(bundle.result.makespan):.6g}s "
         f"commands={len(bundle.plan.commands)} -> {args.out}"
     )

@@ -6,7 +6,8 @@ Thoman, Fahringer, IJPP 2023): the last writer of each region, and the readers
 of each region since its last write. A read depends on the last writers it
 overlaps; a write depends on the last writers and on the readers since. Both
 maps are (region, task id) lists that region.overlapping queries and
-region.cut cuts, as it cuts the scheduler's region map. A write cuts both
+region.cut cuts, as it cuts the scheduler's region map; a task's lookups in a
+map and its cut of that map share one region.SpanIndex. A write cuts both
 maps. A read cuts the reader entries of the tasks it already depends on: a
 later write there depends on it, and so reaches them. So a task touches only
 the entries its regions overlap, never the whole history. A task that
@@ -29,7 +30,7 @@ import enum
 
 from .errors import ValidationError
 from .model import AccessMode, Task, static_footprint_check, validate_task
-from .region import Region, cut, overlapping
+from .region import Region, SpanIndex, cut, overlapping
 from .value import Frozen
 
 
@@ -91,24 +92,32 @@ class TaskGraph:
             else:
                 target[acc.buffer] = mapped
 
+        # One SpanIndex per (map, buffer) serves the lookups and the cut after
+        # them, as no map changes before its lookups are done.
+        writer_index = {b: SpanIndex(self._last_writers.get(b, ())) for b in {**reads, **writes}}
+        reader_index = {b: SpanIndex(self._readers.get(b, ())) for b in writes}
         preds = set()
-        for table, regions in ((self._last_writers, reads), (self._last_writers, writes),
-                               (self._readers, writes)):
+        for table, index, regions in ((self._last_writers, writer_index, reads),
+                                      (self._last_writers, writer_index, writes),
+                                      (self._readers, reader_index, writes)):
             for buffer, region in regions.items():
-                preds.update(p for _, (_r, p) in overlapping(table.get(buffer, ()), region))
+                preds.update(p for _, (_r, p) in overlapping(
+                    table.get(buffer, ()), region, index[buffer]))
         ancestors = 0
         for p in preds:
             ancestors |= (1 << p) | self._ancestors[p]
 
         for buffer, region in writes.items():
-            self._last_writers[buffer] = cut(self._last_writers.get(buffer, ()), [region])
-            self._last_writers[buffer].append((region, tid))
-            self._readers[buffer] = cut(self._readers.get(buffer, ()), [region])
+            self._last_writers[buffer] = cut(self._last_writers.get(buffer, ()), [region],
+                                             writer_index[buffer]) + [(region, tid)]
+            self._readers[buffer] = cut(self._readers.get(buffer, ()), [region],
+                                        reader_index[buffer])
         for buffer, region in reads.items():
             readers = self._readers.get(buffer, [])
             known = [e for e in readers if (ancestors >> e[1]) & 1]
             others = [e for e in readers if not (ancestors >> e[1]) & 1]
-            self._readers[buffer] = others + cut(known, [region]) + [(region, tid)]
+            self._readers[buffer] = others + cut(known, [region], SpanIndex(known)) + [
+                (region, tid)]
 
         self.tasks.append(task)
         self._reads[tid] = reads

@@ -7,7 +7,8 @@ and the result is sorted lexicographically by (mins, maxs). Only the cell set
 of a Region is contractual; the particular box decomposition is not, which is
 why Region equality compares cell sets rather than box lists. A region map is a
 list of entries, tuples whose first item is a Region; overlapping and cut, its
-one lookup and its one cut, visit only the entries a SpanIndex finds nearby.
+one lookup and its one cut, visit only the entries the caller's SpanIndex of
+the map finds nearby.
 """
 
 from bisect import bisect_left, bisect_right
@@ -321,10 +322,10 @@ class SpanIndex:
         return sorted([i for _lo, end, i in self.spans[first:last] if end > lo])
 
 
-def overlapping(entries, region: Region, index=None):
+def overlapping(entries, region: Region, index: SpanIndex):
     """(position, entry) for each entry that shares a cell with region, in
-    order; index, a SpanIndex of entries, is built if not given."""
-    for i in (index or SpanIndex(entries)).candidates(region):
+    order; index is a SpanIndex of entries."""
+    for i in index.candidates(region):
         if entries[i][0].overlaps(region):
             yield i, entries[i]
 
@@ -344,10 +345,11 @@ def inside(region: Region, other: Region) -> bool:
     return True
 
 
-def cut(entries, regions) -> list:
+def cut(entries, regions, index: SpanIndex) -> list:
     """entries with each of regions removed in turn from every entry's region;
-    an untouched entry stays the same object, one cut to nothing is dropped."""
-    index, cutters = SpanIndex(entries), {}  # position -> regions whose span meets its
+    an untouched entry stays the same object, one cut to nothing is dropped.
+    index is a SpanIndex of entries."""
+    cutters = {}  # position -> regions whose span meets its
     for region in regions:
         for i in index.candidates(region):
             cutters.setdefault(i, []).append(region)

@@ -1,7 +1,7 @@
 """Chunk splitting, data-distribution tracking and command generation.
 
-Tasks are split along dimension 0 into contiguous chunks, one per node (chunk
-k runs on node k; sizes differ by at most one with larger chunks first). A
+Tasks are split along dimension 0 into contiguous chunk boxes, one per node
+(box k runs on node k; sizes differ by at most one with larger boxes first). A
 RegionMapTable tracks, per buffer, which nodes hold which sub-regions at which
 version, as pairwise disjoint (region, version, holders) entries. Walking
 tasks in topological order, the generator resolves each chunk's mapped read
@@ -9,16 +9,18 @@ requirement of a buffer with one region.overlapping query of the buffer's
 region.SpanIndex, built once per task, so a chunk visits only the entries near
 its axis-0 span: each entry's part of the requirement counts toward coverage,
 and a part the chunk's node does not hold gets a Push from the lowest-id
-holder plus a matching AwaitPush. Cells no entry covers are an uninitialized
-read. Then comes an Execute per chunk. A task bumps the version of each buffer
-it writes once. After the task, transferred regions gain the destination as
-holder, so re-reading resident data never produces a second transfer: each
-piece remembers the entry it was cut from, and only those entries are split,
-in place. Then one region.cut per written buffer takes the task's chunk
-writes, which are pairwise disjoint, out of the entries their spans meet, in
-Execute order, and appends them, at the new version with the writer as sole
-holder. The entries and their box decomposition are the ones that applying
-each piece and each chunk write in turn, by a scan of every entry, would give.
+holder plus an AwaitPush holding that Push. Cells no entry covers are an
+uninitialized read. Then comes an Execute per chunk, with its task id, box and
+node. A command's id is its position in the plan. A task bumps the version of
+each buffer it writes once. After the task, transferred regions gain the
+destination as holder, so re-reading resident data never produces a second
+transfer: each piece remembers the entry it was cut from, and only those
+entries are split, in place. Then one region.cut per written buffer takes the
+task's chunk writes, which are pairwise disjoint, out of the entries their
+spans meet, in Execute order, and appends them, at the new version with the
+writer as sole holder. The entries and their box decomposition are the ones
+that applying each piece and each chunk write in turn, by a scan of every
+entry, would give.
 
 Executes are planned at their device's top frequency level, so the structure
 does not depend on the energy target; assign_frequencies then sets each
@@ -42,70 +44,50 @@ from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph, dot_string
 from .model import ELEMENT_BYTES, AccessMode, Task
 from .region import Box, Region, SpanIndex, cut, inside, overlapping
-from .value import Frozen, Value
+from .value import Value
 
 # Devices, simulator lanes and energy accounts are allocated per node.
 MAX_NODES = 2 ** 16
 
 
-class Chunk(Frozen):
-    __slots__ = _fields = ("task_id", "box", "node")
-
-    def __init__(self, task_id: int, box: Box, node: int):
-        object.__setattr__(self, "task_id", task_id)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "node", node)
-
-
-def split_task(task: Task, node_count: int) -> list[Chunk]:
-    """Contiguous split along dimension 0; no empty chunks are produced."""
+def split_task(task: Task, node_count: int) -> list[Box]:
+    """Contiguous split along dimension 0, box k for node k; no box is empty."""
     if node_count < 1:
         raise ValidationError("node count must be at least 1")
     rng = task.global_range
     n = rng.maxs[0] - rng.mins[0]
     q, r = divmod(n, node_count)
-    chunks = []
+    boxes = []
     lo = rng.mins[0]
     for node in range(node_count):
         size = q + (1 if node < r else 0)
         if size == 0:
             break
-        box = Box((lo,) + rng.mins[1:], (lo + size,) + rng.maxs[1:])
-        chunks.append(Chunk(task.id, box, node))
+        boxes.append(Box((lo,) + rng.mins[1:], (lo + size,) + rng.maxs[1:]))
         lo += size
-    return chunks
+    return boxes
 
 
 class Command(Value):
     __slots__ = _fields = ("id", "deps")
 
-    def __init__(self, id: int, deps: tuple[int, ...]):
-        self.id = id
-        self.deps = deps
-
 
 class ExecuteCommand(Command):
-    __slots__ = ("chunk", "frequency_ghz", "reads", "writes")
+    __slots__ = ("task_id", "box", "node", "frequency_ghz", "reads", "writes")
     _fields = Command._fields + __slots__
 
-    def __init__(self, id: int, deps: tuple[int, ...], chunk: Chunk, frequency_ghz: float,
-                 reads: tuple = (), writes: tuple = ()):
+    def __init__(self, id: int, deps: tuple[int, ...], task_id: int, box: Box, node: int,
+                 frequency_ghz: float, reads: tuple = (), writes: tuple = ()):
         self.id = id
         self.deps = deps
-        self.chunk = chunk
+        self.task_id = task_id
+        self.box = box
+        self.node = node
         self.frequency_ghz = frequency_ghz
         # (accessor name, buffer, mapped region) per read accessor
         self.reads = reads
         # (accessor name, buffer, mapped region, version written) per write accessor
         self.writes = writes
-
-    @property
-    def node(self):
-        return self.chunk.node
-
-    @property
-    def task_id(self):
-        return self.chunk.task_id
 
 
 class PushCommand(Command):
@@ -123,31 +105,18 @@ class PushCommand(Command):
         self.version = version
 
     @property
-    def node(self):
-        return self.src
-
-    @property
     def bytes(self) -> int:
         return ELEMENT_BYTES * self.region.volume()
 
 
 class AwaitPushCommand(Command):
-    __slots__ = ("dst", "buffer", "region", "version", "push_id")
+    __slots__ = ("push",)
     _fields = Command._fields + __slots__
 
-    def __init__(self, id: int, deps: tuple[int, ...], dst: int, buffer: str, region: Region,
-                 version: int, push_id: int):
+    def __init__(self, id: int, deps: tuple[int, ...], push: PushCommand):
         self.id = id
         self.deps = deps
-        self.dst = dst
-        self.buffer = buffer
-        self.region = region
-        self.version = version
-        self.push_id = push_id
-
-    @property
-    def node(self):
-        return self.dst
+        self.push = push
 
 
 class RegionMapTable:
@@ -204,7 +173,8 @@ class RegionMapTable:
         """Record one task's writes of buffer: pairwise disjoint (region,
         node, producer) triples in Execute order, each now held only by its
         node at version."""
-        kept = cut(self.entries[buffer], [region for region, _node, _producer in writes])
+        entries = self.entries[buffer]
+        kept = cut(entries, [region for region, _node, _producer in writes], SpanIndex(entries))
         kept.extend((region, version, {node: producer}) for region, node, producer in writes)
         self.entries[buffer] = kept
 
@@ -280,7 +250,6 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
 
     for tid in graph.topological_order():
         task = graph.task(tid)
-        chunks = split_task(task, node_count)
 
         pred_exec_ids = []
         for pred in graph.reduced_predecessors(tid):
@@ -295,12 +264,12 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
         # The entries change only after the chunks, so each is indexed once per task.
         indexes = {b: SpanIndex(table.entries[b]) for b in {acc.buffer for acc in task.reads()}}
 
-        for chunk in chunks:
+        for node, box in enumerate(split_task(task, node_count)):
             read_specs = []
             need_by_buffer: dict[str, Region] = {}
             for acc in task.reads():
                 extent = graph.buffers[acc.buffer].extent
-                mapped = acc.mapper.map_chunk(chunk.box, extent)
+                mapped = acc.mapper.map_chunk(box, extent)
                 read_specs.append((acc.name, acc.buffer, mapped))
                 if acc.buffer in need_by_buffer:
                     need_by_buffer[acc.buffer] = need_by_buffer[acc.buffer].union(mapped)
@@ -315,7 +284,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                         entries, need, indexes[buffer]):
                     part = have if inside(have, need) else have.intersect(need)
                     found += part.volume()
-                    if chunk.node in holders:
+                    if node in holders:
                         continue
                     src = min(holders)
                     producer = holders[src]
@@ -323,28 +292,21 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                         id=new_id(),
                         deps=(producer,) if producer is not None else (),
                         src=src,
-                        dst=chunk.node,
+                        dst=node,
                         buffer=buffer,
                         region=part,
                         version=held_version,
                     )
                     commands.append(push)
                     pushes_from.setdefault(src, []).append(push)
-                    ap = AwaitPushCommand(
-                        id=new_id(),
-                        deps=(push.id,),
-                        dst=chunk.node,
-                        buffer=buffer,
-                        region=part,
-                        version=held_version,
-                        push_id=push.id,
-                    )
+                    ap = AwaitPushCommand(id=new_id(), deps=(push.id,), push=push)
                     commands.append(ap)
                     await_ids.append(ap.id)
                     pending_gains.setdefault(buffer, {}).setdefault(index, []).append(
-                        (part, chunk.node, ap.id))
+                        (part, node, ap.id))
                 if found != need.volume():
-                    [(uncovered,)] = cut([(need,)], [have for have, _v, _h in entries])
+                    missing = [(need,)]
+                    [(uncovered,)] = cut(missing, [e[0] for e in entries], SpanIndex(missing))
                     raise UninitializedReadError(
                         f"task '{task.name}' (id {tid}) reads {uncovered} of buffer "
                         f"'{buffer}' which was never written or host-initialized"
@@ -353,14 +315,16 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             write_specs = []
             for acc in task.writes():
                 extent = graph.buffers[acc.buffer].extent
-                mapped = acc.mapper.map_chunk(chunk.box, extent)
+                mapped = acc.mapper.map_chunk(box, extent)
                 write_specs.append((acc.name, acc.buffer, mapped, version[acc.buffer]))
 
             exe = ExecuteCommand(
                 id=new_id(),
                 deps=tuple(sorted(set(await_ids) | set(pred_exec_ids))),
-                chunk=chunk,
-                frequency_ghz=devices[chunk.node].levels_ghz[-1],
+                task_id=tid,
+                box=box,
+                node=node,
+                frequency_ghz=devices[node].levels_ghz[-1],
                 reads=tuple(read_specs),
                 writes=tuple(write_specs),
             )
@@ -410,7 +374,7 @@ def assign_frequencies(plan: Plan, target: EnergyTarget = EnergyTarget.MAX_PERF)
         device = plan.devices[exe.node]
         key = (device, task.target or target, task.beta)
         if key not in chosen:
-            t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
+            t_ref = Fraction(exe.box.volume()) / Fraction(device.throughput_ref)
             chosen[key] = select_frequency(device, key[1], t_ref, task.beta)
         exe.frequency_ghz = chosen[key]
     plan.target = target
@@ -421,7 +385,7 @@ def export_command_graph(plan: Plan) -> str:
     for cmd in plan.commands:
         if isinstance(cmd, ExecuteCommand):
             label = (
-                f"C{cmd.id}: Execute T{cmd.task_id} {cmd.chunk.box} "
+                f"C{cmd.id}: Execute T{cmd.task_id} {cmd.box} "
                 f"n{cmd.node} @{cmd.frequency_ghz}GHz"
             )
         elif isinstance(cmd, PushCommand):
@@ -430,7 +394,8 @@ def export_command_graph(plan: Plan) -> str:
                 f"n{cmd.src}->n{cmd.dst}"
             )
         else:
-            label = f"C{cmd.id}: AwaitPush {cmd.buffer} {cmd.region} v{cmd.version} n{cmd.dst}"
+            push = cmd.push
+            label = f"C{cmd.id}: AwaitPush {push.buffer} {push.region} v{push.version} n{push.dst}"
         lines.append(f"  C{cmd.id} [label={dot_string(label)}];")
     for cmd in plan.commands:
         for dep in sorted(cmd.deps):

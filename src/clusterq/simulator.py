@@ -1,11 +1,13 @@
 """Discrete-event replay of a command plan.
 
 Commands are processed in dependency order (Kahn's algorithm, lowest command
-id first among the ready set). Each node owns one execute lane: an Execute
-starts at max(dependency finish times, lane free time) and occupies the lane
-for its duration. Transfers are not serialized against each other or against
-kernels; a Push starts as soon as its dependencies are done and takes
-latency + bytes / bandwidth on the link.
+id first among the ready set), with their state in lists indexed by id, which
+is a command's position in the plan: a plan where it is not, or with a
+dependency outside the plan, is a ValidationError. Each node owns one execute
+lane: an Execute starts at max(dependency finish times, lane free time) and
+occupies the lane for its duration. Transfers are not serialized against each
+other or against kernels; a Push starts as soon as its dependencies are done
+and takes latency + bytes / bandwidth on the link.
 
 Time is kept as exact rationals end to end so accounting identities hold
 structurally; values become floats only at serialization. The maxima above
@@ -23,7 +25,8 @@ a buffer it also writes snapshots that buffer once before writing, so
 in-place updates within one task see pre-task data; a view of a buffer the
 Execute does not write wraps the live array, which nothing changes while it
 runs. A read that needs no clamping to the extent is a view of that array,
-not a copy.
+not a copy. The final contents are gathered from zeros, each entry of the
+plan's final region map copied from its lowest-id holder.
 
 Each distinct body is compiled once per run, per element kind, and evaluates
 a whole write box per call. Reads are not checked: submit's footprint check
@@ -34,7 +37,7 @@ result is stored with NaNs in canonical form.
 """
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -95,13 +98,12 @@ class TraceEvent(Value):
 
 
 class RunResult(Value):
-    __slots__ = _fields = ("buffers", "trace", "makespan", "plan")
+    __slots__ = _fields = ("buffers", "trace", "makespan")
 
-    def __init__(self, buffers: dict, trace: list, makespan: Fraction, plan: Plan):
+    def __init__(self, buffers: dict, trace: list, makespan: Fraction):
         self.buffers = buffers  # name -> np.ndarray, gathered final contents
         self.trace = trace
         self.makespan = makespan
-        self.plan = plan
 
 
 # The quiet NaN that JSON `NaN` and Python's float("nan") are.
@@ -160,18 +162,21 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     storage = _Storage(buffers)
     devices = plan.devices
 
-    by_id = {c.id: c for c in plan.commands}
-    indegree = {c.id: len(c.deps) for c in plan.commands}
-    dependents: dict[int, list[int]] = {c.id: [] for c in plan.commands}
-    for c in plan.commands:
+    commands = plan.commands
+    indegree = [len(c.deps) for c in commands]
+    dependents: list[list[int]] = [[] for _ in commands]
+    for cid, c in enumerate(commands):
+        if c.id != cid:
+            raise ValidationError(f"command {c.id} is at position {cid}, not at its id")
         for dep in c.deps:
-            dependents[dep].append(c.id)
+            if not 0 <= dep < len(commands):
+                raise ValidationError(f"command {cid} depends on id {dep}, not in the plan")
+            dependents[dep].append(cid)
 
-    heap = [cid for cid, deg in sorted(indegree.items()) if deg == 0]
-    heapify(heap)
+    heap = [cid for cid, deg in enumerate(indegree) if deg == 0]  # ascending: a heap
 
-    finished: dict[int, tuple] = {}  # command id -> its finish as a _latest triple
-    lane_free: dict[int, tuple] = {n: _ZERO for n in range(plan.node_count)}
+    finished: list = [None] * len(commands)  # command id -> its finish as a _latest triple
+    lane_free = [_ZERO] * plan.node_count
     payloads: dict[int, tuple] = {}  # push id -> (label text, bytes, [(box index, values)])
     kernels = {}  # (id of a body, integer) -> compiled body
     exec_durs = {}  # (node, chunk volume, beta, frequency) -> duration
@@ -180,14 +185,14 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
 
     while heap:
         cid = heappop(heap)
-        cmd = by_id[cid]
+        cmd = commands[cid]
         ready = _latest([finished[dep] for dep in cmd.deps])
 
         if isinstance(cmd, ExecuteCommand):
             task = plan.graph.task(cmd.task_id)
             node = cmd.node
             start = _latest((lane_free[node],), ready)[0]
-            volume = cmd.chunk.box.volume()
+            volume = cmd.box.volume()
             dur_key = (node, volume, task.beta, cmd.frequency_ghz)
             dur = exec_durs.get(dur_key)
             if dur is None:
@@ -225,7 +230,7 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             trace.append(TraceEvent(
                 kind="execute", node=node, command_id=cid, start=start, duration=dur,
                 frequency_ghz=cmd.frequency_ghz, task_id=cmd.task_id, task_name=task.name,
-                label=f"{task.name}#{cmd.task_id} {cmd.chunk.box}",
+                label=f"{task.name}#{cmd.task_id} {cmd.box}",
             ))
 
         elif isinstance(cmd, PushCommand):
@@ -249,13 +254,14 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
         elif isinstance(cmd, AwaitPushCommand):
             finished[cid] = ready
             start = ready[0]
-            dst_arr = storage.array(cmd.buffer, cmd.dst)
-            text, nbytes, slices = payloads.pop(cmd.push_id)
+            push = cmd.push
+            dst_arr = storage.array(push.buffer, push.dst)
+            text, nbytes, slices = payloads.pop(push.id)
             for index, values in slices:
                 dst_arr[index] = values
             trace.append(TraceEvent(
-                kind="await_push", node=cmd.dst, command_id=cid, start=start, duration=_ZERO[0],
-                bytes=nbytes, label=f"{text} n{cmd.dst}",
+                kind="await_push", node=push.dst, command_id=cid, start=start,
+                duration=_ZERO[0], bytes=nbytes, label=f"{text} n{push.dst}",
             ))
         else:
             raise ValidationError(f"unknown command type {type(cmd).__name__}")
@@ -265,21 +271,20 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             if indegree[nxt] == 0:
                 heappush(heap, nxt)
 
-    if len(finished) != len(plan.commands):
-        stuck = sorted(cid for cid, deg in indegree.items() if deg > 0)
+    stuck = [cid for cid, deg in enumerate(indegree) if deg]
+    if stuck:
         raise ValidationError(f"command graph has a cycle involving ids {stuck}")
 
-    makespan = _latest([finished[cid] for cid, after in dependents.items() if not after])[0]
+    makespan = _latest([finished[cid] for cid, after in enumerate(dependents) if not after])[0]
 
     final = {}
     for name, entries in plan.final_locations.items():
         buf = buffers[name]
-        out = storage.array(name, 0).copy() if buf.init.is_initialized else np.zeros(
-            buf.extent.shape, dtype=buf.dtype)
+        out = np.zeros(buf.extent.shape, dtype=buf.dtype)
         for region, _version, holders in entries:
             arr = storage.array(name, min(holders))
             for index in map(_index, region):
                 out[index] = arr[index]
         final[name] = out
 
-    return RunResult(buffers=final, trace=trace, makespan=makespan, plan=plan)
+    return RunResult(buffers=final, trace=trace, makespan=makespan)

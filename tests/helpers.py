@@ -81,33 +81,34 @@ def check_plan(plan, buffers):
     """Replay a command plan against dense per-node, per-cell version grids.
 
     Asserts, independently of the scheduler's own bookkeeping:
-      - the command DAG is acyclic and every dep id exists,
-      - Push/AwaitPush pairing is a bijection with matching payload fields,
+      - each command's id is its position and every dep id exists,
+      - the command DAG is acyclic,
+      - Push/AwaitPush pairing is a bijection: each AwaitPush holds the Push
+        at its Push's position and depends on it alone,
       - every Push captures exactly the version it claims from its source,
         and delivers no cell the destination already holds at that version,
       - every Execute sees each read cell at the version produced by the last
         preceding writer of that cell (pre-task state for in-place tasks),
       - every Execute writes its own chunk at the expected bumped version,
-      - each buffer's final_locations entries are pairwise disjoint.
+      - each buffer's final_locations entries are pairwise disjoint, and an
+        initialized buffer's entries tile its extent.
 
     Replay order is Kahn's algorithm with lowest command id first, matching
     the simulator, so in-place overwrites interact with capture correctly:
     a missing anti-dependency shows up as a version mismatch at the source.
     """
-    by_id = {c.id: c for c in plan.commands}
-    assert len(by_id) == len(plan.commands), "duplicate command ids"
-    for c in plan.commands:
+    commands = plan.commands
+    for position, c in enumerate(commands):
+        assert c.id == position, f"C{c.id} is at position {position}"
         for d in c.deps:
-            assert d in by_id, f"C{c.id} depends on missing C{d}"
+            assert 0 <= d < len(commands), f"C{c.id} depends on missing C{d}"
 
-    pushes = {c.id: c for c in plan.commands if isinstance(c, PushCommand)}
-    awaits = [c for c in plan.commands if isinstance(c, AwaitPushCommand)]
-    assert sorted(pushes) == sorted(a.push_id for a in awaits), \
+    pushes = [c.id for c in commands if isinstance(c, PushCommand)]
+    awaits = [c for c in commands if isinstance(c, AwaitPushCommand)]
+    assert sorted(pushes) == sorted(a.push.id for a in awaits), \
         "push/await_push pairing is not a bijection"
     for a in awaits:
-        p = pushes[a.push_id]
-        assert a.buffer == p.buffer and a.dst == p.dst and a.version == p.version
-        assert a.region == p.region
+        assert commands[a.push.id] is a.push and a.deps == (a.push.id,)
 
     # Version oracle from the task list alone: one bump per writing task per
     # buffer, writes cover exactly the one_to_one image of the task range.
@@ -152,7 +153,7 @@ def check_plan(plan, buffers):
 
     while heap:
         cid = heappop(heap)
-        cmd = by_id[cid]
+        cmd = commands[cid]
         if isinstance(cmd, PushCommand):
             cells = region_bitmap(cmd.region, buffers[cmd.buffer].extent.shape)
             assert (ver(cmd.buffer, cmd.src)[cells] == cmd.version).all(), \
@@ -161,7 +162,8 @@ def check_plan(plan, buffers):
                 f"C{cid} pushes data node {cmd.dst} already holds at v{cmd.version}"
             payload_cells[cid] = cells
         elif isinstance(cmd, AwaitPushCommand):
-            ver(cmd.buffer, cmd.dst)[payload_cells[cmd.push_id]] = cmd.version
+            push = cmd.push
+            ver(push.buffer, push.dst)[payload_cells[push.id]] = push.version
         elif isinstance(cmd, ExecuteCommand):
             for _name, bufname, region in cmd.reads:
                 cells = region_bitmap(region, buffers[bufname].extent.shape)
@@ -174,7 +176,7 @@ def check_plan(plan, buffers):
                 assert v == wver[(cmd.task_id, bufname)], \
                     f"C{cid} writes {bufname} at v{v}, oracle says " \
                     f"v{wver[(cmd.task_id, bufname)]}"
-                assert region == Region.from_box(cmd.chunk.box)
+                assert region == Region.from_box(cmd.box)
                 ver(bufname, cmd.node)[
                     region_bitmap(region, buffers[bufname].extent.shape)] = v
         processed += 1
@@ -189,6 +191,12 @@ def check_plan(plan, buffers):
         for i, (a, _va, _ha) in enumerate(entries):
             for b, _vb, _hb in entries[i + 1:]:
                 assert not a.overlaps(b), f"final_locations of {name} overlap: {a} and {b}"
+        if buffers[name].init.is_initialized:
+            extent = Region.from_box(buffers[name].extent)
+            covered = Region(extent.dims)
+            for a, _v, _h in entries:
+                covered = covered.union(a)
+            assert covered == extent, f"final_locations of {name} do not tile its extent"
     return nodever
 
 
@@ -211,7 +219,7 @@ def first_read_outside(plan):
                                    for node in postorder(expr) if isinstance(node, Read)))
         granted = {name: (graph.buffers[bufname].extent, region)
                    for name, bufname, region in cmd.reads}
-        box = cmd.chunk.box
+        box = cmd.box
         for idx in product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs))):
             for read in reads:
                 extent, region = granted[read.accessor]
@@ -315,30 +323,30 @@ def full_scan_table(graph, node_count):
             versions[acc.buffer] += 1
             version[acc.buffer] = versions[acc.buffer]
         gains, execs = [], []
-        for chunk in split_task(task, node_count):
+        for node, box in enumerate(split_task(task, node_count)):
             need = {}
             for acc in task.reads():
-                region = acc.mapper.map_chunk(chunk.box, graph.buffers[acc.buffer].extent)
+                region = acc.mapper.map_chunk(box, graph.buffers[acc.buffer].extent)
                 need[acc.buffer] = (need[acc.buffer].union(region)
                                     if acc.buffer in need else region)
             for buffer, region in need.items():
                 for reg, v, holders in entries[buffer]:
-                    if not reg.overlaps(region) or chunk.node in holders:
+                    if not reg.overlaps(region) or node in holders:
                         continue
                     part = reg.intersect(region)
                     src = min(holders)
                     deps = () if holders[src] is None else (holders[src],)
-                    pushes.append((next_id, deps, src, chunk.node, buffer, part.boxes, v))
-                    gains.append((buffer, part, chunk.node, next_id + 1))
+                    pushes.append((next_id, deps, src, node, buffer, part.boxes, v))
+                    gains.append((buffer, part, node, next_id + 1))
                     next_id += 2
-            execs.append((chunk, next_id))
+            execs.append((node, box, next_id))
             next_id += 1
         for gain in gains:
             add_holder(*gain)
-        for chunk, exe_id in execs:
+        for node, box, exe_id in execs:
             for acc in task.writes():
-                region = acc.mapper.map_chunk(chunk.box, graph.buffers[acc.buffer].extent)
-                write(acc.buffer, region, version[acc.buffer], chunk.node, exe_id)
+                region = acc.mapper.map_chunk(box, graph.buffers[acc.buffer].extent)
+                write(acc.buffer, region, version[acc.buffer], node, exe_id)
         after_task.append({name: [(reg.boxes, v, dict(holders)) for reg, v, holders in es]
                            for name, es in entries.items()})
     return pushes, after_task

@@ -175,7 +175,7 @@ def test_criterion_4_stencil_halo_exchange(capsys):
         assert sum(p.region.volume() for p in pushes) == oracle == 13
 
         # map each push to the task that consumes it via its await id
-        awaits = {a.push_id: a.id for a in plan.await_pushes()}
+        awaits = {a.push.id: a.id for a in plan.await_pushes()}
         consumer = {}
         for p in pushes:
             aid = awaits[p.id]
@@ -275,7 +275,7 @@ def test_criterion_7_graph_invariants(capsys):
                 # acyclicity, read coverage, and push/await bijection
                 check_plan(plan, g.buffers)
                 for c in plan.executes():
-                    assert c.chunk.box.volume() > 0
+                    assert c.box.volume() > 0
                     assert 0 <= c.node < nodes
 
 

@@ -390,14 +390,13 @@ def test_replay_times_and_energy_match_fresh_computation(seed, nodes, link, data
     assign_frequencies(plan, data.draw(TARGETS) or EnergyTarget.MAX_PERF)
     result = simulator.run(plan, link)
 
-    by_id = {c.id: c for c in plan.commands}
     busy = [Fraction(0)] * nodes
     kernel = [Fraction(0)] * nodes
     for ev in result.trace:
-        cmd = by_id[ev.command_id]
+        cmd = plan.commands[ev.command_id]
         if ev.kind == "execute":
             device = devices[ev.node]
-            t_ref = Fraction(cmd.chunk.box.volume()) / Fraction(device.throughput_ref)
+            t_ref = Fraction(cmd.box.volume()) / Fraction(device.throughput_ref)
             beta = graph.task(cmd.task_id).beta
             assert ev.duration == chunk_time(t_ref, beta, device, ev.frequency_ghz)
             busy[ev.node] += ev.duration

@@ -182,14 +182,14 @@ def test_region_map_overlapping_and_cut_oracle(seed):
 
     query = random_region(rng, shape)
     hit = region_bitmap(query, shape)
-    assert list(overlapping(entries, query)) == \
+    assert list(overlapping(entries, query, SpanIndex(entries))) == \
         [(i, e) for i, (e, c) in enumerate(zip(entries, cells)) if (c & hit).any()]
 
     removed = np.zeros(shape, dtype=bool)
     for r in regions:
         removed |= region_bitmap(r, shape)
     kept = [(e, c & ~removed) for e, c in zip(entries, cells) if (c & ~removed).any()]
-    got = cut(entries, regions)
+    got = cut(entries, regions, SpanIndex(entries))
     assert [e[1:] for e in got] == [e[1:] for e, _c in kept]
     for g, (e, c) in zip(got, kept):
         assert np.array_equal(region_bitmap(g[0], shape), c)
@@ -242,13 +242,12 @@ def test_span_index_matches_full_scan(seed, shape):
     index = SpanIndex(entries)
     for query in queries:
         want = full_scan_overlapping(entries, query)
-        assert list(overlapping(entries, query)) == want
         assert list(overlapping(entries, query, index)) == want
     regions = rng.sample(queries, rng.randrange(len(queries) + 1))
-    assert_same_cut(cut(entries, regions), full_scan_cut(entries, regions))
+    assert_same_cut(cut(entries, regions, index), full_scan_cut(entries, regions))
     # Cutting with the entries' own regions drops every non-empty entry,
     # and leaves the empty ones as they are.
-    assert cut(entries, [e[0] for e in entries]) == [e for e in entries if not e[0]]
+    assert cut(entries, [e[0] for e in entries], index) == [e for e in entries if not e[0]]
 
 
 def test_span_index_reaches_past_short_spans():
@@ -257,6 +256,7 @@ def test_span_index_reaches_past_short_spans():
     long_l = Region(2, [Box((0, 0), (9, 1)), Box((0, 1), (1, 3))])
     entries = [(long_l, "L"), (Region(2, [Box((1, 1), (3, 3))]), "a"),
                (Region(2, [Box((3, 1), (5, 3))]), "b"), (Region(2), "empty")]
+    index = SpanIndex(entries)
     for query, hits in (
         (Region(2, [Box((7, 0), (8, 3))]), ["L"]),
         (Region(2, [Box((4, 2), (8, 3))]), ["b"]),
@@ -264,11 +264,11 @@ def test_span_index_reaches_past_short_spans():
         (Region(2, [Box((5, 1), (9, 3))]), []),
         (Region(2), []),
     ):
-        assert [e[1] for _i, e in overlapping(entries, query)] == hits
-        assert full_scan_overlapping(entries, query) == list(overlapping(entries, query))
+        assert [e[1] for _i, e in overlapping(entries, query, index)] == hits
+        assert full_scan_overlapping(entries, query) == list(overlapping(entries, query, index))
     regions = [Region(2, [Box((0, 0), (9, 3))])]
-    assert cut(entries, regions) == [(Region(2), "empty")]
-    assert_same_cut(cut(entries, regions), full_scan_cut(entries, regions))
+    assert cut(entries, regions, index) == [(Region(2), "empty")]
+    assert_same_cut(cut(entries, regions, index), full_scan_cut(entries, regions))
 
 
 def test_inside_is_box_containment():

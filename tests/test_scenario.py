@@ -414,14 +414,14 @@ def test_mutated_bundled_scenario_parses_or_raises_scenario_error(name, data):
 def test_run_scenario_precedence():
     s = load_scenario(bundled_scenario_path("saxpy"))
     assert s.nodes is None
-    b = run_scenario(s)
-    assert b.nodes == 1 and b.target is EnergyTarget.MIN_EDP
-    b = run_scenario(s, nodes=2, target=EnergyTarget.MAX_PERF)
-    assert b.nodes == 2 and b.target is EnergyTarget.MAX_PERF
+    p = run_scenario(s).plan
+    assert p.node_count == 1 and p.target is EnergyTarget.MIN_EDP
+    p = run_scenario(s, nodes=2, target=EnergyTarget.MAX_PERF).plan
+    assert p.node_count == 2 and p.target is EnergyTarget.MAX_PERF
     s2 = scenario_from_dict({**MINIMAL, "nodes": 3})
-    assert run_scenario(s2).nodes == 3
-    assert run_scenario(s2, nodes=2).nodes == 2
-    assert run_scenario(s2).target is EnergyTarget.MAX_PERF
+    assert run_scenario(s2).plan.node_count == 3
+    assert run_scenario(s2, nodes=2).plan.node_count == 2
+    assert run_scenario(s2).plan.target is EnergyTarget.MAX_PERF
 
 
 def test_bundled_expectations_hold():

@@ -72,45 +72,53 @@ def fbuf(name, n=8, init=None):
 def test_split_even():
     t = simple_task(n=8)
     t.id = 1
-    chunks = split_task(t, 2)
-    assert [(c.box.mins[0], c.box.maxs[0], c.node) for c in chunks] == [
-        (0, 4, 0), (4, 8, 1)]
+    boxes = split_task(t, 2)
+    assert [(b.mins[0], b.maxs[0]) for b in boxes] == [(0, 4), (4, 8)]
 
 
 def test_split_remainder_goes_to_low_ids():
     t = simple_task(n=10)
     t.id = 1
-    chunks = split_task(t, 4)
-    sizes = [c.box.volume() for c in chunks]
+    boxes = split_task(t, 4)
+    sizes = [b.volume() for b in boxes]
     assert sizes == [3, 3, 2, 2]
-    assert [c.node for c in chunks] == [0, 1, 2, 3]
     # contiguous and in order
-    for a, b in zip(chunks, chunks[1:]):
-        assert a.box.maxs[0] == b.box.mins[0]
+    for a, b in zip(boxes, boxes[1:]):
+        assert a.maxs[0] == b.mins[0]
 
 
 def test_split_more_nodes_than_work():
     t = simple_task(n=3)
     t.id = 1
-    chunks = split_task(t, 8)
-    assert len(chunks) == 3
-    assert [c.box.volume() for c in chunks] == [1, 1, 1]
+    boxes = split_task(t, 8)
+    assert len(boxes) == 3
+    assert [b.volume() for b in boxes] == [1, 1, 1]
 
 
 def test_split_2d_splits_dim0_only():
     t = simple_task(nd_range=Box.from_shape((6, 5)))
     t.id = 1
-    chunks = split_task(t, 3)
-    assert [(c.box.mins, c.box.maxs) for c in chunks] == [
+    boxes = split_task(t, 3)
+    assert [(b.mins, b.maxs) for b in boxes] == [
         ((0, 0), (2, 5)), ((2, 0), (4, 5)), ((4, 0), (6, 5))]
 
 
 def test_split_single_node():
     t = simple_task(n=8)
     t.id = 1
-    chunks = split_task(t, 1)
-    assert len(chunks) == 1
-    assert chunks[0].box == Box.from_shape((8,))
+    boxes = split_task(t, 1)
+    assert boxes == [Box.from_shape((8,))]
+
+
+def test_execute_k_runs_box_k_on_node_k():
+    t1 = simple_task(name="a", n=10, writes=("z",))
+    t2 = simple_task(name="b", n=10, reads=("z",), writes=("w",))
+    g = graph_of({"z": fbuf("z", 10), "w": fbuf("w", 10)}, t1, t2)
+    plan = generate_commands(g, 4)
+    for task in (t1, t2):
+        execs = [e for e in plan.executes() if e.task_id == task.id]
+        assert [(e.box, e.node) for e in execs] == \
+            [(box, k) for k, box in enumerate(split_task(task, 4))]
 
 
 # ------------------------------------------------------------- region map table
@@ -373,12 +381,11 @@ def test_command_ids_sequential_and_deps_mostly_backward():
             g.submit(t)
         plan = generate_commands(g, rng.choice((2, 3, 4)))
         assert [c.id for c in plan.commands] == list(range(len(plan.commands)))
-        by_id = {c.id: c for c in plan.commands}
         for c in plan.commands:
             for d in c.deps:
                 if d < c.id:
                     continue
-                p = by_id[d]
+                p = plan.commands[d]
                 assert isinstance(c, ExecuteCommand)
                 assert isinstance(p, PushCommand)
                 assert p.src == c.node
@@ -489,7 +496,7 @@ def test_plan_structure_does_not_depend_on_target(seed, nodes, data):
         for exe in plan.executes():
             task = graph.task(exe.task_id)
             device = devices[exe.node]
-            t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
+            t_ref = Fraction(exe.box.volume()) / Fraction(device.throughput_ref)
             chosen = task.target if task.target is not None else target
             assert exe.frequency_ghz == select_frequency(device, chosen, t_ref, task.beta)
 
@@ -510,7 +517,7 @@ def test_one_selection_per_device_target_and_beta(beta):
         with mock.patch.object(scheduler, "select_frequency", wraps=select_frequency) as spy:
             assign_frequencies(plan, target)
         assert spy.call_count == 1
-        assert [e.chunk.box.volume() for e in plan.executes()] == [3, 2, 2]
+        assert [e.box.volume() for e in plan.executes()] == [3, 2, 2]
         for exe in plan.executes():
-            t_ref = Fraction(exe.chunk.box.volume()) / Fraction(device.throughput_ref)
+            t_ref = Fraction(exe.box.volume()) / Fraction(device.throughput_ref)
             assert exe.frequency_ghz == select_frequency(device, target, t_ref, beta)

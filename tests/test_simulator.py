@@ -302,6 +302,31 @@ def test_cycle_detection():
         run(plan)
 
 
+def two_push_plan():
+    """A valid plan of two independent Pushes, C0 and C1."""
+    region = Region(1, [Box((0,), (4,))])
+    plan = plan_for({"x": fbuf("x")}, [], 2)
+    plan.commands = [PushCommand(id=i, deps=(), src=0, dst=1, buffer="x", region=region,
+                                 version=1) for i in range(2)]
+    return plan
+
+
+def test_ids_out_of_list_order_are_rejected():
+    plan = two_push_plan()
+    assert len(run(plan).trace) == 2
+    plan.commands.reverse()
+    with pytest.raises(ValidationError, match="command 1 is at position 0"):
+        run(plan)
+
+
+@pytest.mark.parametrize("dep", [-1, 2, 7])
+def test_dependency_outside_the_plan_is_rejected(dep):
+    plan = two_push_plan()
+    plan.commands[1].deps = (0, dep)
+    with pytest.raises(ValidationError, match=f"command 1 depends on id {dep}"):
+        run(plan)
+
+
 # ---------------------------------------------------------------- trace export
 
 def test_trace_events_carry_metadata():
