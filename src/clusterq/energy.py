@@ -212,33 +212,34 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
     its events' kernel energy plus P_static * idle time. Push events charge
     nothing beyond static draw. Event times must be exact rationals, as
     simulator.run gives them, and each frequency must be one of its device's
-    levels, whose P(f) the device computed once.
+    levels, whose P(f) the device computed once. Each group of events of one
+    node, level and duration has its energy computed and summed once.
     """
     makespan = Fraction(makespan)
     report = EnergyReport(makespan_s=makespan)
     tasks: dict[int, TaskEnergy] = {}
-    busy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
-    busy_energy: dict[int, Fraction] = {d: Fraction(0) for d in range(len(devices))}
+    # (node, level, duration's numerator, denominator: a Fraction's hash computes a
+    # modular inverse) -> [energy, events]
+    groups: dict[tuple, list] = {}
     spans: dict[int, list] = {}  # task id -> [earliest start, latest finish], exact int compares
 
     for ev in trace:
         if ev.kind != "execute":
             continue
-        node, f = ev.node, ev.frequency_ghz
+        node, f, dur = ev.node, ev.frequency_ghz, ev.duration
         if not 0 <= node < len(devices):
             raise ValidationError(f"trace event references unknown device {node}")
-        dur = ev.duration
-        energy = devices[node].level(f)[0] * dur
-        busy[node] += dur
-        busy_energy[node] += energy
+        group = groups.get(key := (node, f, dur.numerator, dur.denominator))
+        if group is None:
+            group = groups[key] = [devices[node].level(f)[0] * dur, 0]
+        group[1] += 1
         entry = tasks.get(ev.task_id)
         if entry is None:
             entry = TaskEnergy(ev.task_id, ev.task_name or "", Fraction(0), Fraction(0), {})
             tasks[ev.task_id] = entry
-        entry.energy_j += energy
+        entry.energy_j += group[0]
         entry.frequency_ghz_per_node[node] = f
-        start = ev.start
-        finish = start + dur
+        start, finish = ev.start, ev.finish
         lo, hi = span = spans.setdefault(ev.task_id, [start, finish])
         if start.numerator * lo.denominator < lo.numerator * start.denominator:
             span[0] = start
@@ -252,10 +253,14 @@ def account_energy(trace, devices, makespan) -> EnergyReport:
         entry.frequency_ghz_per_node = dict(sorted(entry.frequency_ghz_per_node.items()))
         report.per_task.append(entry)
 
+    busy = [Fraction(0)] * len(devices)
+    busy_energy = [Fraction(0)] * len(devices)
+    for (node, _f, num, den), (energy, count) in groups.items():
+        busy[node] += Fraction(num * count, den)
+        busy_energy[node] += energy * count
     for node, device in enumerate(devices):
         idle = makespan - busy[node]
-        energy = busy_energy[node] + Fraction(device.p_static_w) * idle
-        report.per_device.append(
-            DeviceEnergy(node, energy, busy[node], idle, device.p_static_w)
-        )
+        report.per_device.append(DeviceEnergy(
+            node, busy_energy[node] + Fraction(device.p_static_w) * idle, busy[node], idle,
+            device.p_static_w))
     return report

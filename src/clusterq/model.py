@@ -473,29 +473,37 @@ def validate_task(task: Task, buffers) -> None:
 
 
 class ReadView:
-    """One accessor's readable data. Reads are clamped per axis to the buffer
-    extent; the footprint check at submit guarantees that every clamped read
-    lies in the accessor's mapped region, so none is checked here."""
+    """One accessor's readable data: one array, or (array, (lo, hi)) members,
+    each read at the ids whose axis-0 coordinate lies in [lo, hi). Reads are
+    clamped per axis to the buffer extent; the footprint check at submit keeps
+    every clamped read in the accessor's mapped region, so none is checked."""
 
-    __slots__ = ("extent", "data")
+    __slots__ = ("extent", "members")
 
     def __init__(self, extent, data):
         self.extent = extent
-        self.data = data
+        self.members = [(data, None)] if isinstance(data, np.ndarray) else data
 
     def gather(self, mins, maxs, offsets):
         """The clamped read at every point of the box [mins, maxs) shifted by
         offsets, as an array over the buffer's axes. Only the first
-        len(offsets) axes of the box are used.
+        len(offsets) axes of the box are used; the rows of several members
+        must tile its axis-0 span, in order.
 
-        A read that needs no clamping is a view of the data array, not a
+        A read of one array that needs no clamping is a view of it, not a
         copy, so a caller must never write into what gather returns."""
+        if len(self.members) == 1:
+            return self._read(self.members[0][0], mins, maxs, offsets)
+        return np.concatenate([self._read(data, (lo,) + mins[1:], (hi,) + maxs[1:], offsets)
+                               for data, (lo, hi) in self.members])
+
+    def _read(self, data, mins, maxs, offsets):
         index = []
         for lo, hi, off, elo, ehi in zip(mins, maxs, offsets, self.extent.mins, self.extent.maxs):
             if lo + off < elo or hi + off > ehi:
-                return self.data[np.ix_(*self._clamped_axes(mins, maxs, offsets))]
+                return data[np.ix_(*self._clamped_axes(mins, maxs, offsets))]
             index.append(slice(lo + off, hi + off))
-        return self.data[tuple(index)]
+        return data[tuple(index)]
 
     def _clamped_axes(self, mins, maxs, offsets):
         """Per buffer axis, the clamped index of every point read. A start

@@ -507,8 +507,11 @@ def _micros(t) -> str:
 
 def _trace_events(trace):
     sep = "\n"
+    durations = {}  # (numerator, denominator) -> _micros text; a run has few distinct durations
     for ev in trace:
         tid, kind = _LANES[ev.kind]
+        key = (ev.duration.numerator, ev.duration.denominator)
+        dur = durations.get(key) or durations.setdefault(key, _micros(ev.duration))
         extra = ""
         if ev.frequency_ghz is not None:
             extra = f',\n        "frequency_ghz": {_float(ev.frequency_ghz)}'
@@ -517,7 +520,7 @@ def _trace_events(trace):
         yield (
             f'{sep}    {{\n      "name": {_string(ev.label or ev.kind)},\n      "ph": "X",\n'
             f'      "pid": {int.__repr__(ev.node)},\n      "tid": {tid},\n'
-            f'      "ts": {_micros(ev.start)},\n      "dur": {_micros(ev.duration)},\n'
+            f'      "ts": {_micros(ev.start)},\n      "dur": {dur},\n'
             f'      "args": {{\n        "kind": {kind},\n'
             f'        "command": {int.__repr__(ev.command_id)}{extra}\n      }}\n    }}'
         )

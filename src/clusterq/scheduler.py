@@ -1,26 +1,30 @@
 """Chunk splitting, data-distribution tracking and command generation.
 
 Tasks are split along dimension 0 into contiguous chunk boxes, one per node
-(box k runs on node k; sizes differ by at most one with larger boxes first). A
-RegionMapTable tracks, per buffer, which nodes hold which sub-regions at which
-version, as pairwise disjoint (region, version, holders) entries. Walking
-tasks in topological order, the generator resolves each chunk's mapped read
-requirement of a buffer with one region.overlapping query of the buffer's
-region.SpanIndex, built once per task, so a chunk visits only the entries near
-its axis-0 span: each entry's part of the requirement counts toward coverage,
-and a part the chunk's node does not hold gets a Push from the lowest-id
-holder plus an AwaitPush holding that Push. Cells no entry covers are an
-uninitialized read. Then comes an Execute per chunk, with its task id, box and
-node. A command's id is its position in the plan. A task bumps the version of
-each buffer it writes once. After the task, transferred regions gain the
-destination as holder, so re-reading resident data never produces a second
-transfer: each piece remembers the entry it was cut from, and only those
-entries are split, in place. Then one region.cut per written buffer takes the
-task's chunk writes, which are pairwise disjoint, out of the entries their
-spans meet, in Execute order, and appends them, at the new version with the
-writer as sole holder. The entries and their box decomposition are the ones
-that applying each piece and each chunk write in turn, by a scan of every
-entry, would give.
+(box k runs on node k; sizes differ by at most one with larger boxes first).
+Chunk boxes, mapped reads, needs and write regions are computed once per
+distinct (range, accessors) value, a fixed mapper's keyed by its region's
+dims and boxes, and shared by the tasks of that shape. A RegionMapTable
+tracks, per buffer, which nodes hold which sub-regions at which version, as
+pairwise disjoint (region, version, holders) entries. Walking tasks in
+topological order, the generator resolves each chunk's need of a buffer with
+one region.overlapping query of the buffer's region.SpanIndex, built once per
+task, so a chunk visits only the entries near its axis-0 span: each entry's
+part of the need counts toward coverage, and a part the chunk's node does not
+hold gets a Push from the lowest-id holder plus an AwaitPush holding that
+Push. Cells no entry covers are an uninitialized read. Then comes an Execute
+per chunk, with its task id, box and node. A command's id is its position in
+the plan. A task bumps the version of each buffer it writes once. Transferred
+regions gain the destination as holder, so re-reading resident data never
+produces a second transfer: each piece remembers the entry it was cut from,
+and stays pending until the buffer's next read or the final snapshot splits
+that entry in place, or its next write, which drops the pieces of entries it
+removes whole and applies the rest first. A write is one region.cut that
+takes the task's chunk writes, which are pairwise disjoint, out of the
+entries their spans meet, in Execute order, and appends them, at the new
+version with the writer as sole holder. The entries and their box
+decomposition are the ones that applying each piece and each chunk write in
+turn, by a scan of every entry, would give.
 
 Executes are planned at their device's top frequency level, so the structure
 does not depend on the energy target; assign_frequencies then sets each
@@ -42,7 +46,7 @@ from typing import Optional
 from .energy import DeviceModel, EnergyTarget, select_frequency
 from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph, dot_string
-from .model import ELEMENT_BYTES, AccessMode, Task
+from .model import ELEMENT_BYTES, Fixed, Task
 from .region import Box, Region, SpanIndex, cut, inside, overlapping
 from .value import Value
 
@@ -126,12 +130,14 @@ class RegionMapTable:
     tuples; holders maps each node holding the region to the command that
     materialized it there (None for host-initialized data). add_holders
     splits only the entries a task's transferred pieces were cut from, in
-    place, and write cuts a task's written regions out of the entries they
-    meet in one pass before appending them as new entries.
+    place, and read, write and snapshot apply the pending gains first. write
+    cuts a task's written regions out of the entries they meet in one pass
+    before appending them as new entries.
     """
 
     def __init__(self, buffers):
         self.entries: dict[str, list[tuple]] = {}
+        self.pending: dict[str, dict] = {}  # buffer -> the gains add_holders has yet to apply
         self.version_counter: dict[str, int] = {}
         for name, buf in buffers.items():
             if buf.init.is_initialized:
@@ -169,12 +175,28 @@ class RegionMapTable:
                 pieces = split
             entries[index:index + 1] = pieces
 
+    def read(self, buffer: str) -> list:
+        """The entries of buffer, with its pending gains applied."""
+        self.add_holders(buffer, self.pending.pop(buffer, {}))
+        return self.entries[buffer]
+
     def write(self, buffer: str, version: int, writes):
         """Record one task's writes of buffer: pairwise disjoint (region,
         node, producer) triples in Execute order, each now held only by its
-        node at version."""
-        entries = self.entries[buffer]
-        kept = cut(entries, [region for region, _node, _producer in writes], SpanIndex(entries))
+        node at version. The pending gains of an entry the writes remove
+        whole go with it; the others are applied first."""
+        regions = [region for region, _node, _producer in writes]
+        gains = self.pending.pop(buffer, {})
+        while True:  # each entry's rest, tagged with its index; again after applying gains
+            entries = self.entries[buffer]
+            rests = cut([(e[0], i) for i, e in enumerate(entries)], regions, SpanIndex(entries))
+            gains = {i: gains[i] for _rest, i in rests if i in gains}
+            if not gains:
+                break
+            self.add_holders(buffer, gains)
+            gains = {}
+        kept = [entries[i] if rest is entries[i][0] else (rest,) + entries[i][1:]
+                for rest, i in rests]
         kept.extend((region, version, {node: producer}) for region, node, producer in writes)
         self.entries[buffer] = kept
 
@@ -183,6 +205,8 @@ class RegionMapTable:
         return self.version_counter[buffer]
 
     def snapshot(self):
+        for buffer in list(self.pending):
+            self.read(buffer)
         return {
             name: [(region, version, frozenset(holders)) for region, version, holders in entries]
             for name, entries in self.entries.items()
@@ -231,6 +255,22 @@ def _resolve_devices(devices, node_count) -> list[DeviceModel]:
     return devices
 
 
+def _chunk_shapes(task: Task, node_count: int, buffers) -> list:
+    """Per chunk of task: its box, its read specs, each read buffer's need
+    and its (accessor name, buffer, mapped region) writes."""
+    chunks = []
+    for box in split_task(task, node_count):
+        reads = tuple((acc.name, acc.buffer, acc.mapper.map_chunk(box, buffers[acc.buffer].extent))
+                      for acc in task.reads())
+        writes = [(acc.name, acc.buffer, acc.mapper.map_chunk(box, buffers[acc.buffer].extent))
+                  for acc in task.writes()]
+        needs = {}
+        for _name, buffer, mapped in reads:
+            needs[buffer] = needs[buffer].union(mapped) if buffer in needs else mapped
+        chunks.append((box, reads, tuple(needs.items()), writes))
+    return chunks
+
+
 def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
     """The command plan, every Execute at its device's top frequency level."""
     if node_count < 1:
@@ -244,9 +284,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
 
     commands: list[Command] = []
     exec_ids_by_task: dict[int, list[int]] = {}
-
-    def new_id():
-        return len(commands)
+    shapes = {}  # (range, accessors) -> _chunk_shapes, shared by the tasks of that shape
 
     for tid in graph.topological_order():
         task = graph.task(tid)
@@ -256,28 +294,23 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             pred_exec_ids.extend(exec_ids_by_task.get(pred, ()))
 
         version = {acc.buffer: table.bump_version(acc.buffer) for acc in task.writes()}
+        shape = (task.global_range, tuple(  # a Region has no hash
+            (a.buffer, a.mode, a.name, (a.mapper.region.dims, a.mapper.region.boxes)
+             if isinstance(a.mapper, Fixed) else a.mapper) for a in task.accessors))
+        chunks = shapes.get(shape)
+        if chunks is None:
+            chunks = shapes[shape] = _chunk_shapes(task, node_count, graph.buffers)
 
         pushes_from: dict[int, list[PushCommand]] = {}  # source node -> pushes
         task_execs: list[ExecuteCommand] = []
         # buffer -> entry index -> (piece, dst node, awaitpush id) cut from it
-        pending_gains: dict[str, dict[int, list]] = {}
+        gains: dict[str, dict[int, list]] = {}
         # The entries change only after the chunks, so each is indexed once per task.
-        indexes = {b: SpanIndex(table.entries[b]) for b in {acc.buffer for acc in task.reads()}}
+        indexes = {b: SpanIndex(table.read(b)) for b in {acc.buffer for acc in task.reads()}}
 
-        for node, box in enumerate(split_task(task, node_count)):
-            read_specs = []
-            need_by_buffer: dict[str, Region] = {}
-            for acc in task.reads():
-                extent = graph.buffers[acc.buffer].extent
-                mapped = acc.mapper.map_chunk(box, extent)
-                read_specs.append((acc.name, acc.buffer, mapped))
-                if acc.buffer in need_by_buffer:
-                    need_by_buffer[acc.buffer] = need_by_buffer[acc.buffer].union(mapped)
-                else:
-                    need_by_buffer[acc.buffer] = mapped
-
+        for node, (box, reads, needs, writes) in enumerate(chunks):
             await_ids = []
-            for buffer, need in need_by_buffer.items():
+            for buffer, need in needs:
                 found = 0
                 entries = table.entries[buffer]
                 for index, (have, held_version, holders) in overlapping(
@@ -288,21 +321,14 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                         continue
                     src = min(holders)
                     producer = holders[src]
-                    push = PushCommand(
-                        id=new_id(),
-                        deps=(producer,) if producer is not None else (),
-                        src=src,
-                        dst=node,
-                        buffer=buffer,
-                        region=part,
-                        version=held_version,
-                    )
+                    push = PushCommand(len(commands), () if producer is None else (producer,),
+                                       src, node, buffer, part, held_version)
                     commands.append(push)
                     pushes_from.setdefault(src, []).append(push)
-                    ap = AwaitPushCommand(id=new_id(), deps=(push.id,), push=push)
+                    ap = AwaitPushCommand(len(commands), (push.id,), push)
                     commands.append(ap)
                     await_ids.append(ap.id)
-                    pending_gains.setdefault(buffer, {}).setdefault(index, []).append(
+                    gains.setdefault(buffer, {}).setdefault(index, []).append(
                         (part, node, ap.id))
                 if found != need.volume():
                     missing = [(need,)]
@@ -312,22 +338,10 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
                         f"'{buffer}' which was never written or host-initialized"
                     )
 
-            write_specs = []
-            for acc in task.writes():
-                extent = graph.buffers[acc.buffer].extent
-                mapped = acc.mapper.map_chunk(box, extent)
-                write_specs.append((acc.name, acc.buffer, mapped, version[acc.buffer]))
-
             exe = ExecuteCommand(
-                id=new_id(),
-                deps=tuple(sorted(set(await_ids) | set(pred_exec_ids))),
-                task_id=tid,
-                box=box,
-                node=node,
-                frequency_ghz=devices[node].levels_ghz[-1],
-                reads=tuple(read_specs),
-                writes=tuple(write_specs),
-            )
+                len(commands), tuple(sorted(set(await_ids) | set(pred_exec_ids))), tid, box,
+                node, devices[node].levels_ghz[-1], reads,
+                tuple((name, b, region, version[b]) for name, b, region in writes))
             commands.append(exe)
             task_execs.append(exe)
 
@@ -343,21 +357,14 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
             if extra:
                 exe.deps = tuple(sorted(set(exe.deps) | extra))
 
-        for buffer, gains in pending_gains.items():
-            table.add_holders(buffer, gains)
+        table.pending.update(gains)  # the task read those buffers, so none has gains pending
         for buffer, v in version.items():
             table.write(buffer, v, [(region, exe.node, exe.id) for exe in task_execs
                                     for _, b, region, _v in exe.writes if b == buffer])
 
         exec_ids_by_task[tid] = [e.id for e in task_execs]
 
-    return Plan(
-        graph=graph,
-        node_count=node_count,
-        commands=commands,
-        devices=devices,
-        final_locations=table.snapshot(),
-    )
+    return Plan(graph, node_count, commands, devices, table.snapshot())
 
 
 def assign_frequencies(plan: Plan, target: EnergyTarget = EnergyTarget.MAX_PERF):

@@ -1,39 +1,40 @@
-"""Discrete-event replay of a command plan.
+"""Discrete-event replay of a command plan: a timing walk, then a data walk.
 
-Commands are processed in dependency order (Kahn's algorithm, lowest command
-id first among the ready set), with their state in lists indexed by id, which
-is a command's position in the plan: a plan where it is not, or with a
-dependency outside the plan, is a ValidationError. Each node owns one execute
-lane: an Execute starts at max(dependency finish times, lane free time) and
-occupies the lane for its duration. Transfers are not serialized against each
-other or against kernels; a Push starts as soon as its dependencies are done
-and takes latency + bytes / bandwidth on the link.
-
-Time is kept as exact rationals end to end so accounting identities hold
-structurally; values become floats only at serialization. The maxima above
-compare integer cross-products of numerators and denominators read once per
-finish time, and the makespan is the latest finish of a command nothing
-depends on, as no command finishes before its dependencies. Each distinct
+A plan whose ids are not its positions, with a dependency outside itself, an
+AwaitPush that does not depend on the Push at that Push's id, a command of
+unknown type or a cycle is a ValidationError, raised before any data moves.
+The timing walk orders the commands by dependencies (Kahn's algorithm, lowest
+id first among the ready set), keeping their state in lists indexed by id.
+Each node owns one execute lane: an Execute starts at max(dependency finish
+times, lane free time) and occupies the lane for its duration. A Push starts
+as soon as its dependencies are done and takes latency + bytes / bandwidth.
+Time is exact rationals end to end, floats only at serialization; maxima
+compare integer cross-products of numerators and denominators, and the
+makespan is the latest finish of a command nothing depends on. Each distinct
 duration is computed once per run: an Execute's per (node, chunk volume,
 beta, frequency), a Push's per byte count.
 
-Data movement is replayed for real: each node has its own backing array per
-buffer. A Push copies its region out as one array slice per box when the Push
-starts (the payload is in flight from that moment), and the matching
-AwaitPush lands those slices in the destination array. An Execute that reads
-a buffer it also writes snapshots that buffer once before writing, so
-in-place updates within one task see pre-task data; a view of a buffer the
-Execute does not write wraps the live array, which nothing changes while it
-runs. A read that needs no clamping to the extent is a view of that array,
-not a copy. The final contents are gathered from zeros, each entry of the
-plan's final region map copied from its lowest-id holder.
+The data walk moves real data in the same order, through a backing array per
+node and buffer: a Push copies its region's boxes out, and its AwaitPush lands
+them. Executes are deferred into a batch: consecutive ones of one task, each
+on a different node, whose write boxes continue one another along axis 0.
+The batch is evaluated before a Push that captures a (buffer, node) it
+writes, an AwaitPush that lands on a (buffer, node) it reads or writes, an
+Execute of another task, of a node in it or that does not continue it, and
+at the end, so each Execute sees the data it would see replayed alone. It
+calls each body, compiled once per run and element kind, once per write
+accessor over the union of its members' boxes, each member's rows read from
+its node's array (a lone member's region box by box). A buffer the batch
+writes is read from a snapshot, so in-place updates see pre-task data; an
+unclamped read of a lone member is a view, not a copy. The final contents are
+gathered from zeros, each final region map entry from its lowest-id holder.
 
-Each distinct body is compiled once per run, per element kind, and evaluates
-a whole write box per call. Reads are not checked: submit's footprint check
-keeps them inside their mapped regions. The only runtime error is an int64
-division by zero; the run raises it for the first failing write box in
-replay order, naming that box's first failing id and its task. Every float
-result is stored with NaNs in canonical form.
+Reads are not checked: submit's footprint check keeps them inside their
+mapped regions. The only runtime error is an int64 division by zero; a batch
+that meets one is evaluated again member by member in replay order, so the
+run raises it for the first failing write box in replay order, naming that
+box's first failing id and its task. Every float result is stored with NaNs
+in canonical form.
 """
 
 from fractions import Fraction
@@ -46,6 +47,7 @@ from .energy import exec_time, require_finite
 from .errors import EvalError, ValidationError
 from .kernel import compile_kernel
 from .model import ReadView
+from .region import Box
 from .scheduler import AwaitPushCommand, ExecuteCommand, Plan, PushCommand
 from .value import Frozen, Value
 
@@ -74,13 +76,14 @@ class LinkModel(Frozen):
 
 
 class TraceEvent(Value):
-    __slots__ = _fields = ("kind", "node", "command_id", "start", "duration", "bytes",
-                           "frequency_ghz", "task_id", "task_name", "label")
+    _fields = ("kind", "node", "command_id", "start", "duration", "bytes", "frequency_ghz",
+               "task_id", "task_name", "label")
+    __slots__ = _fields + ("finish",)  # derived from start and duration, so not a field
 
     def __init__(self, kind: str, node: int, command_id: int, start: Fraction,
                  duration: Fraction, bytes: int = 0, frequency_ghz: Optional[float] = None,
                  task_id: Optional[int] = None, task_name: Optional[str] = None,
-                 label: str = ""):
+                 label: str = "", finish: Optional[Fraction] = None):
         self.kind = kind  # "execute" | "push" | "await_push"
         self.node = node
         self.command_id = command_id
@@ -91,10 +94,7 @@ class TraceEvent(Value):
         self.task_id = task_id
         self.task_name = task_name
         self.label = label
-
-    @property
-    def finish(self) -> Fraction:
-        return self.start + self.duration
+        self.finish = start + duration if finish is None else finish
 
 
 class RunResult(Value):
@@ -124,24 +124,19 @@ def _store(arr, box, values, integer):
         dst[np.isnan(dst)] = _CANONICAL_NAN
 
 
-class _Storage:
-    """Per-node backing arrays, created lazily. Node 0 starts from the host
-    initialization; any other node starts from zeros and only ever observes
-    cells that were pushed to it."""
+class _Storage(dict):
+    """(buffer, node) -> the node's backing array of the buffer, made on first
+    use. Node 0 starts from the host initialization; any other node starts
+    from zeros and only ever observes cells that were pushed to it."""
 
     def __init__(self, buffers):
         self.buffers = buffers
-        self.arrays: dict[tuple[str, int], np.ndarray] = {}
 
-    def array(self, buffer: str, node: int) -> np.ndarray:
-        key = (buffer, node)
-        if key not in self.arrays:
-            buf = self.buffers[buffer]
-            if node == 0:
-                self.arrays[key] = buf.init.materialize(buf.extent, buf.element_kind)
-            else:
-                self.arrays[key] = np.zeros(buf.extent.shape, dtype=buf.dtype)
-        return self.arrays[key]
+    def __missing__(self, key):
+        buf = self.buffers[key[0]]
+        self[key] = (buf.init.materialize(buf.extent, buf.element_kind) if key[1] == 0
+                     else np.zeros(buf.extent.shape, dtype=buf.dtype))
+        return self[key]
 
 
 _ZERO = (Fraction(0), 0, 1)
@@ -155,13 +150,82 @@ def _latest(times, last=_ZERO) -> tuple:
     return last
 
 
+class _Batch:
+    """Executes whose evaluation is deferred: consecutive ones of one task,
+    with the same accessors, each on a different node, and each write region
+    one box that continues the previous member's along axis 0."""
+
+    def __init__(self, graph, storage):
+        self.graph, self.storage = graph, storage
+        self.kernels = {}  # (id of a body, integer) -> compiled body; tasks of one text share it
+        self.members, self.nodes, self.reads, self.writes = [], set(), set(), set()
+
+    def add(self, cmd):
+        if self.members and not self._joins(cmd):
+            self.evaluate()
+        self.members.append(cmd)
+        self.nodes.add(cmd.node)
+        self.reads.update((buffer, cmd.node) for _name, buffer, _region in cmd.reads)
+        self.writes.update((buffer, cmd.node) for _name, buffer, _region, _v in cmd.writes)
+
+    def _joins(self, cmd) -> bool:
+        last = self.members[-1]
+        return cmd.task_id == last.task_id and cmd.node not in self.nodes and \
+            [r[:2] for r in cmd.reads] == [r[:2] for r in last.reads] and \
+            [w[:2] for w in cmd.writes] == [w[:2] for w in last.writes] and \
+            all(len(b := w[2].boxes) == len(p := pw[2].boxes) == 1 and
+                (b[0].mins[0], b[0].mins[1:], b[0].maxs[1:]) ==
+                (p[0].maxs[0], p[0].mins[1:], p[0].maxs[1:])
+                for w, pw in zip(cmd.writes, last.writes))
+
+    def evaluate(self):
+        """Evaluate and drop the members. A buffer they write is read from a
+        snapshot of each member's array, taken before any is written."""
+        members, self.members, self.nodes = self.members, [], set()
+        self.reads, self.writes = set(), set()  # the (buffer, node) pairs members read, write
+        if not members:
+            return
+        task = self.graph.task(members[0].task_id)
+        written = {buffer for _w, buffer, _r, _v in members[0].writes}
+        arrays = {b: [self.storage[b, m.node] for m in members]  # the array each member reads
+                  for b in dict.fromkeys(b for _n, b, _r in members[0].reads)}
+        for b in written & arrays.keys():
+            arrays[b] = [data.copy() for data in arrays[b]]
+        try:
+            try:
+                self._call(members, task, arrays)
+            except EvalError:  # member by member, in replay order, to name the first failing box
+                for k, member in enumerate(members):
+                    self._call([member], task, {b: [data[k]] for b, data in arrays.items()})
+                raise
+        except EvalError as exc:
+            raise EvalError(f"{exc} in task '{task.name}'") from None
+
+    def _call(self, members, task, arrays):
+        """Store each write accessor's values, from one kernel call over the
+        union of the members' boxes, or a lone member's box by box."""
+        buffers = self.graph.buffers
+        for j, (wname, bufname, region, _v) in enumerate(members[0].writes):
+            integer = buffers[bufname].element_kind == "int64"
+            key = (id(task.body[wname]), integer)
+            if key not in self.kernels:
+                self.kernels[key] = compile_kernel(task.body[wname], integer)
+            for boxes in [[m.writes[j][2].boxes[0] for m in members]] if len(members) > 1 \
+                    else [[box] for box in region]:
+                rows = [(box.mins[0], box.maxs[0]) for box in boxes]
+                views = {b: ReadView(buffers[b].extent, list(zip(data, rows)))
+                         for b, data in arrays.items()}
+                values = self.kernels[key](Box(boxes[0].mins, boxes[-1].maxs),
+                                           {name: views[b] for name, b, _r in members[0].reads},
+                                           task.params)
+                for member, box, (lo, hi) in zip(members, boxes, rows):
+                    _store(self.storage[bufname, member.node], box,
+                           values[lo - rows[0][0]:hi - rows[0][0]], integer)
+
+
 def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     if link is None:
         link = LinkModel()
-    buffers = plan.graph.buffers
-    storage = _Storage(buffers)
-    devices = plan.devices
-
     commands = plan.commands
     indegree = [len(c.deps) for c in commands]
     dependents: list[list[int]] = [[] for _ in commands]
@@ -172,19 +236,24 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             if not 0 <= dep < len(commands):
                 raise ValidationError(f"command {cid} depends on id {dep}, not in the plan")
             dependents[dep].append(cid)
+        if isinstance(c, AwaitPushCommand) and not (
+                c.push.id in c.deps and commands[c.push.id] is c.push):
+            raise ValidationError(f"AwaitPush {cid} does not depend on its Push {c.push.id}")
 
+    # The timing walk: replay order, exact times and the trace.
     heap = [cid for cid, deg in enumerate(indegree) if deg == 0]  # ascending: a heap
-
+    order = []
     finished: list = [None] * len(commands)  # command id -> its finish as a _latest triple
     lane_free = [_ZERO] * plan.node_count
-    payloads: dict[int, tuple] = {}  # push id -> (label text, bytes, [(box index, values)])
-    kernels = {}  # (id of a body, integer) -> compiled body
+    labels: dict[int, tuple] = {}  # push id -> (label text, bytes)
+    boxes = {}  # id of a chunk box, which tasks of one shape share -> its text
     exec_durs = {}  # (node, chunk volume, beta, frequency) -> duration
     push_durs = {}  # bytes -> duration
     trace: list[TraceEvent] = []
 
     while heap:
         cid = heappop(heap)
+        order.append(cid)
         cmd = commands[cid]
         ready = _latest([finished[dep] for dep in cmd.deps])
 
@@ -196,42 +265,16 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             dur_key = (node, volume, task.beta, cmd.frequency_ghz)
             dur = exec_durs.get(dur_key)
             if dur is None:
-                device = devices[node]
+                device = plan.devices[node]
                 t_ref = Fraction(volume) / Fraction(device.throughput_ref)
                 dur = exec_durs[dur_key] = exec_time(
                     t_ref, task.beta, device.level(cmd.frequency_ghz)[1])
             finish = start + dur
             lane_free[node] = finished[cid] = (finish, finish.numerator, finish.denominator)
-
-            written = {bufname for _w, bufname, _r, _v in cmd.writes}
-            arrays = {}  # buffer -> the array this Execute's reads see
-            views = {}
-            for name, bufname, _region in cmd.reads:
-                data = arrays.get(bufname)
-                if data is None:
-                    data = storage.array(bufname, node)
-                    if bufname in written:
-                        data = data.copy()
-                    arrays[bufname] = data
-                views[name] = ReadView(buffers[bufname].extent, data)
-            for wname, bufname, region, _v in cmd.writes:
-                integer = buffers[bufname].element_kind == "int64"
-                key = (id(task.body[wname]), integer)  # tasks of one text share its body
-                if key not in kernels:
-                    kernels[key] = compile_kernel(task.body[wname], integer)
-                arr = storage.array(bufname, node)
-                for box in region:
-                    try:
-                        values = kernels[key](box, views, task.params)
-                    except EvalError as exc:
-                        raise EvalError(f"{exc} in task '{task.name}'") from None
-                    _store(arr, box, values, integer)
-
-            trace.append(TraceEvent(
-                kind="execute", node=node, command_id=cid, start=start, duration=dur,
-                frequency_ghz=cmd.frequency_ghz, task_id=cmd.task_id, task_name=task.name,
-                label=f"{task.name}#{cmd.task_id} {cmd.box}",
-            ))
+            box = boxes.get(id(cmd.box)) or boxes.setdefault(id(cmd.box), str(cmd.box))
+            trace.append(TraceEvent("execute", node, cid, start, dur, 0, cmd.frequency_ghz,
+                                    cmd.task_id, task.name, f"{task.name}#{cmd.task_id} {box}",
+                                    finish))
 
         elif isinstance(cmd, PushCommand):
             start = ready[0]
@@ -241,28 +284,18 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                 dur = push_durs[nbytes] = link.transfer_time(nbytes)
             finish = start + dur
             finished[cid] = (finish, finish.numerator, finish.denominator)
-            src_arr = storage.array(cmd.buffer, cmd.src)
             text = f"{cmd.buffer} {cmd.region}"
-            payloads[cid] = (text, nbytes, [
-                (index, src_arr[index].copy()) for index in map(_index, cmd.region)
-            ])
-            trace.append(TraceEvent(
-                kind="push", node=cmd.src, command_id=cid, start=start, duration=dur,
-                bytes=nbytes, label=f"{text} n{cmd.src}->n{cmd.dst}",
-            ))
+            labels[cid] = (text, nbytes)
+            trace.append(TraceEvent("push", cmd.src, cid, start, dur, nbytes, None, None, None,
+                                    f"{text} n{cmd.src}->n{cmd.dst}", finish))
 
         elif isinstance(cmd, AwaitPushCommand):
             finished[cid] = ready
             start = ready[0]
             push = cmd.push
-            dst_arr = storage.array(push.buffer, push.dst)
-            text, nbytes, slices = payloads.pop(push.id)
-            for index, values in slices:
-                dst_arr[index] = values
-            trace.append(TraceEvent(
-                kind="await_push", node=push.dst, command_id=cid, start=start,
-                duration=_ZERO[0], bytes=nbytes, label=f"{text} n{push.dst}",
-            ))
+            text, nbytes = labels.pop(push.id)
+            trace.append(TraceEvent("await_push", push.dst, cid, start, _ZERO[0], nbytes, None,
+                                    None, None, f"{text} n{push.dst}", start))
         else:
             raise ValidationError(f"unknown command type {type(cmd).__name__}")
 
@@ -277,12 +310,35 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
 
     makespan = _latest([finished[cid] for cid, after in enumerate(dependents) if not after])[0]
 
+    # The data walk, in the same order; the batch is evaluated before any
+    # command that would see or change its data.
+    storage = _Storage(plan.graph.buffers)
+    batch = _Batch(plan.graph, storage)
+    payloads: dict[int, list] = {}  # push id -> [(box index, values)]
+    for cid in order:
+        cmd = commands[cid]
+        if isinstance(cmd, ExecuteCommand):
+            batch.add(cmd)
+        elif isinstance(cmd, PushCommand):
+            if (cmd.buffer, cmd.src) in batch.writes:
+                batch.evaluate()
+            src_arr = storage[cmd.buffer, cmd.src]
+            payloads[cid] = [(index, src_arr[index].copy()) for index in map(_index, cmd.region)]
+        else:
+            key = (cmd.push.buffer, cmd.push.dst)
+            if key in batch.reads or key in batch.writes:
+                batch.evaluate()
+            dst_arr = storage[key]
+            for index, values in payloads.pop(cmd.push.id):
+                dst_arr[index] = values
+    batch.evaluate()
+
     final = {}
     for name, entries in plan.final_locations.items():
-        buf = buffers[name]
+        buf = plan.graph.buffers[name]
         out = np.zeros(buf.extent.shape, dtype=buf.dtype)
         for region, _version, holders in entries:
-            arr = storage.array(name, min(holders))
+            arr = storage[name, min(holders)]
             for index in map(_index, region):
                 out[index] = arr[index]
         final[name] = out

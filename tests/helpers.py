@@ -1,6 +1,8 @@
 """Shared test utilities: bitmap oracle for region algebra, an independent
-command-plan replay checker, a pointwise oracle of the footprint check,
+command-plan replay checker, the per-command data replay that is the
+reference of the batched one, a pointwise oracle of the footprint check,
 full-scan references of the task graph and of the scheduler's region map,
+the region map that splits every transferred piece's entry at once,
 random workload generators, the scalar kernel evaluator that is the oracle of
 the compiled one, a fresh evaluation of the power model, field mutations of
 the bundled scenario documents, and the dict forms of trace.json and
@@ -18,9 +20,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from clusterq import graph as graph_module
+from clusterq import scheduler as scheduler_module
 from clusterq.errors import EvalError
 from clusterq.graph import TaskGraph
-from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, postorder
+from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, postorder
 from clusterq.model import (
     Accessor,
     AccessMode,
@@ -30,6 +33,7 @@ from clusterq.model import (
     Fixed,
     Neighborhood,
     OneToOne,
+    ReadView,
     Slice,
     Task,
 )
@@ -39,6 +43,7 @@ from clusterq.scheduler import (
     AwaitPushCommand,
     ExecuteCommand,
     PushCommand,
+    RegionMapTable,
     generate_commands,
     split_task,
 )
@@ -200,6 +205,82 @@ def check_plan(plan, buffers):
     return nodever
 
 
+# ------------------------------------------------------ per-command data replay
+
+def replay_order(plan):
+    """The plan's commands in the simulator's order: Kahn's algorithm,
+    lowest command id first among the ready set."""
+    indegree = [len(c.deps) for c in plan.commands]
+    dependents = [[] for _ in plan.commands]
+    for c in plan.commands:
+        for d in c.deps:
+            dependents[d].append(c.id)
+    heap = [cid for cid, deg in enumerate(indegree) if deg == 0]
+    while heap:
+        cid = heappop(heap)
+        yield plan.commands[cid]
+        for nxt in dependents[cid]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heappush(heap, nxt)
+
+
+def reference_run(plan):
+    """The final buffers of plan, its data replayed one command at a time in
+    replay order: a Push's payload captured when it runs and landed by its
+    AwaitPush, and each Execute evaluated at once, one compiled kernel call
+    per box of each write region, reading the buffers it writes from a copy
+    taken before it writes them. Raises the first EvalError, naming its task."""
+    buffers = plan.graph.buffers
+    arrays = {}
+
+    def array(name, node):
+        if (name, node) not in arrays:
+            buf = buffers[name]
+            arrays[name, node] = (buf.init.materialize(buf.extent, buf.element_kind) if node == 0
+                                  else np.zeros(buf.extent.shape, dtype=buf.dtype))
+        return arrays[name, node]
+
+    def index(box):
+        return tuple(slice(lo, hi) for lo, hi in zip(box.mins, box.maxs))
+
+    payloads = {}
+    for cmd in replay_order(plan):
+        if isinstance(cmd, PushCommand):
+            src = array(cmd.buffer, cmd.src)
+            payloads[cmd.id] = [(box, src[index(box)].copy()) for box in cmd.region]
+        elif isinstance(cmd, AwaitPushCommand):
+            dst = array(cmd.push.buffer, cmd.push.dst)
+            for box, values in payloads.pop(cmd.push.id):
+                dst[index(box)] = values
+        else:
+            task = plan.graph.task(cmd.task_id)
+            written = {b for _w, b, _r, _v in cmd.writes}
+            views = {name: ReadView(buffers[b].extent, array(b, cmd.node).copy()
+                                    if b in written else array(b, cmd.node))
+                     for name, b, _r in cmd.reads}
+            for wname, b, region, _v in cmd.writes:
+                integer = buffers[b].element_kind == "int64"
+                evaluate = compile_kernel(task.body[wname], integer)
+                for box in region:
+                    try:
+                        values = evaluate(box, views, task.params)
+                    except EvalError as exc:
+                        raise EvalError(f"{exc} in task '{task.name}'") from None
+                    out = array(b, cmd.node)[index(box)]
+                    out[...] = values
+                    if not integer:
+                        out[np.isnan(out)] = math.nan
+    final = {}
+    for name, entries in plan.final_locations.items():
+        buf = buffers[name]
+        final[name] = np.zeros(buf.extent.shape, dtype=buf.dtype)
+        for region, _version, holders in entries:
+            for box in region:
+                final[name][index(box)] = array(name, min(holders))[index(box)]
+    return final
+
+
 # ------------------------------------------------------------ footprint oracle
 
 def clamp_point(point, extent):
@@ -350,6 +431,23 @@ def full_scan_table(graph, node_count):
         after_task.append({name: [(reg.boxes, v, dict(holders)) for reg, v, holders in es]
                            for name, es in entries.items()})
     return pushes, after_task
+
+
+class EagerTable(RegionMapTable):
+    """The region map with no gains left pending between tasks: each task's
+    transferred pieces split their entries as the task ends, before its
+    writes, as every task writes."""
+
+    def write(self, buffer, version, writes):
+        for pending in list(self.pending):
+            self.read(pending)
+        super().write(buffer, version, writes)
+
+
+def eager_split_plan(graph, node_count):
+    """generate_commands over an EagerTable."""
+    with mock.patch.object(scheduler_module, "RegionMapTable", EagerTable):
+        return generate_commands(graph, node_count)
 
 
 # --------------------------------------------------------------- random workloads
@@ -577,14 +675,17 @@ def _ieee_div(a: float, b: float) -> float:
 
 
 class PointView:
-    """A ReadView read one point at a time, each coordinate clamped to the
-    extent."""
+    """A ReadView read one point at a time at the ids of one axis-0 row, from
+    the array of the member whose rows hold that row, each coordinate
+    clamped to the extent."""
 
-    def __init__(self, view):
-        self.view = view
+    def __init__(self, view, row):
+        self.extent = view.extent
+        self.data = next(data for data, rows in view.members
+                         if len(view.members) == 1 or rows[0] <= row < rows[1])
 
     def read(self, point):
-        return self.view.data[clamp_point(point, self.view.extent)].item()
+        return self.data[clamp_point(point, self.extent)].item()
 
 
 def eval_kernel(expr, idx, views, params, integer=False):
@@ -645,9 +746,11 @@ def eval_box(expr, box, views, params, integer=False) -> np.ndarray:
     """eval_kernel at every id of box in row-major order, over ReadViews, as
     an array of the box's shape. It raises the error of the first failing id."""
     order = postorder(expr)
-    points = {name: PointView(view) for name, view in views.items()}
-    ids = product(*(range(lo, hi) for lo, hi in zip(box.mins, box.maxs)))
-    values = [_eval(order, idx, points, params, integer) for idx in ids]
+    values = []
+    for row in range(box.mins[0], box.maxs[0]):
+        points = {name: PointView(view, row) for name, view in views.items()}
+        for rest in product(*(range(lo, hi) for lo, hi in zip(box.mins[1:], box.maxs[1:]))):
+            values.append(_eval(order, (row,) + rest, points, params, integer))
     return np.array(values, dtype=np.int64 if integer else np.float64).reshape(box.shape)
 
 

@@ -1,6 +1,8 @@
 """Fast paths against their slow references: the compiled box evaluator
 against the scalar oracle in helpers, through the simulator (bit-identical
-buffers and identical error messages), ReadView's gathers against the
+buffers and identical error messages), the batched data replay against the
+per-command one, the pending region-map splits against splitting every
+transferred piece's entry at once, ReadView's gathers against the
 oracle's pointwise reads, submit's footprint check against a pointwise check
 of every read of the plan at every split,
 the replay's durations and energy against a fresh computation per event,
@@ -45,19 +47,21 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 from clusterq.scenario import write_buffer, write_trace
-from clusterq.scheduler import assign_frequencies, generate_commands
+from clusterq.scheduler import assign_frequencies, export_command_graph, generate_commands
 from clusterq.simulator import LinkModel, TraceEvent
 
 from helpers import (
     buffer_dump,
     chunk_time,
     compile_reference,
+    eager_split_plan,
     error_workload,
     first_read_outside,
     full_scan_table,
     json_dump_text,
     level_oracle,
     random_workload,
+    reference_run,
     trace_to_chrome,
     unchecked_plan,
 )
@@ -488,6 +492,51 @@ def test_region_map_matches_full_scan(seed, nodes, repeats):
              for name, entries in after_task[count - 1].items()}
     assert [(p.id, p.deps, p.src, p.dst, p.buffer, p.region.boxes, p.version)
             for p in plan.pushes()] == pushes
+
+
+def replayed(replay, plan):
+    """Final buffers as (dtype, bytes), or the evaluation error's type and text."""
+    try:
+        final = replay(plan)
+    except EvalError as exc:
+        return type(exc).__name__, str(exc)
+    return {name: (arr.dtype.str, arr.tobytes())
+            for name, arr in getattr(final, "buffers", final).items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 5), errors=st.booleans())
+# error workloads whose batches of 2-5 members divide by zero
+@example(seed=7, nodes=3, errors=True)
+@example(seed=28, nodes=5, errors=True)
+def test_batched_replay_matches_per_command_replay(seed, nodes, errors):
+    # run evaluates each batch in one kernel call per write accessor; the
+    # reference calls the kernel per write box of each Execute as it comes.
+    buffers, tasks = (error_workload if errors else random_workload)(random.Random(seed))
+    graph = TaskGraph(buffers)
+    try:
+        for task in tasks:
+            graph.submit(task)
+    except ValidationError as exc:  # a read error_workload shifts off its fixed region
+        assert "footprint violations" in str(exc)
+        return
+    plan = generate_commands(graph, nodes)
+    assert replayed(simulator.run, plan) == replayed(reference_run, plan)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 5), repeats=st.integers(1, 2))
+def test_pending_splits_match_eager_splits(seed, nodes, repeats):
+    buffers, tasks = random_workload(random.Random(seed))
+    graph = TaskGraph(buffers)
+    for task in [copy.copy(t) for t in tasks * repeats]:
+        graph.submit(task)
+    pending, eager = generate_commands(graph, nodes), eager_split_plan(graph, nodes)
+    assert export_command_graph(pending) == export_command_graph(eager)
+    assert {name: [(r.boxes, v, h) for r, v, h in entries]
+            for name, entries in pending.final_locations.items()} == \
+        {name: [(r.boxes, v, h) for r, v, h in entries]
+         for name, entries in eager.final_locations.items()}
 
 
 def written(write, *args) -> bytes:

@@ -283,6 +283,34 @@ def test_accounting_identity_random_traces():
             assert dev.energy_j >= Fraction(10) * makespan  # P_static floor
 
 
+def test_grouped_sums_match_a_sum_per_event():
+    # Few distinct (node, level, duration) groups shared across tasks, on
+    # devices with different P(f): every sum equals the one made event by
+    # event, with each finish start + duration.
+    devices = [REF, DeviceModel(levels_ghz=(0.5, 1.0, 2.0), f_ref_ghz=1.0, p_static_w=3.0,
+                                p_dyn_ref_w=7.0, alpha_exp=2.0)]
+    rng = random.Random(5)
+    trace, clock = [], [Fraction(0)] * 2
+    for cid in range(60):
+        node = rng.randrange(2)
+        dur = rng.choice((Fraction(1, 3), Fraction(2, 3), Fraction(1)))
+        trace.append(exe(node, clock[node], dur, rng.choice((0.5, 2.0)), tid=rng.randrange(5),
+                         cid=cid))
+        clock[node] += dur
+    report = account_energy(trace, devices, max(clock))
+    for task in report.per_task:
+        events = [ev for ev in trace if ev.task_id == task.task_id]
+        assert all(ev.finish == ev.start + ev.duration for ev in events)
+        assert task.energy_j == sum(level_oracle(devices[ev.node], ev.frequency_ghz)[0] *
+                                    ev.duration for ev in events)
+        assert task.duration_s == max(ev.finish for ev in events) - min(ev.start for ev in events)
+    for node, dev in enumerate(report.per_device):
+        events = [ev for ev in trace if ev.node == node]
+        assert dev.busy_s == sum(ev.duration for ev in events)
+        assert dev.energy_j == Fraction(devices[node].p_static_w) * dev.idle_s + sum(
+            level_oracle(devices[node], ev.frequency_ghz)[0] * ev.duration for ev in events)
+
+
 def test_task_duration_spans_chunks():
     # chunks of one task on two nodes at staggered times: span, not sum
     trace = [exe(0, 0, 2, 1.0, tid=1, cid=0),

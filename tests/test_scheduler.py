@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterq import scheduler
+from clusterq import scheduler, simulator
 from clusterq.energy import DeviceModel, EnergyTarget, select_frequency
 from clusterq.errors import UninitializedReadError, ValidationError
 from clusterq.graph import TaskGraph
@@ -18,6 +18,7 @@ from clusterq.model import (
     AccessMode,
     Buffer,
     BufferInit,
+    Fixed,
     Neighborhood,
     Task,
 )
@@ -119,6 +120,39 @@ def test_execute_k_runs_box_k_on_node_k():
         execs = [e for e in plan.executes() if e.task_id == task.id]
         assert [(e.box, e.node) for e in execs] == \
             [(box, k) for k, box in enumerate(split_task(task, 4))]
+
+
+def test_tasks_of_one_shape_share_chunk_geometry():
+    # Equal range and accessors share the chunk boxes, mapped reads and write
+    # regions by identity; a mapper of other radii shares nothing.
+    bufs = {"a": fbuf("a", 10), "b": fbuf("b", 10)}
+    nb = Neighborhood((1,))
+    tasks = [simple_task("p0", 10, ("a",), ("b",), {"a": nb}),
+             simple_task("p1", 10, ("a",), ("b",), {"a": Neighborhood((1,))}),
+             simple_task("q", 10, ("a",), ("b",), {"a": Neighborhood((2,))})]
+    plan = generate_commands(graph_of(bufs, *tasks), 3)
+    p0, p1, q = ([e for e in plan.executes() if e.task_id == t.id] for t in tasks)
+    for x, y, z in zip(p0, p1, q):
+        assert x.box is y.box and x.reads is y.reads and x.writes[0][2] is y.writes[0][2]
+        assert x.box == z.box and x.box is not z.box and x.reads != z.reads
+
+
+def test_fixed_mapper_tasks_share_by_region_value():
+    # Two Fixed mappers over equal, distinct Region objects key one shape.
+    x = Buffer("x", Box.from_shape((6,)), "float64", BufferInit.iota())
+    z = fbuf("z", 6)
+    tasks = [Task(f"f{k}", Box.from_shape((6,)), [
+        Accessor("x", AccessMode.READ, Fixed(Region(1, [Box((0,), (3,)), Box((3,), (6,))])),
+                 name="r"),
+        Accessor("z", AccessMode.WRITE),
+    ], {"z": parse_kernel("r[i] * 2.0 + r[i]", {"r": 1}, set(), 1)}) for k in range(2)]
+    graph = graph_of({"x": x, "z": z}, *tasks)
+    plan = generate_commands(graph, 2)
+    first, second = ([e for e in plan.executes() if e.task_id == t.id] for t in tasks)
+    assert all(a.reads is b.reads for a, b in zip(first, second))
+    check_plan(plan, graph.buffers)
+    result = simulator.run(plan)
+    assert result.buffers["z"].tolist() == [3.0 * v for v in range(6)]
 
 
 # ------------------------------------------------------------- region map table

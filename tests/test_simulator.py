@@ -7,9 +7,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from clusterq import graph as graph_module
 from clusterq import simulator
 from clusterq.energy import DeviceModel
-from clusterq.errors import ValidationError
+from clusterq.errors import EvalError, ValidationError
 from clusterq.graph import TaskGraph
 from clusterq.kernel import compile_kernel, parse_kernel
 from clusterq.model import (
@@ -22,10 +23,10 @@ from clusterq.model import (
     Task,
 )
 from clusterq.region import Box, Region
-from clusterq.scheduler import PushCommand, generate_commands
+from clusterq.scheduler import AwaitPushCommand, ExecuteCommand, PushCommand, generate_commands
 from clusterq.simulator import LinkModel, run
 
-from helpers import random_workload, trace_to_chrome
+from helpers import random_workload, reference_run, trace_to_chrome
 
 
 # unit-rate device: one element per second at 1 GHz, single level, so an
@@ -125,7 +126,10 @@ def test_random_workloads_node_count_invariant():
 
 def test_two_reads_of_a_rewritten_buffer_share_one_snapshot():
     """A task that rewrites its buffer in place through two read accessors
-    reads pre-task data through both, from one snapshot per Execute."""
+    reads pre-task data through both, from one snapshot per Execute, in one
+    kernel call per batch. At 3 nodes the first task's Push to node 2
+    captures node 0's array, which the batch of nodes 0 and 1 writes, so
+    that batch is evaluated first and node 2's Execute forms its own."""
     nb = Neighborhood((1,))
     body = parse_kernel("lo[i-1] * 2.0 + hi[i+1]", {"lo": 1, "hi": 1}, set(), 1)
     tasks = [Task(f"shift{k}", Box.from_shape((16,)), [
@@ -148,10 +152,162 @@ def test_two_reads_of_a_rewritten_buffer_share_one_snapshot():
         with mock.patch.object(simulator, "compile_kernel", recording):
             res = run(plan)
         assert res.buffers["a"].tobytes() == a.tobytes(), f"nodes={nodes}"
-        assert len(seen) == len(plan.executes())
+        assert len(seen) == {1: 2, 2: 2, 3: 3}[nodes]
         for views in seen:
             assert sorted(views) == ["hi", "lo"]
-            assert views["lo"].data is views["hi"].data
+            for (lo, _rows), (hi, _hi_rows) in zip(views["lo"].members, views["hi"].members):
+                assert lo is hi
+
+
+# ------------------------------------------------------------- batch edges
+
+def batch_outcome(plan):
+    """run's final buffers, its kernel call count, and whether the
+    per-command reference replay gives the same bytes."""
+    calls = []
+
+    def counting(expr, integer):
+        evaluate = compile_kernel(expr, integer)
+        return lambda box, views, params: calls.append(box) or evaluate(box, views, params)
+
+    with mock.patch.object(simulator, "compile_kernel", counting):
+        got = run(plan).buffers
+    want = reference_run(plan)
+    same = {n: a.tobytes() for n, a in got.items()} == {n: a.tobytes() for n, a in want.items()}
+    return got, len(calls), same
+
+
+def body(text, reads, dims):
+    return parse_kernel(text, {name: dims for name in reads}, set(), dims)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4])
+def test_in_place_task_batches_match_reference(nodes):
+    bufs = {"a": Buffer("a", Box.from_shape((7, 3)), "float64", BufferInit.iota())}
+    task = Task("smooth", Box.from_shape((7, 3)), [
+        Accessor("a", AccessMode.READ, Neighborhood((1, 1)), name="r"),
+        Accessor("a", AccessMode.WRITE),
+    ], {"a": body("r[i.0-1, i.1] + r[i.0+1, i.1+1] * 0.5", ["r"], 2)})
+    assert batch_outcome(plan_for(bufs, [task, task], nodes))[2]
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4])
+def test_write_region_clamped_by_the_extent_batches(nodes):
+    # The range exceeds z along axis 0 and axis 1, which submit rejects, so
+    # this plan is built with validation off: each chunk writes its box
+    # clamped to z, and a chunk wholly beyond z writes nothing.
+    bufs = {"x": Buffer("x", Box.from_shape((8, 5)), "float64", BufferInit.iota()),
+            "z": Buffer("z", Box.from_shape((6, 3)), "float64", BufferInit.zeros())}
+    task = Task("wide", Box.from_shape((8, 5)), [
+        Accessor("x", AccessMode.READ), Accessor("z", AccessMode.WRITE),
+    ], {"z": body("x[i.0, i.1] * 2.0 + i.0", ["x"], 2)})
+    with mock.patch.object(graph_module, "validate_task"):
+        plan = plan_for(bufs, [task], nodes)
+    got, calls, same = batch_outcome(plan)
+    want = np.arange(40.0).reshape(8, 5)[:6, :3] * 2 + np.arange(6.0)[:, None]
+    assert same and calls == 1 and got["z"].tobytes() == want.tobytes()
+
+
+def test_two_write_accessors_that_swap_two_buffers():
+    bufs = {"a": fbuf("a", 12), "b": fbuf("b", 12, BufferInit.constant(5.0))}
+    nb = Neighborhood((1,))
+    task = Task("swap", Box.from_shape((12,)), [
+        Accessor("a", AccessMode.READ, nb, name="ra"),
+        Accessor("b", AccessMode.READ, nb, name="rb"),
+        Accessor("a", AccessMode.WRITE, name="wa"), Accessor("b", AccessMode.WRITE, name="wb"),
+    ], {"wa": body("rb[i+1] - ra[i-1]", ["ra", "rb"], 1),
+        "wb": body("ra[i+1] * 2.0 + rb[i]", ["ra", "rb"], 1)})
+    for nodes in (1, 2, 3):
+        got, _calls, same = batch_outcome(plan_for(bufs, [task, task], nodes))
+        assert same, nodes
+    a, b = np.arange(12.0), np.full(12, 5.0)
+    for _ in range(2):
+        up, down = np.minimum(np.arange(12) + 1, 11), np.maximum(np.arange(12) - 1, 0)
+        a, b = b[up] - a[down], a[up] * 2.0 + b
+    assert got["a"].tobytes() == a.tobytes() and got["b"].tobytes() == b.tobytes()
+
+
+def test_division_by_zero_in_two_chunks_names_the_first_in_replay_order():
+    # Node 1's chunk divides by x's zero at id 5 through the first write
+    # accessor, node 0's by y's zero at id 2 through the second. The batch's
+    # first call fails at id 5; node 0's Execute comes first in replay order.
+    bufs = {"x": Buffer("x", Box.from_shape((8,)), "int64",
+                        BufferInit.explicit([1, 1, 1, 1, 1, 0, 1, 1])),
+            "y": Buffer("y", Box.from_shape((8,)), "int64",
+                        BufferInit.explicit([1, 1, 0, 1, 1, 1, 1, 1])),
+            "p": Buffer("p", Box.from_shape((8,)), "int64"),
+            "q": Buffer("q", Box.from_shape((8,)), "int64")}
+    task = Task("div", Box.from_shape((8,)), [
+        Accessor("x", AccessMode.READ), Accessor("y", AccessMode.READ),
+        Accessor("p", AccessMode.WRITE), Accessor("q", AccessMode.WRITE),
+    ], {"p": body("7 / x[i]", ["x", "y"], 1), "q": body("7 / y[i]", ["x", "y"], 1)})
+    plan = plan_for(bufs, [task], 2)
+    for replay in (reference_run, lambda plan: run(plan).buffers):
+        with pytest.raises(EvalError, match=r"^integer division by zero at id \(2,\) "
+                                            r"in task 'div'$"):
+            replay(plan)
+
+
+def hand_built(bufs, task, nodes, commands, final):
+    """A plan of task's graph with the given commands and final region map."""
+    plan = plan_for(bufs, [task], nodes)
+    plan.commands = commands
+    plan.final_locations = {name: [(Region(1, [Box((lo,), (hi,))]), 2, frozenset(holders))
+                                   for lo, hi, holders in entries]
+                            for name, entries in final.items()}
+    return plan
+
+
+def execute(cid, deps, lo, hi, node, reads, writes, halo=0):
+    """An Execute of task 1 over [lo, hi) on node, reading each accessor of
+    reads over the box widened by halo within [0, 8), writing writes' box."""
+    def region(pad):
+        return Region(1, [Box((max(lo - pad, 0),), (min(hi + pad, 8),))])
+    return ExecuteCommand(cid, deps, 1, Box((lo,), (hi,)), node, 1.0,
+                          tuple((name, buffer, region(halo)) for name, buffer in reads),
+                          tuple((buffer, buffer, region(0), 2) for buffer in writes))
+
+
+def test_hand_built_plans_evaluate_the_batch_where_its_data_is_seen_or_changed():
+    # Executes of one task in replay order C0, C1; then an AwaitPush lands on
+    # data C1 read or wrote, or a second Execute on C0's node reads what C0
+    # wrote. Each plan runs as the per-command replay does.
+    bufs = {"a": fbuf("a"), "z": fbuf("z", init=BufferInit.zeros())}
+    inc = make_task("inc", "r_a[i] + 1.0", reads=("a",))
+    reads, writes = [("r_a", "a")], ["z"]
+    push_a = PushCommand(2, (1,), 0, 1, "a", Region(1, [Box((4,), (8,))]), 1)
+    push_z = PushCommand(2, (), 2, 1, "z", Region(1, [Box((4,), (8,))]), 1)
+    shift = make_task("shift", "r_a[i-1] + r_a[i+1]", reads=("a",), writes=("a",),
+                      mappers={"a": Neighborhood((1,))})
+    plans = [
+        hand_built(bufs, inc, 2, [execute(0, (), 0, 4, 0, reads, writes),
+                                  execute(1, (), 4, 8, 1, reads, writes),
+                                  push_a, AwaitPushCommand(3, (2,), push_a)],
+                   {"a": [(0, 8, {0})], "z": [(0, 4, {0}), (4, 8, {1})]}),
+        hand_built(bufs, inc, 3, [execute(0, (), 0, 4, 0, reads, writes),
+                                  execute(1, (), 4, 8, 1, reads, writes),
+                                  push_z, AwaitPushCommand(3, (2,), push_z)],
+                   {"a": [(0, 8, {0})], "z": [(0, 4, {0}), (4, 8, {1})]}),
+        hand_built(bufs, shift, 1, [execute(0, (), 0, 4, 0, reads, ["a"], halo=1),
+                                    execute(1, (0,), 4, 8, 0, reads, ["a"], halo=1)],
+                   {"a": [(0, 8, {0})]}),
+    ]
+    for plan in plans:
+        assert batch_outcome(plan)[2]
+
+
+def test_await_push_without_its_push_is_rejected():
+    region = Region(1, [Box((0,), (4,))])
+    push = PushCommand(1, (), 0, 1, "x", region, 1)
+    plan = plan_for({"x": fbuf("x")}, [], 2)
+    plan.commands = [AwaitPushCommand(0, (), push), push]
+    with pytest.raises(ValidationError, match="AwaitPush 0 does not depend on its Push 1"):
+        run(plan)
+    # depending on a Push equal to the one it holds, which is not in the plan
+    plan.commands = [PushCommand(0, (), 0, 1, "x", region, 1),
+                     AwaitPushCommand(1, (0,), PushCommand(0, (), 0, 1, "x", region, 1))]
+    with pytest.raises(ValidationError, match="AwaitPush 1 does not depend on its Push 0"):
+        run(plan)
 
 
 def test_int64_buffers_stay_int64():
