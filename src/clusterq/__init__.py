@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import TaskGraph
-from .kernel import format_kernel, parse_kernel
+from .kernel import parse_kernel
 from .model import (
     Accessor,
     AccessMode,
@@ -40,9 +40,7 @@ from .scenario import (
     load_scenario,
     plan_scenario,
     run_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     validate_against_serial,
     write_trace,
 )

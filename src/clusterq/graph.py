@@ -1,21 +1,23 @@
 """Task dependency graph with region-precise conflict edges.
 
-Submitting a task maps every accessor over the full kernel range and finds
-its predecessors through two region maps per buffer, as Celerity does (Knorr,
-Thoman, Fahringer, IJPP 2023): the last writer of each region, and the readers
-of each region since its last write. A read depends on the last writers it
-overlaps; a write depends on the last writers and on the readers since. Both
-maps are (region, task id) lists that region.overlapping queries and
-region.cut cuts, as it cuts the scheduler's region map; a task's lookups in a
-map and its cut of that map share one region.SpanIndex. A write cuts both
-maps. A read cuts the reader entries of the tasks it already depends on: a
-later write there depends on it, and so reaches them. So a task touches only
-the entries its regions overlap, never the whole history. A task that
-conflicts with an earlier one reaches it through these predecessors, so the
-ancestor bitset (a Python int with bit p set for every task p it transitively
-depends on) is the one a scan of every earlier task gives, and the
-predecessors that no other predecessor already implies are found from it
-without walking the graph.
+Submitting a task checks it (validate_task, static_footprint_check) once
+per shape: model.shape_key, the bodies by identity, the params and beta, all
+that the checks read but the name. It maps every accessor over the full
+kernel range and finds its predecessors through two region maps per buffer,
+as Celerity does (Knorr, Thoman, Fahringer, IJPP 2023): the last writer of
+each region, and the readers of each region since its last write. A read
+depends on the last writers it overlaps; a write depends on the last writers
+and on the readers since. Both maps are (region, task id) lists that
+region.overlapping queries and region.cut cuts, as it cuts the scheduler's
+region map; a task's lookups in a map and its cut of that map share one
+region.SpanIndex. A write cuts both maps. A read cuts the reader entries of
+the tasks it already depends on: a later write there depends on it, and so
+reaches them. So a task touches only the entries its regions overlap, never
+the whole history. A task that conflicts with an earlier one reaches it
+through these predecessors, so the ancestor bitset (a Python int with bit p
+set for every task p it transitively depends on) is the one a scan of every
+earlier task gives, and the predecessors that no other predecessor already
+implies are found from it without walking the graph.
 
 The full conflict edges are a view computed on demand by that scan: RAW for
 an earlier write overlapping a new read, WAR for an earlier read overlapping a
@@ -29,7 +31,7 @@ table rather than appearing as a graph node.
 import enum
 
 from .errors import ValidationError
-from .model import AccessMode, Task, static_footprint_check, validate_task
+from .model import AccessMode, Task, shape_key, static_footprint_check, validate_task
 from .region import Region, SpanIndex, cut, overlapping
 from .value import Frozen
 
@@ -71,13 +73,18 @@ class TaskGraph:
         # task id; index 0 is unused.
         self._preds: list[set[int]] = [set()]
         self._ancestors: list[int] = [0]
+        self._checked = set()  # the keys of the task shapes that passed the checks
 
     def submit(self, task: Task) -> int:
-        validate_task(task, self.buffers)
-        violations = static_footprint_check(task, self.buffers)
-        if violations:
-            detail = "; ".join(str(v) for v in violations)
-            raise ValidationError(f"task '{task.name}': footprint violations: {detail}")
+        # Tasks parsed from one text share bodies, and self.tasks keeps them.
+        checked = (shape_key(task), tuple((name, id(expr)) for name, expr in task.body.items()),
+                   tuple(task.params.items()), task.beta)
+        if checked not in self._checked:
+            validate_task(task, self.buffers)
+            violations = static_footprint_check(task, self.buffers)
+            if violations:
+                detail = "; ".join(str(v) for v in violations)
+                raise ValidationError(f"task '{task.name}': footprint violations: {detail}")
 
         tid = len(self.tasks) + 1
         task.id = tid
@@ -120,6 +127,7 @@ class TaskGraph:
                 (region, tid)]
 
         self.tasks.append(task)
+        self._checked.add(checked)
         self._reads[tid] = reads
         self._writes[tid] = writes
         self._preds.append(preds)

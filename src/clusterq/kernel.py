@@ -1,4 +1,4 @@
-"""Arithmetic kernel language: AST, recursive-descent parser, printer, evaluator.
+"""Arithmetic kernel language: AST, recursive-descent parser, evaluator.
 
 Grammar (whitespace insignificant between tokens):
 
@@ -259,51 +259,6 @@ def parse_kernel(text, reads, params, dims) -> Expr:
         return parser.parse()
     except RecursionError:
         raise KernelSyntaxError("expression nested too deeply", parser.pos) from None
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def _prec(expr) -> int:
-    if isinstance(expr, BinOp):
-        return _PREC[expr.op]
-    if isinstance(expr, Neg):
-        return 3
-    return 4
-
-
-def format_kernel(expr) -> str:
-    """Canonical text for an expression; reparsing yields an identical tree.
-    Iterative, so deep trees need no recursion."""
-    texts = []  # the text of each operand not yet consumed
-    for node in postorder(expr):
-        if isinstance(node, Num):
-            texts.append(repr(node.value))
-        elif isinstance(node, Param):
-            texts.append(node.name)
-        elif isinstance(node, IdComponent):
-            texts.append(f"i.{node.axis}")
-        elif isinstance(node, Read):
-            idx = ", ".join(
-                f"i.{j}" if off == 0 else f"i.{j}{off:+d}" for j, off in enumerate(node.offsets)
-            )
-            texts.append(f"{node.accessor}[{idx}]")
-        elif isinstance(node, Neg):
-            inner = texts[-1]
-            if _prec(node.operand) < 4:
-                inner = f"({inner})"
-            texts[-1] = f"-{inner}"
-        elif isinstance(node, BinOp):
-            right = texts.pop()
-            if _prec(node.right) <= _PREC[node.op]:
-                right = f"({right})"
-            left = texts[-1]
-            if _prec(node.left) < _PREC[node.op]:
-                left = f"({left})"
-            texts[-1] = f"{left} {node.op} {right}"
-        else:
-            raise TypeError(f"not a kernel expression: {node!r}")
-    return texts[0]
 
 
 def postorder(expr) -> list:

@@ -291,6 +291,14 @@ class Task(Value):
         return tuple(a for a in self.accessors if a.mode is AccessMode.WRITE)
 
 
+def shape_key(task: Task) -> tuple:
+    """task's range and accessors as one hashable value, a fixed mapper's by
+    its region's dims and boxes, as a Region has no hash."""
+    return (task.global_range, tuple(
+        (a.buffer, a.mode, a.name, (a.mapper.region.dims, a.mapper.region.boxes)
+         if isinstance(a.mapper, Fixed) else a.mapper) for a in task.accessors))
+
+
 def collect_read_offsets(task: Task) -> dict[str, list[tuple[int, ...]]]:
     """Constant offsets used per read accessor across all body expressions."""
     offsets: dict[str, set] = {}

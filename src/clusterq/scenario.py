@@ -19,7 +19,7 @@ import numpy as np
 from .energy import DeviceModel, EnergyTarget, account_energy
 from .errors import ClusterqError, ScenarioError, ValidationError
 from .graph import TaskGraph
-from .kernel import format_kernel, parse_kernel
+from .kernel import parse_kernel
 from .model import (
     Accessor,
     AccessMode,
@@ -392,84 +392,6 @@ def scenario_from_dict(data: dict, path: str = "scenario") -> Scenario:
                     expectations=expectations, path=path)
 
 
-def _model_to_json(obj, table: dict) -> dict:
-    """The fields of obj that table declares, as JSON values."""
-    values = {key: getattr(obj, key) for key in table}
-    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
-
-
-def _init_to_json(init: BufferInit):
-    table = INIT_KINDS[init.kind][0]
-    return {"kind": init.kind, **_model_to_json(init, table)} if table else init.kind
-
-
-def _mapper_to_json(mapper):
-    if isinstance(mapper, (OneToOne, All)):
-        return str(mapper)
-    if isinstance(mapper, Neighborhood):
-        return {"kind": "neighborhood", "radii": list(mapper.radii)}
-    if isinstance(mapper, Slice):
-        return {"kind": "slice", "dim": mapper.axis}
-    if isinstance(mapper, Fixed):
-        region = [{"min": list(b.mins), "max": list(b.maxs)} for b in mapper.region]
-        return {"kind": "fixed", "region": region}
-    raise ScenarioError(f"cannot serialize mapper {type(mapper).__name__}")
-
-
-def _accessor_to_json(acc: Accessor):
-    if acc.name == acc.buffer and isinstance(acc.mapper, OneToOne):
-        return acc.buffer
-    out = {"buffer": acc.buffer}
-    if acc.name != acc.buffer:
-        out["name"] = acc.name
-    if not isinstance(acc.mapper, OneToOne):
-        out["mapper"] = _mapper_to_json(acc.mapper)
-    return out
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    data = {}
-    if scenario.nodes is not None:
-        data["nodes"] = scenario.nodes
-    if scenario.devices is not None:
-        data["devices"] = [_model_to_json(d, DEVICE) for d in scenario.devices]
-    if scenario.link is not None:
-        data["link"] = _model_to_json(scenario.link, LINK)
-    if scenario.queue_target is not None:
-        data["target"] = scenario.queue_target.value
-    data["buffers"] = [
-        {
-            "name": b.name,
-            "extent": list(b.extent.shape),
-            "element_kind": b.element_kind,
-            "init": _init_to_json(b.init),
-        }
-        for b in scenario.buffers
-    ]
-    data["tasks"] = []
-    for task in scenario.tasks:
-        t = {
-            "name": task.name,
-            "range": list(task.global_range.shape),
-            "reads": [_accessor_to_json(a) for a in task.reads()],
-            "writes": [_accessor_to_json(a) for a in task.writes()],
-            "body": {name: format_kernel(expr) for name, expr in task.body.items()},
-        }
-        if task.params:
-            t["params"] = dict(task.params)
-        if task.beta:
-            t["beta"] = task.beta
-        if task.target is not None:
-            t["target"] = task.target.value
-        data["tasks"].append(t)
-    if scenario.expectations:
-        data["expectations"] = [
-            {"buffer": name, "values": list(values)}
-            for name, values in scenario.expectations
-        ]
-    return data
-
-
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -507,11 +429,14 @@ def _micros(t) -> str:
 
 def _trace_events(trace):
     sep = "\n"
-    durations = {}  # (numerator, denominator) -> _micros text; a run has few distinct durations
+    # id of a time -> its _micros text: a run's events share few distinct
+    # start and duration objects, which the trace keeps alive.
+    micros = {}
     for ev in trace:
         tid, kind = _LANES[ev.kind]
-        key = (ev.duration.numerator, ev.duration.denominator)
-        dur = durations.get(key) or durations.setdefault(key, _micros(ev.duration))
+        ts = micros.get(id(ev.start)) or micros.setdefault(id(ev.start), _micros(ev.start))
+        dur = micros.get(id(ev.duration)) or micros.setdefault(id(ev.duration),
+                                                                _micros(ev.duration))
         extra = ""
         if ev.frequency_ghz is not None:
             extra = f',\n        "frequency_ghz": {_float(ev.frequency_ghz)}'
@@ -520,7 +445,7 @@ def _trace_events(trace):
         yield (
             f'{sep}    {{\n      "name": {_string(ev.label or ev.kind)},\n      "ph": "X",\n'
             f'      "pid": {int.__repr__(ev.node)},\n      "tid": {tid},\n'
-            f'      "ts": {_micros(ev.start)},\n      "dur": {dur},\n'
+            f'      "ts": {ts},\n      "dur": {dur},\n'
             f'      "args": {{\n        "kind": {kind},\n'
             f'        "command": {int.__repr__(ev.command_id)}{extra}\n      }}\n    }}'
         )
@@ -555,10 +480,6 @@ def write_buffer(path, buffer: Buffer, values: np.ndarray):
             f'  "element_kind": {_string(buffer.element_kind)},\n'
             f'  "values": {_number_list(values.reshape(-1).tolist())}\n}}\n'
         )
-
-
-def save_scenario(scenario: Scenario, path):
-    write_json(path, scenario_to_dict(scenario))
 
 
 def bundled_scenario_path(name: str):

@@ -2,51 +2,57 @@
 
 Tasks are split along dimension 0 into contiguous chunk boxes, one per node
 (box k runs on node k; sizes differ by at most one with larger boxes first).
-Chunk boxes, mapped reads, needs and write regions are computed once per
-distinct (range, accessors) value, a fixed mapper's keyed by its region's
-dims and boxes, and shared by the tasks of that shape. A RegionMapTable
-tracks, per buffer, which nodes hold which sub-regions at which version, as
-pairwise disjoint (region, version, holders) entries. Walking tasks in
-topological order, the generator resolves each chunk's need of a buffer with
-one region.overlapping query of the buffer's region.SpanIndex, built once per
-task, so a chunk visits only the entries near its axis-0 span: each entry's
-part of the need counts toward coverage, and a part the chunk's node does not
-hold gets a Push from the lowest-id holder plus an AwaitPush holding that
-Push. Cells no entry covers are an uninitialized read. Then comes an Execute
-per chunk, with its task id, box and node. A command's id is its position in
-the plan. A task bumps the version of each buffer it writes once. Transferred
-regions gain the destination as holder, so re-reading resident data never
-produces a second transfer: each piece remembers the entry it was cut from,
-and stays pending until the buffer's next read or the final snapshot splits
-that entry in place, or its next write, which drops the pieces of entries it
-removes whole and applies the rest first. A write is one region.cut that
-takes the task's chunk writes, which are pairwise disjoint, out of the
-entries their spans meet, in Execute order, and appends them, at the new
-version with the writer as sole holder. The entries and their box
-decomposition are the ones that applying each piece and each chunk write in
-turn, by a scan of every entry, would give.
+Chunk boxes, mapped reads, needs and write regions are computed once per task
+shape (model.shape_key) and shared by its tasks. A RegionMapTable tracks, per
+buffer, which nodes hold which sub-regions at which version, as pairwise
+disjoint (region, version, holders) entries. Walking tasks in topological
+order, a chunk's need of a buffer is one region.overlapping query of the
+buffer's region.SpanIndex, built once per task: each entry's part of the need
+counts toward coverage, and a part the chunk's node does not hold gets a Push
+from the lowest-id holder plus an AwaitPush holding that Push. Cells no entry
+covers are an uninitialized read. Then comes an Execute per chunk, with its
+task id, box and node; a command's id is its position in the plan. A task
+bumps the version of each buffer it writes once. Transferred pieces gain the
+destination as holder, so resident data is never sent twice: each remembers
+the entry it was cut from, and stays pending until the buffer's next read or
+the final snapshot splits that entry in place, or its next write, which drops
+the pieces of entries it removes whole and applies the rest first. A write is
+one region.cut of the task's chunk writes out of the entries their spans
+meet, which then come last, at the new version with the writer as sole
+holder. Entries and boxes are those that applying each piece and each chunk
+write in turn, by a scan of every entry, would give.
+
+Planning reads, of the buffers a task touches, only their layouts: entry
+boxes, holder nodes and which of them hold host data, and pending pieces. A
+task's key is its shape and the id of each such layout, interned per
+generate_commands call. At a key's first sighting the task is planned on the
+table; at its second, on a copy of its buffers whose versions, producers and
+new versions are tokens, which gives the key's template: the commands and the
+buffers' resulting entries, pending pieces and layout ids. Later sightings
+instantiate it: ids shift, tokens resolve against the current entries and
+regions are shared. So an iterative queue does its region algebra once per
+key, as Legion's dynamic tracing (Lee et al., SC 2018) memoizes its analysis.
 
 Executes are planned at their device's top frequency level, so the structure
 does not depend on the energy target; assign_frequencies then sets each
 Execute's level in one pass over the finished plan.
 
-An Execute depends on its AwaitPushes, on every Execute of each direct
-task-graph predecessor, and on same-task Pushes leaving its node whose region
-overlaps the Execute's writes (the data must leave before it is overwritten in
-place). A Push depends on the command that produced its data on the source
-node. A predecessor task that is an ancestor of another predecessor adds no
-dependency: every task has at least one Execute, so the other predecessor's
-Executes already wait for its Executes. Reachability is unchanged, and the
-number of dependencies grows linearly with the queue length.
+An Execute depends on the Executes of each direct task-graph predecessor
+that is no ancestor of another (every task has an Execute, so reachability
+is unchanged, and dependencies grow linearly with the queue length), then on
+its AwaitPushes and on same-task Pushes leaving its node whose region meets
+its writes, as that data must leave before it is overwritten in place. A
+Push depends on the command that produced its data on its source node.
 """
 
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from .energy import DeviceModel, EnergyTarget, select_frequency
 from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph, dot_string
-from .model import ELEMENT_BYTES, Fixed, Task
+from .model import ELEMENT_BYTES, Task, shape_key
 from .region import Box, Region, SpanIndex, cut, inside, overlapping
 from .value import Value
 
@@ -235,9 +241,6 @@ class Plan(Value):
     def pushes(self):
         return [c for c in self.commands if isinstance(c, PushCommand)]
 
-    def await_pushes(self):
-        return [c for c in self.commands if isinstance(c, AwaitPushCommand)]
-
 
 def _resolve_devices(devices, node_count) -> list[DeviceModel]:
     if devices is None:
@@ -271,98 +274,187 @@ def _chunk_shapes(task: Task, node_count: int, buffers) -> list:
     return chunks
 
 
+def _plan_task(table: RegionMapTable, task: Task, tid: int, chunks: list, version: dict,
+               base: int, pred: tuple, levels: list) -> list[Command]:
+    """Plan task tid on table: its commands, with ids from base. Each Execute
+    runs at its node's level in levels and depends first on pred, the
+    ascending Execute ids below base it waits for; each buffer b the task
+    writes gets version[b]."""
+    commands: list[Command] = []
+    pushes_from: dict[int, list[PushCommand]] = {}  # source node -> pushes
+    task_execs: list[ExecuteCommand] = []
+    # buffer -> entry index -> (piece, dst node, awaitpush id) cut from it
+    gains: dict[str, dict[int, list]] = {}
+    # The entries change only after the chunks, so each is indexed once per task.
+    indexes = {b: SpanIndex(table.read(b)) for b in {acc.buffer for acc in task.reads()}}
+
+    for node, (box, reads, needs, writes) in enumerate(chunks):
+        await_ids = []
+        for buffer, need in needs:
+            found = 0
+            entries = table.entries[buffer]
+            for index, (have, held_version, holders) in overlapping(
+                    entries, need, indexes[buffer]):
+                part = have if inside(have, need) else have.intersect(need)
+                found += part.volume()
+                if node in holders:
+                    continue
+                src = min(holders)
+                producer = holders[src]
+                push = PushCommand(base + len(commands), () if producer is None else (producer,),
+                                   src, node, buffer, part, held_version)
+                commands.append(push)
+                pushes_from.setdefault(src, []).append(push)
+                ap = AwaitPushCommand(push.id + 1, (push.id,), push)
+                commands.append(ap)
+                await_ids.append(ap.id)
+                gains.setdefault(buffer, {}).setdefault(index, []).append((part, node, ap.id))
+            if found != need.volume():
+                missing = [(need,)]
+                [(uncovered,)] = cut(missing, [e[0] for e in entries], SpanIndex(missing))
+                raise UninitializedReadError(
+                    f"task '{task.name}' (id {tid}) reads {uncovered} of buffer "
+                    f"'{buffer}' which was never written or host-initialized"
+                )
+
+        exe = ExecuteCommand(
+            base + len(commands), pred + tuple(await_ids), tid, box, node, levels[node], reads,
+            tuple((name, b, region, version[b]) for name, b, region in writes))
+        commands.append(exe)
+        task_execs.append(exe)
+
+    # In-place hazard: data pushed out of a node must leave before the
+    # node's own Execute overwrites it within the same task.
+    for exe in task_execs:
+        extra = set()
+        for push in pushes_from.get(exe.node, ()):
+            for _, buffer, region, _v in exe.writes:
+                if buffer == push.buffer and region.overlaps(push.region):
+                    extra.add(push.id)
+                    break
+        if extra:
+            exe.deps = pred + tuple(sorted(set(exe.deps[len(pred):]) | extra))
+
+    table.pending.update(gains)  # the task read those buffers, so none has gains pending
+    for buffer, v in version.items():
+        table.write(buffer, v, [(region, exe.node, exe.id) for exe in task_execs
+                                for _, b, region, _v in exe.writes if b == buffer])
+    return commands
+
+
+def _layout(table: RegionMapTable, buffer: str) -> tuple:
+    """What planning reads of buffer in table: each entry's boxes, holder
+    nodes and which of them hold host data, and the pending pieces."""
+    return (tuple([(e[0].boxes, tuple([(n, p is None) for n, p in e[2].items()]))
+                   for e in table.entries[buffer]]),
+            tuple([(i, tuple([(r.boxes, n) for r, n, _p in pieces]))
+                   for i, pieces in table.pending.get(buffer, {}).items()]))
+
+
+def _record(table: RegionMapTable, task: Task, tid: int, chunks: list, touched: tuple,
+            levels: list, layouts: dict) -> tuple:
+    """The template of task on its buffers' layouts. It is planned on a copy
+    of them that numbers their versions and producers 1, 2, ... in entry
+    order, then the new versions, then the ids: each value in it, a host
+    producer as 0, is the index of the value an instance resolves."""
+    copy = object.__new__(type(table))  # no __init__: it holds touched only
+    copy.entries, copy.pending = {}, {}
+    token = count(1).__next__
+    for b in touched:
+        copy.entries[b] = [(r, token(), {n: p if p is None else token() for n, p in h.items()})
+                           for r, _v, h in table.entries[b]]
+        if b in table.pending:
+            copy.pending[b] = {i: [(r, n, token()) for r, n, _p in pieces]
+                               for i, pieces in table.pending[b].items()}
+    version = {acc.buffer: token() for acc in task.writes()}
+    base = token()
+    commands = _plan_task(copy, task, tid, chunks, version, base, (), levels)
+    results = {b: ([(r, v, tuple((n, 0 if p is None else p) for n, p in h.items()))
+                    for r, v, h in copy.entries[b]],
+                   copy.pending.get(b, {}), layouts.setdefault(_layout(copy, b), len(layouts)))
+               for b in touched}
+    return commands, results, tuple(version), base
+
+
+def _instantiate(template: tuple, table: RegionMapTable, tid: int, base: int, pred: tuple,
+                 touched: tuple) -> list[Command]:
+    """The commands of template for task tid with ids from base, each
+    Execute depending first on pred; table's touched buffers take the
+    template's entries and pending pieces."""
+    local, results, written, local_base = template
+    values = [None]  # then what the tokens stand for, in the order _record numbers them
+    for b in touched:
+        for _r, version, holders in table.entries[b]:
+            values.append(version)
+            values.extend([p for p in holders.values() if p is not None])
+        for pieces in table.pending.get(b, {}).values():
+            values.extend([p for _r, _n, p in pieces])
+    values += [table.bump_version(b) for b in written]
+    values += range(base, base + len(local))
+    shift = base - local_base
+    commands: list[Command] = []
+    for c in local:
+        if isinstance(c, PushCommand):
+            cmd = PushCommand(c.id + shift, tuple([values[d] for d in c.deps]), c.src, c.dst,
+                              c.buffer, c.region, values[c.version])
+        elif isinstance(c, AwaitPushCommand):
+            cmd = AwaitPushCommand(c.id + shift, (c.push.id + shift,),
+                                   commands[c.push.id - local_base])
+        else:
+            cmd = ExecuteCommand(c.id + shift, pred + tuple([values[d] for d in c.deps]), tid,
+                                 c.box, c.node, c.frequency_ghz, c.reads,
+                                 tuple([(n, b, r, values[v]) for n, b, r, v in c.writes]))
+        commands.append(cmd)
+    for b, (entries, pending, _id) in results.items():
+        table.entries[b] = [(r, values[v], {n: values[p] for n, p in holders})
+                            for r, v, holders in entries]
+        table.pending[b] = {i: [(r, n, values[p]) for r, n, p in pieces]
+                            for i, pieces in pending.items()}
+    return commands
+
+
 def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
     """The command plan, every Execute at its device's top frequency level."""
     if node_count < 1:
         raise ValidationError("node count must be at least 1")
     if node_count > MAX_NODES:
-        raise ValidationError(
-            f"node count {node_count} exceeds the maximum of {MAX_NODES}"
-        )
+        raise ValidationError(f"node count {node_count} exceeds the maximum of {MAX_NODES}")
     devices = _resolve_devices(devices, node_count)
+    levels = [device.levels_ghz[-1] for device in devices]
     table = RegionMapTable(graph.buffers)
 
     commands: list[Command] = []
     exec_ids_by_task: dict[int, list[int]] = {}
-    shapes = {}  # (range, accessors) -> _chunk_shapes, shared by the tasks of that shape
+    shapes = {}  # shape_key -> (its index, _chunk_shapes, the buffers it touches)
+    layouts, current = {}, {}  # _layout -> its id; buffer -> its layout's id, while known
+    seen, templates = set(), {}  # keys: (shape index, layout id of each touched buffer)
 
     for tid in graph.topological_order():
         task = graph.task(tid)
+        pred = tuple([e for p in graph.reduced_predecessors(tid)
+                      for e in exec_ids_by_task.get(p, ())])
+        shape = shapes.get(key := shape_key(task))
+        if shape is None:
+            shape = shapes[key] = (len(shapes), _chunk_shapes(task, node_count, graph.buffers),
+                                   tuple(dict.fromkeys(a.buffer for a in task.accessors)))
+        index, chunks, touched = shape
+        key = (index,) + tuple([current[b] if b in current else current.setdefault(
+            b, layouts.setdefault(_layout(table, b), len(layouts))) for b in touched])
 
-        pred_exec_ids = []
-        for pred in graph.reduced_predecessors(tid):
-            pred_exec_ids.extend(exec_ids_by_task.get(pred, ()))
-
-        version = {acc.buffer: table.bump_version(acc.buffer) for acc in task.writes()}
-        shape = (task.global_range, tuple(  # a Region has no hash
-            (a.buffer, a.mode, a.name, (a.mapper.region.dims, a.mapper.region.boxes)
-             if isinstance(a.mapper, Fixed) else a.mapper) for a in task.accessors))
-        chunks = shapes.get(shape)
-        if chunks is None:
-            chunks = shapes[shape] = _chunk_shapes(task, node_count, graph.buffers)
-
-        pushes_from: dict[int, list[PushCommand]] = {}  # source node -> pushes
-        task_execs: list[ExecuteCommand] = []
-        # buffer -> entry index -> (piece, dst node, awaitpush id) cut from it
-        gains: dict[str, dict[int, list]] = {}
-        # The entries change only after the chunks, so each is indexed once per task.
-        indexes = {b: SpanIndex(table.read(b)) for b in {acc.buffer for acc in task.reads()}}
-
-        for node, (box, reads, needs, writes) in enumerate(chunks):
-            await_ids = []
-            for buffer, need in needs:
-                found = 0
-                entries = table.entries[buffer]
-                for index, (have, held_version, holders) in overlapping(
-                        entries, need, indexes[buffer]):
-                    part = have if inside(have, need) else have.intersect(need)
-                    found += part.volume()
-                    if node in holders:
-                        continue
-                    src = min(holders)
-                    producer = holders[src]
-                    push = PushCommand(len(commands), () if producer is None else (producer,),
-                                       src, node, buffer, part, held_version)
-                    commands.append(push)
-                    pushes_from.setdefault(src, []).append(push)
-                    ap = AwaitPushCommand(len(commands), (push.id,), push)
-                    commands.append(ap)
-                    await_ids.append(ap.id)
-                    gains.setdefault(buffer, {}).setdefault(index, []).append(
-                        (part, node, ap.id))
-                if found != need.volume():
-                    missing = [(need,)]
-                    [(uncovered,)] = cut(missing, [e[0] for e in entries], SpanIndex(missing))
-                    raise UninitializedReadError(
-                        f"task '{task.name}' (id {tid}) reads {uncovered} of buffer "
-                        f"'{buffer}' which was never written or host-initialized"
-                    )
-
-            exe = ExecuteCommand(
-                len(commands), tuple(sorted(set(await_ids) | set(pred_exec_ids))), tid, box,
-                node, devices[node].levels_ghz[-1], reads,
-                tuple((name, b, region, version[b]) for name, b, region in writes))
-            commands.append(exe)
-            task_execs.append(exe)
-
-        # In-place hazard: data pushed out of a node must leave before the
-        # node's own Execute overwrites it within the same task.
-        for exe in task_execs:
-            extra = set()
-            for push in pushes_from.get(exe.node, ()):
-                for _, buffer, region, _v in exe.writes:
-                    if buffer == push.buffer and region.overlaps(push.region):
-                        extra.add(push.id)
-                        break
-            if extra:
-                exe.deps = tuple(sorted(set(exe.deps) | extra))
-
-        table.pending.update(gains)  # the task read those buffers, so none has gains pending
-        for buffer, v in version.items():
-            table.write(buffer, v, [(region, exe.node, exe.id) for exe in task_execs
-                                    for _, b, region, _v in exe.writes if b == buffer])
-
-        exec_ids_by_task[tid] = [e.id for e in task_execs]
+        template = templates.get(key)
+        if template is None and key in seen:
+            template = templates[key] = _record(table, task, tid, chunks, touched, levels,
+                                                layouts)
+        if template is None:
+            seen.add(key)
+            version = {acc.buffer: table.bump_version(acc.buffer) for acc in task.writes()}
+            new = _plan_task(table, task, tid, chunks, version, len(commands), pred, levels)
+            current.clear()
+        else:
+            new = _instantiate(template, table, tid, len(commands), pred, touched)
+            current.update((b, result[2]) for b, result in template[1].items())
+        commands.extend(new)
+        exec_ids_by_task[tid] = [c.id for c in new if isinstance(c, ExecuteCommand)]
 
     return Plan(graph, node_count, commands, devices, table.snapshot())
 

@@ -10,19 +10,21 @@ times, lane free time) and occupies the lane for its duration. A Push starts
 as soon as its dependencies are done and takes latency + bytes / bandwidth.
 Time is exact rationals end to end, floats only at serialization; maxima
 compare integer cross-products of numerators and denominators, and the
-makespan is the latest finish of a command nothing depends on. Each distinct
-duration is computed once per run: an Execute's per (node, chunk volume,
-beta, frequency), a Push's per byte count.
+makespan is the latest finish of a command nothing depends on. Each value is
+computed once per run: an Execute's duration per (node, chunk volume, beta,
+frequency), a Push's per byte count, its label text, bytes and box indexes
+per (buffer, region object), which template instances share, and a finish
+per start and duration.
 
 The data walk moves real data in the same order, through a backing array per
 node and buffer: a Push copies its region's boxes out, and its AwaitPush lands
 them. Executes are deferred into a batch: consecutive ones of one task, each
-on a different node, whose write boxes continue one another along axis 0.
-The batch is evaluated before a Push that captures a (buffer, node) it
-writes, an AwaitPush that lands on a (buffer, node) it reads or writes, an
-Execute of another task, of a node in it or that does not continue it, and
-at the end, so each Execute sees the data it would see replayed alone. It
-calls each body, compiled once per run and element kind, once per write
+on a different node, whose write boxes continue one another along axis 0. The
+batch is evaluated before a Push whose region meets what it writes on the
+Push's source node, an AwaitPush that lands on a (buffer, node) it reads or
+writes, an Execute of another task, of a node in it or that does not continue
+it, and at the end, so each Execute sees the data it would see replayed alone.
+It calls each body, compiled once per run and element kind, once per write
 accessor over the union of its members' boxes, each member's rows read from
 its node's array (a lone member's region box by box). A buffer the batch
 writes is read from a snapshot, so in-place updates see pre-task data; an
@@ -142,6 +144,16 @@ class _Storage(dict):
 _ZERO = (Fraction(0), 0, 1)
 
 
+def _finish(sums: dict, start: tuple, dur: Fraction) -> tuple:
+    """start + dur as a _latest triple, added once per run for each start
+    and duration; keyed by ints, as a Fraction's hash costs a modular inverse."""
+    key = (start[1], start[2], dur.numerator, dur.denominator)
+    if key not in sums:
+        finish = start[0] + dur
+        sums[key] = (finish, finish.numerator, finish.denominator)
+    return sums[key]
+
+
 def _latest(times, last=_ZERO) -> tuple:
     """The latest of last and times, (Fraction, numerator, denominator) triples."""
     for time in times:
@@ -158,7 +170,7 @@ class _Batch:
     def __init__(self, graph, storage):
         self.graph, self.storage = graph, storage
         self.kernels = {}  # (id of a body, integer) -> compiled body; tasks of one text share it
-        self.members, self.nodes, self.reads, self.writes = [], set(), set(), set()
+        self.members, self.nodes, self.reads, self.writes = [], set(), set(), {}
 
     def add(self, cmd):
         if self.members and not self._joins(cmd):
@@ -166,7 +178,7 @@ class _Batch:
         self.members.append(cmd)
         self.nodes.add(cmd.node)
         self.reads.update((buffer, cmd.node) for _name, buffer, _region in cmd.reads)
-        self.writes.update((buffer, cmd.node) for _name, buffer, _region, _v in cmd.writes)
+        self.writes.update(((buffer, cmd.node), region) for _n, buffer, region, _v in cmd.writes)
 
     def _joins(self, cmd) -> bool:
         last = self.members[-1]
@@ -182,7 +194,8 @@ class _Batch:
         """Evaluate and drop the members. A buffer they write is read from a
         snapshot of each member's array, taken before any is written."""
         members, self.members, self.nodes = self.members, [], set()
-        self.reads, self.writes = set(), set()  # the (buffer, node) pairs members read, write
+        # the (buffer, node) pairs members read; (buffer, node) -> the region written there
+        self.reads, self.writes = set(), {}
         if not members:
             return
         task = self.graph.task(members[0].task_id)
@@ -245,10 +258,11 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     order = []
     finished: list = [None] * len(commands)  # command id -> its finish as a _latest triple
     lane_free = [_ZERO] * plan.node_count
-    labels: dict[int, tuple] = {}  # push id -> (label text, bytes)
     boxes = {}  # id of a chunk box, which tasks of one shape share -> its text
+    pushes = {}  # (buffer, id of a region) -> (label text, bytes, duration, box indexes)
     exec_durs = {}  # (node, chunk volume, beta, frequency) -> duration
     push_durs = {}  # bytes -> duration
+    sums = {}  # start and duration, as numerators and denominators -> finish triple
     trace: list[TraceEvent] = []
 
     while heap:
@@ -260,7 +274,7 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
         if isinstance(cmd, ExecuteCommand):
             task = plan.graph.task(cmd.task_id)
             node = cmd.node
-            start = _latest((lane_free[node],), ready)[0]
+            start = _latest((lane_free[node],), ready)
             volume = cmd.box.volume()
             dur_key = (node, volume, task.beta, cmd.frequency_ghz)
             dur = exec_durs.get(dur_key)
@@ -269,31 +283,30 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                 t_ref = Fraction(volume) / Fraction(device.throughput_ref)
                 dur = exec_durs[dur_key] = exec_time(
                     t_ref, task.beta, device.level(cmd.frequency_ghz)[1])
-            finish = start + dur
-            lane_free[node] = finished[cid] = (finish, finish.numerator, finish.denominator)
+            lane_free[node] = finished[cid] = finish = _finish(sums, start, dur)
             box = boxes.get(id(cmd.box)) or boxes.setdefault(id(cmd.box), str(cmd.box))
-            trace.append(TraceEvent("execute", node, cid, start, dur, 0, cmd.frequency_ghz,
+            trace.append(TraceEvent("execute", node, cid, start[0], dur, 0, cmd.frequency_ghz,
                                     cmd.task_id, task.name, f"{task.name}#{cmd.task_id} {box}",
-                                    finish))
+                                    finish[0]))
 
         elif isinstance(cmd, PushCommand):
-            start = ready[0]
-            nbytes = cmd.bytes
-            dur = push_durs.get(nbytes)
-            if dur is None:
-                dur = push_durs[nbytes] = link.transfer_time(nbytes)
-            finish = start + dur
-            finished[cid] = (finish, finish.numerator, finish.denominator)
-            text = f"{cmd.buffer} {cmd.region}"
-            labels[cid] = (text, nbytes)
-            trace.append(TraceEvent("push", cmd.src, cid, start, dur, nbytes, None, None, None,
-                                    f"{text} n{cmd.src}->n{cmd.dst}", finish))
+            key = (cmd.buffer, id(cmd.region))
+            if key not in pushes:
+                nbytes = cmd.bytes
+                if nbytes not in push_durs:
+                    push_durs[nbytes] = link.transfer_time(nbytes)
+                pushes[key] = (f"{cmd.buffer} {cmd.region}", nbytes, push_durs[nbytes],
+                               [_index(box) for box in cmd.region])
+            text, nbytes, dur, _indexes = pushes[key]
+            finished[cid] = finish = _finish(sums, ready, dur)
+            trace.append(TraceEvent("push", cmd.src, cid, ready[0], dur, nbytes, None, None, None,
+                                    f"{text} n{cmd.src}->n{cmd.dst}", finish[0]))
 
         elif isinstance(cmd, AwaitPushCommand):
             finished[cid] = ready
             start = ready[0]
             push = cmd.push
-            text, nbytes = labels.pop(push.id)
+            text, nbytes, _dur, _indexes = pushes[push.buffer, id(push.region)]
             trace.append(TraceEvent("await_push", push.dst, cid, start, _ZERO[0], nbytes, None,
                                     None, None, f"{text} n{push.dst}", start))
         else:
@@ -320,10 +333,12 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
         if isinstance(cmd, ExecuteCommand):
             batch.add(cmd)
         elif isinstance(cmd, PushCommand):
-            if (cmd.buffer, cmd.src) in batch.writes:
+            written = batch.writes.get((cmd.buffer, cmd.src))
+            if written is not None and written.overlaps(cmd.region):
                 batch.evaluate()
             src_arr = storage[cmd.buffer, cmd.src]
-            payloads[cid] = [(index, src_arr[index].copy()) for index in map(_index, cmd.region)]
+            payloads[cid] = [(index, src_arr[index].copy())
+                             for index in pushes[cmd.buffer, id(cmd.region)][3]]
         else:
             key = (cmd.push.buffer, cmd.push.dst)
             if key in batch.reads or key in batch.writes:

@@ -2,7 +2,9 @@
 command-plan replay checker, the per-command data replay that is the
 reference of the batched one, a pointwise oracle of the footprint check,
 full-scan references of the task graph and of the scheduler's region map,
-the region map that splits every transferred piece's entry at once,
+the region map that splits every transferred piece's entry at once, the
+plan with every task planned directly, the printers of kernels and
+scenarios that are the parser's round-trip oracle,
 random workload generators, the scalar kernel evaluator that is the oracle of
 the compiled one, a fresh evaluation of the power model, field mutations of
 the bundled scenario documents, and the dict forms of trace.json and
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 
 from clusterq import graph as graph_module
 from clusterq import scheduler as scheduler_module
-from clusterq.errors import EvalError
+from clusterq.energy import DeviceModel
+from clusterq.errors import EvalError, ScenarioError
 from clusterq.graph import TaskGraph
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, postorder
 from clusterq.model import (
@@ -38,10 +41,18 @@ from clusterq.model import (
     Task,
 )
 from clusterq.region import Box, Region
-from clusterq.scenario import bundled_scenario_path
+from clusterq.scenario import (
+    DEVICE,
+    INIT_KINDS,
+    LINK,
+    Scenario,
+    bundled_scenario_path,
+    write_json,
+)
 from clusterq.scheduler import (
     AwaitPushCommand,
     ExecuteCommand,
+    Plan,
     PushCommand,
     RegionMapTable,
     generate_commands,
@@ -448,6 +459,158 @@ def eager_split_plan(graph, node_count):
     """generate_commands over an EagerTable."""
     with mock.patch.object(scheduler_module, "RegionMapTable", EagerTable):
         return generate_commands(graph, node_count)
+
+
+def direct_plan(graph, node_count):
+    """generate_commands with every task planned directly on the region map,
+    none instantiated from a template: the oracle of template replay."""
+    devices = [DeviceModel()] * node_count
+    levels = [device.levels_ghz[-1] for device in devices]
+    table = RegionMapTable(graph.buffers)
+    commands, exec_ids = [], {}
+    for tid in graph.topological_order():
+        task = graph.task(tid)
+        pred = tuple(e for p in graph.reduced_predecessors(tid) for e in exec_ids.get(p, ()))
+        version = {acc.buffer: table.bump_version(acc.buffer) for acc in task.writes()}
+        chunks = scheduler_module._chunk_shapes(task, node_count, graph.buffers)
+        new = scheduler_module._plan_task(table, task, tid, chunks, version, len(commands), pred,
+                                          levels)
+        commands.extend(new)
+        exec_ids[tid] = [c.id for c in new if isinstance(c, ExecuteCommand)]
+    return Plan(graph, node_count, commands, devices, table.snapshot())
+
+
+# ------------------------------------------------- printers: the parser's oracle
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _prec(expr) -> int:
+    if isinstance(expr, BinOp):
+        return _PREC[expr.op]
+    if isinstance(expr, Neg):
+        return 3
+    return 4
+
+
+def format_kernel(expr) -> str:
+    """Canonical text for an expression; reparsing yields an identical tree.
+    Iterative, so deep trees need no recursion."""
+    texts = []  # the text of each operand not yet consumed
+    for node in postorder(expr):
+        if isinstance(node, Num):
+            texts.append(repr(node.value))
+        elif isinstance(node, Param):
+            texts.append(node.name)
+        elif isinstance(node, IdComponent):
+            texts.append(f"i.{node.axis}")
+        elif isinstance(node, Read):
+            idx = ", ".join(
+                f"i.{j}" if off == 0 else f"i.{j}{off:+d}" for j, off in enumerate(node.offsets)
+            )
+            texts.append(f"{node.accessor}[{idx}]")
+        elif isinstance(node, Neg):
+            inner = texts[-1]
+            if _prec(node.operand) < 4:
+                inner = f"({inner})"
+            texts[-1] = f"-{inner}"
+        elif isinstance(node, BinOp):
+            right = texts.pop()
+            if _prec(node.right) <= _PREC[node.op]:
+                right = f"({right})"
+            left = texts[-1]
+            if _prec(node.left) < _PREC[node.op]:
+                left = f"({left})"
+            texts[-1] = f"{left} {node.op} {right}"
+        else:
+            raise TypeError(f"not a kernel expression: {node!r}")
+    return texts[0]
+
+
+def _model_to_json(obj, table: dict) -> dict:
+    """The fields of obj that table declares, as JSON values."""
+    values = {key: getattr(obj, key) for key in table}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+
+
+def _init_to_json(init: BufferInit):
+    table = INIT_KINDS[init.kind][0]
+    return {"kind": init.kind, **_model_to_json(init, table)} if table else init.kind
+
+
+def _mapper_to_json(mapper):
+    if isinstance(mapper, (OneToOne, All)):
+        return str(mapper)
+    if isinstance(mapper, Neighborhood):
+        return {"kind": "neighborhood", "radii": list(mapper.radii)}
+    if isinstance(mapper, Slice):
+        return {"kind": "slice", "dim": mapper.axis}
+    if isinstance(mapper, Fixed):
+        region = [{"min": list(b.mins), "max": list(b.maxs)} for b in mapper.region]
+        return {"kind": "fixed", "region": region}
+    raise ScenarioError(f"cannot serialize mapper {type(mapper).__name__}")
+
+
+def _accessor_to_json(acc: Accessor):
+    if acc.name == acc.buffer and isinstance(acc.mapper, OneToOne):
+        return acc.buffer
+    out = {"buffer": acc.buffer}
+    if acc.name != acc.buffer:
+        out["name"] = acc.name
+    if not isinstance(acc.mapper, OneToOne):
+        out["mapper"] = _mapper_to_json(acc.mapper)
+    return out
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    data = {}
+    if scenario.nodes is not None:
+        data["nodes"] = scenario.nodes
+    if scenario.devices is not None:
+        data["devices"] = [_model_to_json(d, DEVICE) for d in scenario.devices]
+    if scenario.link is not None:
+        data["link"] = _model_to_json(scenario.link, LINK)
+    if scenario.queue_target is not None:
+        data["target"] = scenario.queue_target.value
+    data["buffers"] = [
+        {
+            "name": b.name,
+            "extent": list(b.extent.shape),
+            "element_kind": b.element_kind,
+            "init": _init_to_json(b.init),
+        }
+        for b in scenario.buffers
+    ]
+    data["tasks"] = []
+    for task in scenario.tasks:
+        t = {
+            "name": task.name,
+            "range": list(task.global_range.shape),
+            "reads": [_accessor_to_json(a) for a in task.reads()],
+            "writes": [_accessor_to_json(a) for a in task.writes()],
+            "body": {name: format_kernel(expr) for name, expr in task.body.items()},
+        }
+        if task.params:
+            t["params"] = dict(task.params)
+        if task.beta:
+            t["beta"] = task.beta
+        if task.target is not None:
+            t["target"] = task.target.value
+        data["tasks"].append(t)
+    if scenario.expectations:
+        data["expectations"] = [
+            {"buffer": name, "values": list(values)}
+            for name, values in scenario.expectations
+        ]
+    return data
+
+
+def save_scenario(scenario: Scenario, path):
+    write_json(path, scenario_to_dict(scenario))
+
+
+def await_pushes(plan):
+    return [c for c in plan.commands if isinstance(c, AwaitPushCommand)]
 
 
 # --------------------------------------------------------------- random workloads

@@ -28,7 +28,7 @@ from clusterq.scenario import (
 from clusterq.scheduler import generate_commands
 from clusterq.simulator import run
 
-from helpers import check_plan, random_region, region_bitmap, random_workload
+from helpers import await_pushes, check_plan, random_region, region_bitmap, random_workload
 
 
 @contextmanager
@@ -175,7 +175,7 @@ def test_criterion_4_stencil_halo_exchange(capsys):
         assert sum(p.region.volume() for p in pushes) == oracle == 13
 
         # map each push to the task that consumes it via its await id
-        awaits = {a.push.id: a.id for a in plan.await_pushes()}
+        awaits = {a.push.id: a.id for a in await_pushes(plan)}
         consumer = {}
         for p in pushes:
             aid = awaits[p.id]

@@ -8,7 +8,8 @@ of every read of the plan at every split,
 the replay's durations and energy against a fresh computation per event,
 Execute dependencies on the transitively reduced task predecessors against
 dependencies on all of them, the region map's per-task splicing against a
-full scan of its entries per transferred piece and written chunk, and the
+full scan of its entries per transferred piece and written chunk, plans
+instantiated from templates against planning every task directly, and the
 trace.json and buf_<name>.json writers
 against json.dump of their dict forms."""
 
@@ -28,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from clusterq import scheduler, simulator
 from clusterq.energy import DeviceModel, EnergyTarget, account_energy
-from clusterq.errors import EvalError, ValidationError
+from clusterq.errors import EvalError, UninitializedReadError, ValidationError
 from clusterq.graph import TaskGraph
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, postorder
 from clusterq.model import (
@@ -54,6 +55,7 @@ from helpers import (
     buffer_dump,
     chunk_time,
     compile_reference,
+    direct_plan,
     eager_split_plan,
     error_workload,
     first_read_outside,
@@ -492,6 +494,44 @@ def test_region_map_matches_full_scan(seed, nodes, repeats):
              for name, entries in after_task[count - 1].items()}
     assert [(p.id, p.deps, p.src, p.dst, p.buffer, p.region.boxes, p.version)
             for p in plan.pushes()] == pushes
+
+
+def planned(plan_of, graph, nodes):
+    """Every command's fields, the command DOT and the final region map with
+    exact boxes, or the uninitialized read's text."""
+    try:
+        plan = plan_of(graph, nodes)
+    except UninitializedReadError as exc:
+        return str(exc), None
+    commands = [(type(c).__name__, c.id, c.deps) +
+                tuple(c.push.id if f == "push" else getattr(c, f) for f in c._fields[2:])
+                for c in plan.commands]
+    return (commands, export_command_graph(plan),
+            {name: [(r.boxes, v, h) for r, v, h in entries]
+             for name, entries in plan.final_locations.items()}), plan
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 5), repeats=st.integers(2, 4),
+       shuffled=st.booleans())
+def test_templates_match_direct_planning(seed, nodes, repeats, shuffled):
+    # The queue repeats the workload's tasks as a block, or after the first
+    # block in a random order, which meets layouts in other sequences.
+    rng = random.Random(seed)
+    buffers, tasks = random_workload(rng)
+    queue = tasks + (rng.choices(tasks, k=len(tasks) * (repeats - 1)) if shuffled
+                     else tasks * (repeats - 1))
+    graph = TaskGraph(buffers)
+    for task in queue:
+        graph.submit(copy.copy(task))
+    (got, plan), (want, direct) = planned(generate_commands, graph, nodes), \
+        planned(direct_plan, graph, nodes)
+    assert got == want
+    if plan is not None:
+        got_run, want_run = simulator.run(plan), simulator.run(direct)
+        assert got_run.trace == want_run.trace and got_run.makespan == want_run.makespan
+        assert {n: (a.dtype.str, a.tobytes()) for n, a in got_run.buffers.items()} == \
+            {n: (a.dtype.str, a.tobytes()) for n, a in want_run.buffers.items()}
 
 
 def replayed(replay, plan):

@@ -2,10 +2,12 @@
 
 import copy
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterq import graph as graph_module
 from clusterq.errors import ValidationError
 from clusterq.graph import DepKind, TaskGraph
 from clusterq.kernel import parse_kernel
@@ -18,6 +20,8 @@ from clusterq.model import (
     Neighborhood,
     OneToOne,
     Task,
+    static_footprint_check,
+    validate_task,
 )
 from clusterq.region import Box, Region
 
@@ -282,3 +286,47 @@ def test_reader_entries_stay_bounded_on_a_long_chain():
     overwrite = g.submit(task("overwrite", writes=("x",), n=64))
     assert g.predecessors(overwrite) == list(range(1, 201))
     assert g.reduced_predecessors(overwrite) == [200]
+
+
+# ------------------------------------------------------------ checks per shape
+
+def fixed_read_task(name, body, stop):
+    """z = body over [0, 6), reading x through a fixed mapper over [0, stop)."""
+    return Task(name, Box.from_shape((6,)), [
+        Accessor("x", AccessMode.READ, Fixed(Region.from_box(Box((0,), (stop,)))), name="r"),
+        Accessor("z", AccessMode.WRITE),
+    ], {"z": body})
+
+
+def test_checks_run_once_per_task_shape():
+    # One body object, as parsing one text gives: equal shapes are checked
+    # once, and fixed mappers over other regions are other shapes.
+    body = parse_kernel("r[i] + 1.0", {"r": 1}, set(), 1)
+    tasks = [fixed_read_task(f"t{k}", body, stop) for k, stop in enumerate((6, 6, 7, 6, 7))]
+    g = TaskGraph({"x": buf("x", 7), "z": buf("z", 6)})
+    with mock.patch.object(graph_module, "validate_task", wraps=validate_task) as valid, \
+            mock.patch.object(graph_module, "static_footprint_check",
+                              wraps=static_footprint_check) as footprint:
+        for t in tasks:
+            g.submit(t)
+    assert valid.call_count == footprint.call_count == 2
+    assert [c.args[0].name for c in footprint.call_args_list] == ["t0", "t2"]
+
+
+def test_failing_shape_after_a_passing_one_still_raises():
+    # The second fixed region leaves out cells the body reads.
+    body = parse_kernel("r[i]", {"r": 1}, set(), 1)
+    g = TaskGraph({"x": buf("x", 6), "z": buf("z", 6)})
+    g.submit(fixed_read_task("wide", body, 6))
+    with pytest.raises(ValidationError, match="task 'narrow': footprint violations"):
+        g.submit(fixed_read_task("narrow", body, 3))
+    with pytest.raises(ValidationError, match="task 'narrow': footprint violations"):
+        g.submit(fixed_read_task("narrow", body, 3))
+    # Beta and the params are part of the key too.
+    for field, value, error in (("beta", 2.0, "beta must be within"),
+                                ("params", {"r": 1.0}, "accessor and parameter names overlap")):
+        bad = fixed_read_task("bad", body, 6)
+        setattr(bad, field, value)
+        with pytest.raises(ValidationError, match=error):
+            g.submit(bad)
+    assert len(g.tasks) == 1

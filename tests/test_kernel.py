@@ -16,14 +16,13 @@ from clusterq.kernel import (
     Param,
     Read,
     compile_kernel,
-    format_kernel,
     parse_kernel,
     postorder,
 )
 from clusterq.model import ReadView
 from clusterq.region import Box
 
-from helpers import compile_reference, eval_box, eval_kernel, wrap_i64
+from helpers import compile_reference, eval_box, eval_kernel, format_kernel, wrap_i64
 
 
 class FakeView:

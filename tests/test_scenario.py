@@ -22,13 +22,11 @@ from clusterq.scenario import (
     check_expectations,
     load_scenario,
     run_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     validate_against_serial,
 )
 
-from helpers import BUNDLED, mutated
+from helpers import BUNDLED, mutated, save_scenario, scenario_to_dict
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusterq.__file__)))
@@ -370,10 +368,12 @@ def test_deep_kernel_round_trips_in_a_fresh_interpreter(tmp_path):
     src, out = tmp_path / "deep.json", tmp_path / "copy.json"
     src.write_text(json.dumps(data), encoding="utf-8")
     code = ("import sys\n"
-            "from clusterq.scenario import load_scenario, save_scenario\n"
+            "from clusterq.scenario import load_scenario\n"
+            "from helpers import save_scenario\n"
             "save_scenario(load_scenario(sys.argv[1]), sys.argv[2])\n")
+    path = os.pathsep.join((SRC, os.path.dirname(os.path.abspath(__file__))))
     proc = subprocess.run([sys.executable, "-c", code, str(src), str(out)],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     body = json.loads(out.read_text(encoding="utf-8"))["tasks"][0]["body"]
     assert body == {"z": " + ".join(["x[i.0]"] * 1500) + " + 1 / 0"}

@@ -36,7 +36,7 @@ from clusterq.scheduler import (
 )
 from clusterq.scenario import Scenario, plan_scenario
 
-from helpers import check_plan, random_workload
+from helpers import await_pushes, check_plan, direct_plan, random_workload
 
 
 def simple_task(name="t", n=8, reads=(), writes=("z",), mappers=None, nd_range=None):
@@ -155,6 +155,74 @@ def test_fixed_mapper_tasks_share_by_region_value():
     assert result.buffers["z"].tolist() == [3.0 * v for v in range(6)]
 
 
+# -------------------------------------------------------------- plan templates
+
+def chain_tasks(count, cells):
+    """The bench chain's queue: a three-point average ping-ponging between
+    buffers a and b, the bodies of each direction shared as parsing shares them."""
+    nb = Neighborhood((1,))
+    bodies = {src: parse_kernel(f"w * ({src}[i-1] + {src}[i] + {src}[i+1])", {src: 1}, {"w"}, 1)
+              for src in "ab"}
+    return [Task(f"step{k}", Box.from_shape((cells,)),
+                 [Accessor(src, AccessMode.READ, nb), Accessor(dst, AccessMode.WRITE)],
+                 {dst: bodies[src]}, {"w": 1 / 3})
+            for k, (src, dst) in enumerate(["ab", "ba"][k % 2] for k in range(count))]
+
+
+def test_repeated_tasks_are_instances_of_one_template():
+    # From task 2 on the region map cycles between two layouts, so tasks of
+    # one direction are, from some point on, instances of one template and
+    # push the very same region objects.
+    bufs = {"a": fbuf("a", 64), "b": Buffer("b", Box.from_shape((64,)), "float64",
+                                            BufferInit.zeros())}
+    graph = graph_of(bufs, *chain_tasks(30, 64))
+    plan = generate_commands(graph, 8)
+    pushes, before = {}, []  # task id -> the Pushes planned with it
+    for c in plan.commands:
+        if isinstance(c, PushCommand):
+            before.append(c)
+        elif isinstance(c, ExecuteCommand):
+            pushes.setdefault(c.task_id, []).extend(before)
+            before = []
+    assert len(pushes[9]) == len(pushes[11]) == 14
+    assert all(p.region is q.region for p, q in zip(pushes[9], pushes[11]))
+    assert export_command_graph(plan) == export_command_graph(direct_plan(graph, 8))
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_layouts_tell_host_data_from_written_data(nodes):
+    # At 1 node a write leaves a buffer with the boxes and holders the host
+    # gave it, but with a producer, so t1 and t3 are keys of their own and
+    # not instances of t0's; t4 records t3's key and t5 instantiates it.
+    bufs = {n: fbuf(n) for n in "ab"}
+    tasks = [simple_task(f"t{k}", reads=(src,), writes=(dst,))
+             for k, (src, dst) in enumerate(("ab", "ab", "ba", "ab", "ab", "ab"))]
+    graph = graph_of(bufs, *tasks)
+    plan, direct = generate_commands(graph, nodes), direct_plan(graph, nodes)
+    assert plan.commands == direct.commands
+    assert {name: [(r.boxes, v, h) for r, v, h in entries]
+            for name, entries in plan.final_locations.items()} == \
+        {name: [(r.boxes, v, h) for r, v, h in entries]
+         for name, entries in direct.final_locations.items()}
+
+
+def test_uninitialized_read_after_template_instances_names_its_task():
+    # The steps are planned from templates; the read of u that no entry
+    # covers raises the text direct planning raises, naming its own task.
+    bufs = {"a": fbuf("a", 16), "b": fbuf("b", 16),
+            "u": Buffer("u", Box.from_shape((16,)), "float64", BufferInit.uninitialized())}
+    use = Task("use", Box.from_shape((16,)), [
+        Accessor("u", AccessMode.READ, Neighborhood((1,)), name="r_u"),
+        Accessor("b", AccessMode.WRITE),
+    ], {"b": parse_kernel("r_u[i]", {"r_u": 1}, set(), 1)})
+    graph = graph_of(bufs, *chain_tasks(8, 16), use)
+    for plan_of in (generate_commands, direct_plan):
+        with pytest.raises(UninitializedReadError) as info:
+            plan_of(graph, 4)
+        assert str(info.value) == ("task 'use' (id 9) reads {[0,5)} of buffer 'u' which was "
+                                   "never written or host-initialized")
+
+
 # ------------------------------------------------------------- region map table
 
 def resident(table, buffer, node):
@@ -206,7 +274,7 @@ def test_single_node_generates_no_transfers():
                  simple_task(reads=("x",), writes=("z",)))
     plan = generate_commands(g, 1)
     assert len(plan.pushes()) == 0
-    assert len(plan.await_pushes()) == 0
+    assert len(await_pushes(plan)) == 0
     assert len(plan.executes()) == 1
     assert plan.executes()[0].deps == ()
 
@@ -229,7 +297,7 @@ def test_two_node_saxpy_structure():
     e0, e1 = sorted(execs, key=lambda e: e.node)
     assert e0.deps == ()
     # node 1 waits on both awaits
-    await_ids = {a.id for a in plan.await_pushes()}
+    await_ids = {a.id for a in await_pushes(plan)}
     assert set(e1.deps) == await_ids
     check_plan(plan, g.buffers)
 
