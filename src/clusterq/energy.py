@@ -3,18 +3,19 @@
 Power draw at frequency f is P(f) = P_static + P_dyn_ref * (f / f_ref)^alpha.
 A chunk whose reference runtime is t_ref takes t(f) = t_ref * (beta +
 (1 - beta) * f_ref / f); beta is the frequency-insensitive fraction. A
-DeviceModel computes P(f) and f_ref / f once per level, as exact rationals;
-frequency selection, the replay's durations and energy accounting read them.
+DeviceModel computes P(f) and f_ref / f once per level, each in ints from its
+inputs' integer ratios and normalised once as one Fraction; frequency
+selection, the replay's durations and energy accounting read them.
 
 Frequency selection enumerates the device's discrete levels and minimizes the
 target objective; ties prefer the higher frequency. Plans are built with every
 chunk at its device's top level, and scheduler.assign_frequencies then applies
 the queue target and the per-task overrides through select_frequency.
-Objectives are compared as exact rationals so ties are decided by value, never
-by rounding. Energy accounting likewise runs on exact rationals over the
-float-valued inputs, which makes kernel + idle == device energy an identity
-rather than an approximation. Transfers draw no dynamic power; static power
-covers them.
+Objectives are compared by exact integer cross-products, building no Fraction,
+so ties are decided by value, never by rounding. Energy accounting likewise
+runs on exact rationals over the float-valued inputs, which makes kernel + idle
+== device energy an identity rather than an approximation. Transfers draw no
+dynamic power; static power covers them.
 """
 
 import enum
@@ -37,6 +38,11 @@ class EnergyTarget(enum.Enum):
 # of about 1 to 3.
 MAX_ALPHA_EXP = 16
 _INF = float("inf")
+
+
+def exact_ratio(x) -> tuple[int, int]:
+    """x as (numerator, denominator) ints, also for a numpy integer."""
+    return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
 
 
 def require_finite(model):
@@ -82,19 +88,26 @@ class DeviceModel(Frozen):
         if abs(self.alpha_exp) > MAX_ALPHA_EXP:
             raise ValidationError(
                 f"alpha_exp {self.alpha_exp!r} is beyond the maximum magnitude of {MAX_ALPHA_EXP}")
-        # A non-integral alpha_exp is applied in binary64, which can overflow
-        # (or divide by a ratio rounded to 0). P(f) is monotone in f, so if
-        # any level fails, the lowest or the highest does: they go first.
-        power = {}
+        # P_dyn_ref * (f / f_ref) ** alpha_exp = xn / xd: exact for an integral alpha_exp, else
+        # in binary64 from f / f_ref correctly rounded, which can overflow (or round to 0).
+        # P(f) is monotone in f, so if any level fails, the lowest or the highest does first.
+        (rn, rd), (sn, sd), (dn, dd) = map(exact_ratio, (f_ref_ghz, p_static_w, p_dyn_ref_w))
+        k = int(alpha_exp) if float(alpha_exp) == int(alpha_exp) else None
+        table = {}
         for f in (levels[0], levels[-1], *levels[1:-1]):
+            fn, fd = f.as_integer_ratio()
+            up, down = fn * rd, fd * rn  # f / f_ref
             try:
-                power[f] = self._power_exact(f)
+                if k is None:
+                    xn, xd = exact_ratio(p_dyn_ref_w * (up / down) ** float(alpha_exp))
+                else:
+                    xn, xd = (dn * up ** k, dd * down ** k) if k >= 0 else (
+                        dn * down ** -k, dd * up ** -k)
             except (OverflowError, ZeroDivisionError):
                 raise ValidationError(
                     f"power at {f} GHz is not within the binary64 range") from None
-        f_ref = Fraction(self.f_ref_ghz)
-        object.__setattr__(self, "level_table",
-                           {f: (power[f], f_ref / Fraction(f)) for f in levels})
+            table[f] = (Fraction(sn * xd + xn * sd, sd * xd), Fraction(rn * fd, rd * fn))
+        object.__setattr__(self, "level_table", {f: table[f] for f in levels})
         # assign_frequencies hashes the device of every Execute.
         object.__setattr__(self, "_hash", hash(self._values(self)))
 
@@ -108,21 +121,12 @@ class DeviceModel(Frozen):
             raise ValidationError(f"{f_ghz!r} GHz is not one of the levels {self.levels_ghz}")
         return entry
 
-    def _power_exact(self, f_ghz: float) -> Fraction:
-        ratio = Fraction(f_ghz) / Fraction(self.f_ref_ghz)
-        alpha = self.alpha_exp
-        if float(alpha) == int(alpha):
-            dyn = Fraction(self.p_dyn_ref_w) * ratio ** int(alpha)
-        else:
-            dyn = Fraction(self.p_dyn_ref_w * float(ratio) ** float(alpha))
-        return Fraction(self.p_static_w) + dyn
-
 
 def exec_time(t_ref, beta, slowdown) -> Fraction:
     """Exact chunk runtime t_ref * (beta + (1 - beta) * slowdown), where
     slowdown is the level's f_ref / f from DeviceModel.level."""
-    beta = Fraction(beta)
-    return Fraction(t_ref) * (beta + (1 - beta) * slowdown)
+    (tn, td), (bn, bd), (sn, sd) = exact_ratio(t_ref), exact_ratio(beta), exact_ratio(slowdown)
+    return Fraction(tn * (bn * sd + (bd - bn) * sn), td * bd * sd)
 
 
 # Each objective is P(f) * t(f) ** k: energy, EDP and ED2P.
@@ -142,15 +146,15 @@ def select_frequency(device: DeviceModel, target: EnergyTarget, chunk_t_ref, bet
     # The objective is P(f) * (t_ref * (beta + (1 - beta) * f_ref / f)) ** k.
     # Its factor t_ref ** k is positive and the same at every level, so it is
     # left out: the exact values it scales order the levels the same way.
-    beta = Fraction(beta)
-    sensitive = 1 - beta
-    best = None
-    best_obj = None
+    # With P = pn / pd, beta = bn / bd and f_ref / f = sn / sd, the rest is num / den.
+    bn, bd = exact_ratio(beta)
+    best = best_num = best_den = None
     # ascending, so <= keeps the higher level on ties
     for f, (power, slowdown) in device.level_table.items():
-        obj = power * (beta + sensitive * slowdown) ** k
-        if best_obj is None or obj <= best_obj:
-            best, best_obj = f, obj
+        (pn, pd), (sn, sd) = power.as_integer_ratio(), slowdown.as_integer_ratio()
+        num, den = pn * (bn * sd + (bd - bn) * sn) ** k, pd * (bd * sd) ** k
+        if best is None or num * best_den <= best_num * den:
+            best, best_num, best_den = f, num, den
     return best
 
 
@@ -177,10 +181,6 @@ class DeviceEnergy(Value):
         self.idle_s = idle_s
         self.static_power_w = static_power_w
 
-    @property
-    def idle_energy_j(self) -> Fraction:
-        return Fraction(self.static_power_w) * self.idle_s
-
 
 class EnergyReport(Value):
     __slots__ = _fields = ("per_task", "per_device", "makespan_s")
@@ -191,14 +191,6 @@ class EnergyReport(Value):
         self.per_task = [] if per_task is None else per_task
         self.per_device = [] if per_device is None else per_device
         self.makespan_s = makespan_s
-
-    @property
-    def total_kernel_energy(self) -> Fraction:
-        return sum((t.energy_j for t in self.per_task), Fraction(0))
-
-    @property
-    def total_idle_energy(self) -> Fraction:
-        return sum((d.idle_energy_j for d in self.per_device), Fraction(0))
 
     @property
     def total_device_energy(self) -> Fraction:

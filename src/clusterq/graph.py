@@ -87,7 +87,7 @@ class TaskGraph:
                 raise ValidationError(f"task '{task.name}': footprint violations: {detail}")
 
         tid = len(self.tasks) + 1
-        task.id = tid
+        task = Task(*Task._values(task)[:-1], tid)  # a copy: one Task submitted twice is two
         reads: dict[str, Region] = {}
         writes: dict[str, Region] = {}
         for acc in task.accessors:

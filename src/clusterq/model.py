@@ -137,8 +137,10 @@ class Buffer(Frozen):
                     f"buffer '{self.name}': init values length {len(self.init.values)} "
                     f"does not match extent volume {self.extent.volume()}"
                 )
-            if self.element_kind == "int64":
-                for k, v in enumerate(self.init.values):
+            values = self.init.values  # checked whole if all are ints, else item by item
+            if self.element_kind == "int64" and (set(map(type, values)) != {int} or
+                                                 min(values) < -2 ** 63 or max(values) >= 2 ** 63):
+                for k, v in enumerate(values):
                     if not is_int64(v):
                         raise ValidationError(
                             f"buffer '{self.name}': int64 init value {v!r} at index {k} "

@@ -93,14 +93,16 @@ _INT_BOUND = 2 ** 1023
 
 
 def _numbers(value, path: str) -> list:
-    """A list of numbers, each read as _number reads it, in one pass. An
-    item's path is built only when the item is neither a float nor an int
-    well within the binary64 range; _number then accepts it or raises."""
+    """A list of numbers, each read as _number reads it: as a whole list if it
+    holds only floats, or only ints well within the binary64 range. In any
+    other, an item that is neither gets its path built and goes to _number."""
     items = _as_list(value, path)
-    for i, item in enumerate(items):
-        kind = type(item)
-        if kind is not float and not (kind is int and -_INT_BOUND <= item <= _INT_BOUND):
-            _number(item, f"{path}[{i}]")
+    if not ((kinds := set(map(type, items))) <= {float} or
+            kinds == {int} and -_INT_BOUND <= min(items) and max(items) <= _INT_BOUND):
+        for i, item in enumerate(items):
+            kind = type(item)
+            if kind is not float and not (kind is int and -_INT_BOUND <= item <= _INT_BOUND):
+                _number(item, f"{path}[{i}]")
     return list(items)
 
 

@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional
 
-from .energy import DeviceModel, EnergyTarget, select_frequency
+from .energy import DeviceModel, EnergyTarget, exact_ratio, select_frequency
 from .errors import UninitializedReadError, ValidationError
 from .graph import TaskGraph, dot_string
 from .model import ELEMENT_BYTES, Task, shape_key
@@ -343,11 +343,14 @@ def _plan_task(table: RegionMapTable, task: Task, tid: int, chunks: list, versio
 
 
 def _layout(table: RegionMapTable, buffer: str) -> tuple:
-    """What planning reads of buffer in table: each entry's boxes, holder
-    nodes and which of them hold host data, and the pending pieces."""
-    return (tuple([(e[0].boxes, tuple([(n, p is None) for n, p in e[2].items()]))
+    """What planning reads of buffer in table: each entry's boxes, as (mins,
+    maxs) tuples, which hash in C, holder nodes and which of them hold host
+    data, and the pending pieces."""
+    return (tuple([(tuple([(b.mins, b.maxs) for b in e[0].boxes]),
+                    tuple([(n, p is None) for n, p in e[2].items()]))
                    for e in table.entries[buffer]]),
-            tuple([(i, tuple([(r.boxes, n) for r, n, _p in pieces]))
+            tuple([(i, tuple([(tuple([(b.mins, b.maxs) for b in r.boxes]), n)
+                              for r, n, _p in pieces]))
                    for i, pieces in table.pending.get(buffer, {}).items()]))
 
 
@@ -431,8 +434,7 @@ def generate_commands(graph: TaskGraph, node_count: int, devices=None) -> Plan:
 
     for tid in graph.topological_order():
         task = graph.task(tid)
-        pred = tuple([e for p in graph.reduced_predecessors(tid)
-                      for e in exec_ids_by_task.get(p, ())])
+        pred = tuple([e for p in graph.reduced_predecessors(tid) for e in exec_ids_by_task[p]])
         shape = shapes.get(key := shape_key(task))
         if shape is None:
             shape = shapes[key] = (len(shapes), _chunk_shapes(task, node_count, graph.buffers),
@@ -473,8 +475,9 @@ def assign_frequencies(plan: Plan, target: EnergyTarget = EnergyTarget.MAX_PERF)
         device = plan.devices[exe.node]
         key = (device, task.target or target, task.beta)
         if key not in chosen:
-            t_ref = Fraction(exe.box.volume()) / Fraction(device.throughput_ref)
-            chosen[key] = select_frequency(device, key[1], t_ref, task.beta)
+            tn, td = exact_ratio(device.throughput_ref)
+            chosen[key] = select_frequency(device, key[1], Fraction(exe.box.volume() * td, tn),
+                                           task.beta)
         exe.frequency_ghz = chosen[key]
     plan.target = target
 

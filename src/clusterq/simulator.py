@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import exec_time, require_finite
+from .energy import exact_ratio, exec_time, require_finite
 from .errors import EvalError, ValidationError
 from .kernel import compile_kernel
 from .model import ReadView
@@ -239,15 +239,16 @@ class _Batch:
 def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     if link is None:
         link = LinkModel()
-    commands = plan.commands
+    commands, size = plan.commands, len(plan.commands)
     indegree = [len(c.deps) for c in commands]
     dependents: list[list[int]] = [[] for _ in commands]
     for cid, c in enumerate(commands):
         if c.id != cid:
             raise ValidationError(f"command {c.id} is at position {cid}, not at its id")
+        if c.deps and not 0 <= min(c.deps) <= max(c.deps) < size:
+            dep = next(d for d in c.deps if not 0 <= d < size)
+            raise ValidationError(f"command {cid} depends on id {dep}, not in the plan")
         for dep in c.deps:
-            if not 0 <= dep < len(commands):
-                raise ValidationError(f"command {cid} depends on id {dep}, not in the plan")
             dependents[dep].append(cid)
         if isinstance(c, AwaitPushCommand) and not (
                 c.push.id in c.deps and commands[c.push.id] is c.push):
@@ -280,9 +281,9 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             dur = exec_durs.get(dur_key)
             if dur is None:
                 device = plan.devices[node]
-                t_ref = Fraction(volume) / Fraction(device.throughput_ref)
+                tn, td = exact_ratio(device.throughput_ref)
                 dur = exec_durs[dur_key] = exec_time(
-                    t_ref, task.beta, device.level(cmd.frequency_ghz)[1])
+                    Fraction(volume * td, tn), task.beta, device.level(cmd.frequency_ghz)[1])
             lane_free[node] = finished[cid] = finish = _finish(sums, start, dur)
             box = boxes.get(id(cmd.box)) or boxes.setdefault(id(cmd.box), str(cmd.box))
             trace.append(TraceEvent("execute", node, cid, start[0], dur, 0, cmd.frequency_ghz,

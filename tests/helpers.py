@@ -6,9 +6,11 @@ the region map that splits every transferred piece's entry at once, the
 plan with every task planned directly, the printers of kernels and
 scenarios that are the parser's round-trip oracle,
 random workload generators, the scalar kernel evaluator that is the oracle of
-the compiled one, a fresh evaluation of the power model, field mutations of
-the bundled scenario documents, and the dict forms of trace.json and
-buf_<name>.json that json.dump writes as the oracle of their writers."""
+the compiled one, a fresh evaluation of the power model, the item-by-item
+checks of number lists that are the oracle of the whole-list ones, field
+mutations of the bundled scenario documents, and the dict forms of
+trace.json and buf_<name>.json that json.dump writes as the oracle of their
+writers."""
 
 import copy
 import json
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from clusterq import graph as graph_module
 from clusterq import scheduler as scheduler_module
 from clusterq.energy import DeviceModel
-from clusterq.errors import EvalError, ScenarioError
+from clusterq.errors import EvalError, ScenarioError, ValidationError
 from clusterq.graph import TaskGraph
 from clusterq.kernel import BinOp, IdComponent, Neg, Num, Param, Read, compile_kernel, postorder
 from clusterq.model import (
@@ -34,11 +36,13 @@ from clusterq.model import (
     Buffer,
     BufferInit,
     Fixed,
+    INT64_RANGE,
     Neighborhood,
     OneToOne,
     ReadView,
     Slice,
     Task,
+    is_int64,
 )
 from clusterq.region import Box, Region
 from clusterq.scenario import (
@@ -46,6 +50,7 @@ from clusterq.scenario import (
     INIT_KINDS,
     LINK,
     Scenario,
+    _number,
     bundled_scenario_path,
     write_json,
 )
@@ -941,6 +946,36 @@ def chunk_time(t_ref, beta, device, f):
     """Exact runtime t_ref * (beta + (1 - beta) * f_ref / f) at level f."""
     beta = Fraction(beta)
     return Fraction(t_ref) * (beta + (1 - beta) * Fraction(device.f_ref_ghz) / Fraction(f))
+
+
+def total_kernel_energy(report) -> Fraction:
+    """The energy of every task's kernels in an EnergyReport."""
+    return sum((t.energy_j for t in report.per_task), Fraction(0))
+
+
+def total_idle_energy(report) -> Fraction:
+    """Static power times idle time, summed over an EnergyReport's devices."""
+    return sum((Fraction(d.static_power_w) * d.idle_s for d in report.per_device), Fraction(0))
+
+
+# ------------------------------------------------------- number list oracles
+
+def numbers_item_by_item(items, path):
+    """scenario._numbers as a loop that reads every item with _number,
+    which raises ScenarioError for the first item that is no number within
+    the binary64 range."""
+    for i, item in enumerate(items):
+        _number(item, f"{path}[{i}]")
+    return list(items)
+
+
+def int64_values_item_by_item(name, values):
+    """Buffer's check of int64 init values, item by item: a ValidationError
+    for the first value that is_int64 rejects."""
+    for k, v in enumerate(values):
+        if not is_int64(v):
+            raise ValidationError(f"buffer '{name}': int64 init value {v!r} at index {k} "
+                                  f"is not {INT64_RANGE}")
 
 
 # ------------------------------------------------------------- mutated input

@@ -28,7 +28,15 @@ from clusterq.scenario import (
 from clusterq.scheduler import generate_commands
 from clusterq.simulator import run
 
-from helpers import await_pushes, check_plan, random_region, region_bitmap, random_workload
+from helpers import (
+    await_pushes,
+    check_plan,
+    random_region,
+    random_workload,
+    region_bitmap,
+    total_idle_energy,
+    total_kernel_energy,
+)
 
 
 @contextmanager
@@ -254,7 +262,7 @@ def test_criterion_6_energy_accounting(capsys):
                 "energy": rep, "plan": plan, "result": result})())
         for b in bundles:
             rep = b.energy
-            assert rep.total_kernel_energy + rep.total_idle_energy \
+            assert total_kernel_energy(rep) + total_idle_energy(rep) \
                 == rep.total_device_energy
             for node, dev in enumerate(b.plan.devices):
                 per = rep.per_device[node]

@@ -17,7 +17,7 @@ from clusterq.energy import (
 from clusterq.errors import ValidationError
 from clusterq.simulator import LinkModel, TraceEvent
 
-from helpers import chunk_time, level_oracle
+from helpers import chunk_time, level_oracle, total_idle_energy, total_kernel_energy
 
 
 REF = DeviceModel(levels_ghz=(0.5, 1.0, 1.5, 2.0), f_ref_ghz=1.0,
@@ -122,6 +122,25 @@ def test_level_table_and_selection_match_fresh_evaluation(device, t_ref, beta):
         # brute-force argmin; ties go to the higher level
         want = max(f for f, o in obj.items() if o == best)
         assert select_frequency(device, target, t_ref, beta) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(device=devices(),
+       t_ref=st.one_of(st.floats(1e-6, 1e3), st.integers(1, 10 ** 6),
+                       st.fractions(Fraction(1, 10 ** 9), 10 ** 3)),
+       beta=st.one_of(st.sampled_from((0, 1, 0.0, 1.0)), st.floats(0.0, 1.0)))
+def test_chunk_durations_match_fresh_evaluation(device, t_ref, beta):
+    for f in device.levels_ghz:
+        assert exec_time(t_ref, beta, device.level(f)[1]) == chunk_time(t_ref, beta, device, f)
+
+
+# f / f_ref = 1e400 is beyond binary64 even where no power is drawn: the
+# exact ratio is rounded once, so its overflow is caught, not taken as inf.
+@pytest.mark.parametrize("alpha", [2.5, -2.5])
+def test_ratio_beyond_binary64_is_rejected_at_zero_dynamic_power(alpha):
+    with pytest.raises(ValidationError, match=r"^power at 1e\+200 GHz is not within the binary64"):
+        DeviceModel(levels_ghz=(1e-200, 1.0, 1e200), f_ref_ghz=1e-200, p_dyn_ref_w=0.0,
+                    alpha_exp=alpha)
 
 
 def test_min_edp_brackets_continuous_minimizer():
@@ -258,7 +277,7 @@ def test_push_events_charge_static_only():
     r1 = account_energy(base, [REF], Fraction(1))
     r2 = account_energy(base + [push], [REF], Fraction(1))
     assert r1.total_device_energy == r2.total_device_energy
-    assert r1.total_kernel_energy == r2.total_kernel_energy
+    assert total_kernel_energy(r1) == total_kernel_energy(r2)
 
 
 def test_accounting_identity_random_traces():
@@ -276,7 +295,7 @@ def test_accounting_identity_random_traces():
             clock[node] += dur
         makespan = max(clock.values(), default=Fraction(0))
         report = account_energy(trace, devices, makespan)
-        assert report.total_kernel_energy + report.total_idle_energy \
+        assert total_kernel_energy(report) + total_idle_energy(report) \
             == report.total_device_energy
         for dev in report.per_device:
             assert dev.busy_s + dev.idle_s == makespan

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterq.energy import DeviceEnergy, DeviceModel, EnergyReport, EnergyTarget, TaskEnergy
 from clusterq.errors import ValidationError
@@ -42,7 +43,7 @@ from clusterq.scheduler import (
 from clusterq.simulator import LinkModel, RunResult, TraceEvent
 from clusterq.value import Frozen, Value
 
-from helpers import random_box, region_bitmap
+from helpers import int64_values_item_by_item, random_box, region_bitmap
 
 
 EXTENT8 = Box.from_shape((8,))
@@ -115,6 +116,41 @@ def test_int64_init_accepts_exactly_the_int64_range():
         with pytest.raises(ValidationError, match=rf"init value {re.escape(repr(value))} "
                                                   r"at index 3"):
             Buffer("b", EXTENT8, "int64", BufferInit.explicit([0, 1, 2, value] + [0] * 4))
+
+
+INT64_ITEMS = st.integers(-2 ** 63, 2 ** 63 - 1)
+BAD_INT64 = st.one_of(
+    st.integers(2 ** 63, 2 ** 65), st.integers(-2 ** 65, -2 ** 63 - 1),
+    st.floats().filter(lambda f: not f.is_integer()), st.booleans(),
+    INT64_ITEMS.map(np.int64))  # an np.integer in range is accepted, item by item
+
+
+@st.composite
+def int64_lists(draw):
+    """A list of ints in the int64 range, with integral floats in some, and
+    in half of them one bad item at a random position."""
+    items = draw(st.sampled_from((INT64_ITEMS, st.one_of(
+        INT64_ITEMS, st.integers(-2 ** 53, 2 ** 53).map(float)))))
+    values = draw(st.lists(items, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        values.insert(draw(st.integers(0, len(values))), draw(BAD_INT64))
+    return values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=int64_lists())
+def test_int64_values_checked_whole_match_the_item_by_item_check(values):
+    def build():
+        Buffer("b", Box.from_shape((len(values),)), "int64", BufferInit.explicit(values))
+
+    outcomes = []
+    for check in (build, lambda: int64_values_item_by_item("b", values)):
+        try:
+            check()
+            outcomes.append(None)
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_validate_int64_params_and_literals_in_range():

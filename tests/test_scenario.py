@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import clusterq
 from clusterq.energy import EnergyTarget
-from clusterq.errors import ScenarioError
+from clusterq.errors import ScenarioError, ValidationError
 from clusterq.model import All, Fixed, Neighborhood, OneToOne, Slice
 from clusterq.region import Box, Region
 from clusterq.scenario import (
     MAX_EXTENT_VOLUME,
     Scenario,
+    _numbers,
     bundled_scenario_path,
     check_expectations,
     load_scenario,
@@ -26,7 +27,15 @@ from clusterq.scenario import (
     validate_against_serial,
 )
 
-from helpers import BUNDLED, mutated, save_scenario, scenario_to_dict
+from helpers import (
+    BUNDLED,
+    mutated,
+    numbers_item_by_item,
+    save_scenario,
+    scenario_to_dict,
+    total_idle_energy,
+    total_kernel_energy,
+)
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(clusterq.__file__)))
@@ -298,6 +307,41 @@ def test_number_lists_accept_every_binary64_integer():
     assert s.expectations[0][1] == [big, -big, 2 ** 1023, 0]
 
 
+def outcome(check, *args):
+    """check's result, or the type and text of the error it raises."""
+    try:
+        return check(*args)
+    except (ScenarioError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# An int of magnitude above 2**1023 may still convert to binary64, but it
+# takes the item-by-item path.
+BAD_NUMBERS = st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.just([1.0]),
+                        st.integers(2 ** 1023 + 1, 2 ** 1025).flatmap(
+                            lambda n: st.sampled_from((n, -n))))
+
+
+@st.composite
+def number_lists(draw):
+    """A list of floats, of ints within 2**1023 or of both, and in half of
+    them one bad item at a random position."""
+    items = draw(st.sampled_from((st.floats(), st.integers(-2 ** 1023, 2 ** 1023),
+                                  st.one_of(st.floats(), st.integers(-2 ** 1023, 2 ** 1023)))))
+    values = draw(st.lists(items, max_size=8))
+    if draw(st.booleans()):
+        values.insert(draw(st.integers(0, len(values))), draw(BAD_NUMBERS))
+    return values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(values=number_lists())
+def test_number_lists_checked_whole_match_the_item_by_item_check(values):
+    got = outcome(_numbers, values, "scenario.x")
+    assert got == outcome(numbers_item_by_item, values, "scenario.x")
+    assert got is not values
+
+
 def test_fixed_box_with_min_above_max_names_the_box():
     data = {"buffers": [{"name": "x", "extent": [4]}, {"name": "z", "extent": [4]}],
             "tasks": [{"name": "t", "range": [4], "writes": ["z"], "body": "1.0",
@@ -457,6 +501,6 @@ def test_run_bundle_energy_identity():
     s = load_scenario(bundled_scenario_path("stencil"))
     bundle = run_scenario(s, nodes=3)
     rep = bundle.energy
-    assert rep.total_kernel_energy + rep.total_idle_energy \
+    assert total_kernel_energy(rep) + total_idle_energy(rep) \
         == rep.total_device_energy
     assert bundle.result.makespan == rep.makespan_s

@@ -116,7 +116,7 @@ def test_execute_k_runs_box_k_on_node_k():
     t2 = simple_task(name="b", n=10, reads=("z",), writes=("w",))
     g = graph_of({"z": fbuf("z", 10), "w": fbuf("w", 10)}, t1, t2)
     plan = generate_commands(g, 4)
-    for task in (t1, t2):
+    for task in (g.task(1), g.task(2)):
         execs = [e for e in plan.executes() if e.task_id == task.id]
         assert [(e.box, e.node) for e in execs] == \
             [(box, k) for k, box in enumerate(split_task(task, 4))]

@@ -483,6 +483,30 @@ def test_dependency_outside_the_plan_is_rejected(dep):
         run(plan)
 
 
+@pytest.mark.parametrize("deps, named", [((5, 0, -3), 5), ((0, -3, 5), -3)])
+def test_first_dependency_outside_the_plan_is_named(deps, named):
+    plan = two_push_plan()
+    plan.commands[1].deps = deps
+    with pytest.raises(ValidationError, match=f"^command 1 depends on id {named}, not in"):
+        run(plan)
+
+
+def test_a_task_submitted_twice_is_two_tasks():
+    bufs = {"a": Buffer("a", Box.from_shape((4,)), "float64", BufferInit.iota())}
+    task = Task("twice", Box.from_shape((4,)), [
+        Accessor("a", AccessMode.READ, name="r"), Accessor("a", AccessMode.WRITE),
+    ], {"a": body("r[i] + 1.0", ["r"], 1)})
+    g = TaskGraph(bufs)
+    assert [g.submit(task), g.submit(task)] == [1, 2]
+    assert [t.id for t in g.tasks] == [1, 2] and task.id is None
+    plan = generate_commands(g, 2, devices=UNIT)
+    assert [(e.task_id, e.node) for e in plan.executes()] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    res = run(plan)
+    assert [ev.label for ev in res.trace if ev.kind == "execute"] == [
+        "twice#1 [0,2)", "twice#1 [2,4)", "twice#2 [0,2)", "twice#2 [2,4)"]
+    assert res.buffers["a"].tolist() == [2.0, 3.0, 4.0, 5.0]
+
+
 # ---------------------------------------------------------------- trace export
 
 def test_trace_events_carry_metadata():
