@@ -483,37 +483,47 @@ def validate_task(task: Task, buffers) -> None:
 
 
 class ReadView:
-    """One accessor's readable data: one array, or (array, (lo, hi)) members,
-    each read at the ids whose axis-0 coordinate lies in [lo, hi). Reads are
+    """One accessor's readable data: one array, or arrays each read at the
+    ids whose axis-0 coordinate lies in its (lo, hi) of rows. Reads are
     clamped per axis to the buffer extent; the footprint check at submit keeps
-    every clamped read in the accessor's mapped region, so none is checked."""
+    every clamped read in the accessor's mapped region, so none is checked.
+    Views of one extent may share indexes, a dict from (rows, box, offsets)
+    to each array's index, which holds for any arrays of that extent."""
 
-    __slots__ = ("extent", "members")
+    __slots__ = ("extent", "arrays", "rows", "indexes")
 
-    def __init__(self, extent, data):
+    def __init__(self, extent, data, rows=None, indexes=None):
         self.extent = extent
-        self.members = [(data, None)] if isinstance(data, np.ndarray) else data
+        self.arrays = (data,) if rows is None else data
+        self.rows = rows
+        self.indexes = {} if indexes is None else indexes
 
     def gather(self, mins, maxs, offsets):
         """The clamped read at every point of the box [mins, maxs) shifted by
         offsets, as an array over the buffer's axes. Only the first
-        len(offsets) axes of the box are used; the rows of several members
+        len(offsets) axes of the box are used; the rows of several arrays
         must tile its axis-0 span, in order.
 
         A read of one array that needs no clamping is a view of it, not a
         copy, so a caller must never write into what gather returns."""
-        if len(self.members) == 1:
-            return self._read(self.members[0][0], mins, maxs, offsets)
-        return np.concatenate([self._read(data, (lo,) + mins[1:], (hi,) + maxs[1:], offsets)
-                               for data, (lo, hi) in self.members])
+        key = (self.rows, mins, maxs, offsets)
+        indexes = self.indexes.get(key)
+        if indexes is None:
+            indexes = self.indexes[key] = [
+                self._index((lo,) + mins[1:], (hi,) + maxs[1:], offsets)
+                for lo, hi in self.rows or [(mins[0], maxs[0])]]
+        if len(indexes) == 1:
+            return self.arrays[0][indexes[0]]
+        return np.concatenate([data[index] for data, index in zip(self.arrays, indexes)])
 
-    def _read(self, data, mins, maxs, offsets):
+    def _index(self, mins, maxs, offsets):
+        """Slices, or the np.ix_ of the clamped axes where the read clamps."""
         index = []
         for lo, hi, off, elo, ehi in zip(mins, maxs, offsets, self.extent.mins, self.extent.maxs):
             if lo + off < elo or hi + off > ehi:
-                return data[np.ix_(*self._clamped_axes(mins, maxs, offsets))]
+                return np.ix_(*self._clamped_axes(mins, maxs, offsets))
             index.append(slice(lo + off, hi + off))
-        return data[tuple(index)]
+        return tuple(index)
 
     def _clamped_axes(self, mins, maxs, offsets):
         """Per buffer axis, the clamped index of every point read. A start

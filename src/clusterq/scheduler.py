@@ -291,12 +291,12 @@ def _plan_task(table: RegionMapTable, task: Task, tid: int, chunks: list, versio
     for node, (box, reads, needs, writes) in enumerate(chunks):
         await_ids = []
         for buffer, need in needs:
-            found = 0
+            held = []  # (entry region, its part of need) of each entry that holds some
             entries = table.entries[buffer]
             for index, (have, held_version, holders) in overlapping(
                     entries, need, indexes[buffer]):
                 part = have if inside(have, need) else have.intersect(need)
-                found += part.volume()
+                held.append((have, part))
                 if node in holders:
                     continue
                 src = min(holders)
@@ -309,7 +309,9 @@ def _plan_task(table: RegionMapTable, task: Task, tid: int, chunks: list, versio
                 commands.append(ap)
                 await_ids.append(ap.id)
                 gains.setdefault(buffer, {}).setdefault(index, []).append((part, node, ap.id))
-            if found != need.volume():
+            # need lies inside its one entry, or else its parts add up to it
+            if not (len(held) == 1 and inside(need, held[0][0])) and \
+                    sum(part.volume() for _have, part in held) != need.volume():
                 missing = [(need,)]
                 [(uncovered,)] = cut(missing, [e[0] for e in entries], SpanIndex(missing))
                 raise UninitializedReadError(

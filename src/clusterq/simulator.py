@@ -11,10 +11,10 @@ as soon as its dependencies are done and takes latency + bytes / bandwidth.
 Time is exact rationals end to end, floats only at serialization; maxima
 compare integer cross-products of numerators and denominators, and the
 makespan is the latest finish of a command nothing depends on. Each value is
-computed once per run: an Execute's duration per (node, chunk volume, beta,
-frequency), a Push's per byte count, its label text, bytes and box indexes
-per (buffer, region object), which template instances share, and a finish
-per start and duration.
+computed once per run: an Execute's duration and box text per (node, chunk
+box object, beta, frequency), a Push's duration per byte count, its label
+text, bytes and box indexes per (buffer, region object), which template
+instances share, and a finish per start and duration.
 
 The data walk moves real data in the same order, through a backing array per
 node and buffer: a Push copies its region's boxes out, and its AwaitPush lands
@@ -26,10 +26,11 @@ writes, an Execute of another task, of a node in it or that does not continue
 it, and at the end, so each Execute sees the data it would see replayed alone.
 It calls each body, compiled once per run and element kind, once per write
 accessor over the union of its members' boxes, each member's rows read from
-its node's array (a lone member's region box by box). A buffer the batch
-writes is read from a snapshot, so in-place updates see pre-task data; an
-unclamped read of a lone member is a view, not a copy. The final contents are
-gathered from zeros, each final region map entry from its lowest-id holder.
+its node's array (a lone member's region box by box) through indexes made
+once per run. Each result is made canonical and copied once, and all are
+stored after the last call, so in-place updates see pre-task data. The final
+contents are gathered from zeros, each final region map entry from its
+lowest-id holder.
 
 Reads are not checked: submit's footprint check keeps them inside their
 mapped regions. The only runtime error is an int64 division by zero; a batch
@@ -117,13 +118,14 @@ def _index(box):
     return tuple(slice(lo, hi) for lo, hi in zip(box.mins, box.maxs))
 
 
-def _store(arr, box, values, integer):
-    """Write one box of kernel results: the single place where they land,
-    so NaNs are made canonical here."""
-    dst = arr[_index(box)]
-    dst[...] = values
+def _canonical(values, integer):
+    """A kernel result as a new array, with NaNs in canonical form. It may
+    be a view of an array the batch writes, so it is copied before any store."""
     if not integer:
-        dst[np.isnan(dst)] = _CANONICAL_NAN
+        nan = np.isnan(values)
+        if nan.any():
+            return np.where(nan, _CANONICAL_NAN, values)
+    return values if values.flags.owndata else values.copy()
 
 
 class _Storage(dict):
@@ -144,32 +146,30 @@ class _Storage(dict):
 _ZERO = (Fraction(0), 0, 1)
 
 
-def _finish(sums: dict, start: tuple, dur: Fraction) -> tuple:
-    """start + dur as a _latest triple, added once per run for each start
-    and duration; keyed by ints, as a Fraction's hash costs a modular inverse."""
-    key = (start[1], start[2], dur.numerator, dur.denominator)
+def _finish(sums: dict, start: tuple, dur: tuple) -> tuple:
+    """start + dur, both (Fraction, numerator, denominator) triples, added
+    once per run for each start and duration; keyed by ints, as a Fraction's
+    hash costs a modular inverse."""
+    key = (start[1], start[2], dur[1], dur[2])
     if key not in sums:
-        finish = start[0] + dur
+        finish = start[0] + dur[0]
         sums[key] = (finish, finish.numerator, finish.denominator)
     return sums[key]
 
 
-def _latest(times, last=_ZERO) -> tuple:
-    """The latest of last and times, (Fraction, numerator, denominator) triples."""
-    for time in times:
-        if time[1] * last[2] > last[1] * time[2]:
-            last = time
-    return last
+def _triple(time: Fraction) -> tuple:
+    return time, time.numerator, time.denominator
 
 
 class _Batch:
     """Executes whose evaluation is deferred: consecutive ones of one task,
-    with the same accessors, each on a different node, and each write region
-    one box that continues the previous member's along axis 0."""
+    which share its accessors, each on a different node, and each write
+    region one box that continues the previous member's along axis 0."""
 
     def __init__(self, graph, storage):
         self.graph, self.storage = graph, storage
         self.kernels = {}  # (id of a body, integer) -> compiled body; tasks of one text share it
+        self.indexes = {name: {} for name in graph.buffers}  # buffer -> its ReadViews' indexes
         self.members, self.nodes, self.reads, self.writes = [], set(), set(), {}
 
     def add(self, cmd):
@@ -183,27 +183,21 @@ class _Batch:
     def _joins(self, cmd) -> bool:
         last = self.members[-1]
         return cmd.task_id == last.task_id and cmd.node not in self.nodes and \
-            [r[:2] for r in cmd.reads] == [r[:2] for r in last.reads] and \
-            [w[:2] for w in cmd.writes] == [w[:2] for w in last.writes] and \
             all(len(b := w[2].boxes) == len(p := pw[2].boxes) == 1 and
                 (b[0].mins[0], b[0].mins[1:], b[0].maxs[1:]) ==
                 (p[0].maxs[0], p[0].mins[1:], p[0].maxs[1:])
                 for w, pw in zip(cmd.writes, last.writes))
 
     def evaluate(self):
-        """Evaluate and drop the members. A buffer they write is read from a
-        snapshot of each member's array, taken before any is written."""
+        """Evaluate and drop the members."""
         members, self.members, self.nodes = self.members, [], set()
         # the (buffer, node) pairs members read; (buffer, node) -> the region written there
         self.reads, self.writes = set(), {}
         if not members:
             return
         task = self.graph.task(members[0].task_id)
-        written = {buffer for _w, buffer, _r, _v in members[0].writes}
         arrays = {b: [self.storage[b, m.node] for m in members]  # the array each member reads
                   for b in dict.fromkeys(b for _n, b, _r in members[0].reads)}
-        for b in written & arrays.keys():
-            arrays[b] = [data.copy() for data in arrays[b]]
         try:
             try:
                 self._call(members, task, arrays)
@@ -215,9 +209,11 @@ class _Batch:
             raise EvalError(f"{exc} in task '{task.name}'") from None
 
     def _call(self, members, task, arrays):
-        """Store each write accessor's values, from one kernel call over the
-        union of the members' boxes, or a lone member's box by box."""
+        """Compute each write accessor's values, from one kernel call over
+        the union of the members' boxes, or a lone member's box by box; then
+        store them all, so in-place updates read pre-task data."""
         buffers = self.graph.buffers
+        stores = []
         for j, (wname, bufname, region, _v) in enumerate(members[0].writes):
             integer = buffers[bufname].element_kind == "int64"
             key = (id(task.body[wname]), integer)
@@ -225,15 +221,18 @@ class _Batch:
                 self.kernels[key] = compile_kernel(task.body[wname], integer)
             for boxes in [[m.writes[j][2].boxes[0] for m in members]] if len(members) > 1 \
                     else [[box] for box in region]:
-                rows = [(box.mins[0], box.maxs[0]) for box in boxes]
-                views = {b: ReadView(buffers[b].extent, list(zip(data, rows)))
+                rows = tuple((box.mins[0], box.maxs[0]) for box in boxes)
+                views = {b: ReadView(buffers[b].extent, data, rows, self.indexes[b])
                          for b, data in arrays.items()}
                 values = self.kernels[key](Box(boxes[0].mins, boxes[-1].maxs),
                                            {name: views[b] for name, b, _r in members[0].reads},
                                            task.params)
-                for member, box, (lo, hi) in zip(members, boxes, rows):
-                    _store(self.storage[bufname, member.node], box,
-                           values[lo - rows[0][0]:hi - rows[0][0]], integer)
+                stores.append((bufname, boxes[0], rows, _canonical(values, integer)))
+        for bufname, box, rows, values in stores:
+            rest, base = _index(box)[1:], rows[0][0]  # members differ along axis 0 only
+            for member, (lo, hi) in zip(members, rows):
+                self.storage[bufname, member.node][(slice(lo, hi),) + rest] = \
+                    values[lo - base:hi - base]
 
 
 def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
@@ -257,12 +256,12 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     # The timing walk: replay order, exact times and the trace.
     heap = [cid for cid, deg in enumerate(indegree) if deg == 0]  # ascending: a heap
     order = []
-    finished: list = [None] * len(commands)  # command id -> its finish as a _latest triple
+    finished: list = [None] * size  # command id -> its finish as a (Fraction, num, den) triple
     lane_free = [_ZERO] * plan.node_count
-    boxes = {}  # id of a chunk box, which tasks of one shape share -> its text
-    pushes = {}  # (buffer, id of a region) -> (label text, bytes, duration, box indexes)
-    exec_durs = {}  # (node, chunk volume, beta, frequency) -> duration
-    push_durs = {}  # bytes -> duration
+    tasks = plan.graph.tasks
+    executes = {}  # (node, id of a chunk box, beta, frequency) -> (duration triple, box text)
+    pushes = {}  # (buffer, id of a region) -> (label text, bytes, duration triple, box indexes)
+    push_durs = {}  # bytes -> duration triple
     sums = {}  # start and duration, as numerators and denominators -> finish triple
     trace: list[TraceEvent] = []
 
@@ -270,40 +269,46 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
         cid = heappop(heap)
         order.append(cid)
         cmd = commands[cid]
-        ready = _latest([finished[dep] for dep in cmd.deps])
+        kind = type(cmd)
+        ready = _ZERO
+        for dep in cmd.deps:  # many share one finish triple, which needs no products
+            time = finished[dep]
+            if time is not ready and time[1] * ready[2] > ready[1] * time[2]:
+                ready = time
 
-        if isinstance(cmd, ExecuteCommand):
-            task = plan.graph.task(cmd.task_id)
+        if kind is ExecuteCommand:
+            task = tasks[cmd.task_id - 1]
             node = cmd.node
-            start = _latest((lane_free[node],), ready)
-            volume = cmd.box.volume()
-            dur_key = (node, volume, task.beta, cmd.frequency_ghz)
-            dur = exec_durs.get(dur_key)
-            if dur is None:
+            start = lane_free[node]
+            if start is ready or ready[1] * start[2] >= start[1] * ready[2]:
+                start = ready
+            key = (node, id(cmd.box), task.beta, cmd.frequency_ghz)
+            if key not in executes:
                 device = plan.devices[node]
                 tn, td = exact_ratio(device.throughput_ref)
-                dur = exec_durs[dur_key] = exec_time(
-                    Fraction(volume * td, tn), task.beta, device.level(cmd.frequency_ghz)[1])
+                executes[key] = (_triple(exec_time(Fraction(cmd.box.volume() * td, tn), task.beta,
+                                                   device.level(cmd.frequency_ghz)[1])),
+                                 str(cmd.box))
+            dur, box = executes[key]
             lane_free[node] = finished[cid] = finish = _finish(sums, start, dur)
-            box = boxes.get(id(cmd.box)) or boxes.setdefault(id(cmd.box), str(cmd.box))
-            trace.append(TraceEvent("execute", node, cid, start[0], dur, 0, cmd.frequency_ghz,
+            trace.append(TraceEvent("execute", node, cid, start[0], dur[0], 0, cmd.frequency_ghz,
                                     cmd.task_id, task.name, f"{task.name}#{cmd.task_id} {box}",
                                     finish[0]))
 
-        elif isinstance(cmd, PushCommand):
+        elif kind is PushCommand:
             key = (cmd.buffer, id(cmd.region))
             if key not in pushes:
                 nbytes = cmd.bytes
                 if nbytes not in push_durs:
-                    push_durs[nbytes] = link.transfer_time(nbytes)
+                    push_durs[nbytes] = _triple(link.transfer_time(nbytes))
                 pushes[key] = (f"{cmd.buffer} {cmd.region}", nbytes, push_durs[nbytes],
                                [_index(box) for box in cmd.region])
             text, nbytes, dur, _indexes = pushes[key]
             finished[cid] = finish = _finish(sums, ready, dur)
-            trace.append(TraceEvent("push", cmd.src, cid, ready[0], dur, nbytes, None, None, None,
-                                    f"{text} n{cmd.src}->n{cmd.dst}", finish[0]))
+            trace.append(TraceEvent("push", cmd.src, cid, ready[0], dur[0], nbytes, None, None,
+                                    None, f"{text} n{cmd.src}->n{cmd.dst}", finish[0]))
 
-        elif isinstance(cmd, AwaitPushCommand):
+        elif kind is AwaitPushCommand:
             finished[cid] = ready
             start = ready[0]
             push = cmd.push
@@ -322,7 +327,8 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     if stuck:
         raise ValidationError(f"command graph has a cycle involving ids {stuck}")
 
-    makespan = _latest([finished[cid] for cid, after in enumerate(dependents) if not after])[0]
+    makespan = max((finished[cid][0] for cid, after in enumerate(dependents) if not after),
+                   default=_ZERO[0])
 
     # The data walk, in the same order; the batch is evaluated before any
     # command that would see or change its data.
@@ -331,9 +337,10 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     payloads: dict[int, list] = {}  # push id -> [(box index, values)]
     for cid in order:
         cmd = commands[cid]
-        if isinstance(cmd, ExecuteCommand):
+        kind = type(cmd)
+        if kind is ExecuteCommand:
             batch.add(cmd)
-        elif isinstance(cmd, PushCommand):
+        elif kind is PushCommand:
             written = batch.writes.get((cmd.buffer, cmd.src))
             if written is not None and written.overlaps(cmd.region):
                 batch.evaluate()

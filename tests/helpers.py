@@ -849,8 +849,8 @@ class PointView:
 
     def __init__(self, view, row):
         self.extent = view.extent
-        self.data = next(data for data, rows in view.members
-                         if len(view.members) == 1 or rows[0] <= row < rows[1])
+        self.data = view.arrays[0] if view.rows is None else next(
+            data for data, rows in zip(view.arrays, view.rows) if rows[0] <= row < rows[1])
 
     def read(self, point):
         return self.data[clamp_point(point, self.extent)].item()

@@ -52,6 +52,7 @@ from clusterq.scheduler import assign_frequencies, export_command_graph, generat
 from clusterq.simulator import LinkModel, TraceEvent
 
 from helpers import (
+    PointView,
     buffer_dump,
     chunk_time,
     compile_reference,
@@ -185,7 +186,7 @@ def test_nan_of_either_sign_is_stored_canonically():
         assert np.frombuffer(raw, np.uint64).tolist() == [0x7FF8000000000000] * 3
 
 
-# The NaN with the sign bit set, which _store must not write back into a
+# The NaN with the sign bit set, which _canonical must not write back into a
 # gathered view.
 NEGATIVE_NAN = float(np.uint64(0xFFF8000000000000).view(np.float64))
 
@@ -247,7 +248,9 @@ def test_gather_matches_pointwise_reads(case):
     kernel_box = Box(mins, maxs)
     result = compile_kernel(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
     out = np.zeros(kernel_box.shape, dtype=dtype)
-    simulator._store(out, Box.from_shape(kernel_box.shape), result, integer)
+    canonical = simulator._canonical(result, integer)
+    assert not np.shares_memory(canonical, data)
+    out[...] = canonical
     assert data.tobytes() == before
     trailing = (1,) * (len(mins) - len(shape))
     stored = np.broadcast_to(want.reshape(want.shape + trailing), kernel_box.shape).copy()
@@ -256,6 +259,62 @@ def test_gather_matches_pointwise_reads(case):
     assert out.tobytes() == stored.tobytes()
     reference = compile_reference(Read("r", offsets), integer)(kernel_box, {"r": view}, {})
     assert np.array_equal(reference, stored, equal_nan=True)
+
+
+# Offsets a read may carry that numpy cannot index with.
+BEYOND_INT64 = (2 ** 63, -(2 ** 63) - 1, 2 ** 70, -(10 ** 20))
+
+
+@st.composite
+def shared_index_cases(draw):
+    """An extent of 1-3 axes and two reads of it: a box that may pass either
+    edge of each axis, offsets that may clamp or lie beyond int64, and rows
+    that tile the box's axis-0 span in one to three members."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 3))))
+    reads = []
+    for _ in range(2):
+        mins = tuple(draw(st.integers(-3, n - 1)) for n in shape)
+        maxs = tuple(draw(st.integers(lo + 1, n + 3)) for lo, n in zip(mins, shape))
+        offsets = tuple(draw(st.one_of(st.integers(-3, 3), st.sampled_from(BEYOND_INT64)))
+                        for _ in shape)
+        cuts = draw(st.sets(st.integers(mins[0] + 1, maxs[0] - 1), max_size=2)) \
+            if maxs[0] - mins[0] > 1 else ()
+        bounds = [mins[0], *sorted(cuts), maxs[0]]
+        reads.append((mins, maxs, offsets, tuple(zip(bounds, bounds[1:]))))
+    return shape, reads
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=shared_index_cases())
+# one box and rows, clamped at both edges of each axis, read at two offsets
+@example(case=((4, 4), [((-2, -1), (6, 5), (0, 0), ((-2, 1), (1, 6))),
+                        ((-2, -1), (6, 5), (2 ** 63, -(10 ** 20)), ((-2, 1), (1, 6)))]))
+# one box and offsets, split into other rows
+@example(case=((5,), [((0,), (5,), (1,), ((0, 2), (2, 5))), ((0,), (5,), (1,), ((0, 3), (3, 5)))]))
+# one axis-0 span, rows and offsets, with other boxes along axis 1
+@example(case=((3, 3), [((0, 0), (3, 1), (0, -1), ((0, 3),)),
+                        ((0, 1), (3, 3), (0, -1), ((0, 3),))]))
+def test_shared_gather_indexes_match_fresh_views_and_pointwise_reads(case):
+    # Views of one extent share one dict of indexes, as the replay's do for
+    # one buffer in a run; each read runs twice, over other arrays.
+    shape, reads = case
+    extent = Box.from_shape(shape)
+    indexes = {}
+    for version in range(2):
+        for mins, maxs, offsets, rows in reads:
+            arrays = [np.arange(math.prod(shape), dtype=np.float64).reshape(shape) * (k + 2)
+                      + 1000 * version for k in range(len(rows))]
+            view = ReadView(extent, arrays, rows, indexes)
+            got = view.gather(mins, maxs, offsets)
+            fresh = ReadView(extent, arrays, rows).gather(mins, maxs, offsets)
+            want = np.array([PointView(view, point[0]).read(
+                                 tuple(c + off for c, off in zip(point, offsets)))
+                             for point in itertools.product(*map(range, mins, maxs))],
+                            dtype=np.float64).reshape([hi - lo for lo, hi in zip(mins, maxs)])
+            for array in (fresh, want):
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (array.dtype, array.shape, array.tobytes())
+    assert 1 <= len(indexes) <= 2
 
 
 def test_error_corpus_matches_reference():

@@ -1,5 +1,6 @@
 """Discrete-event replay: timing, data movement, and final buffer contents."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -126,8 +127,9 @@ def test_random_workloads_node_count_invariant():
 
 def test_two_reads_of_a_rewritten_buffer_share_one_snapshot():
     """A task that rewrites its buffer in place through two read accessors
-    reads pre-task data through both, from one snapshot per Execute, in one
-    kernel call per batch. At 3 nodes the first task's Push to node 2
+    reads pre-task data through both, from one array per Execute (the
+    batch's stores come after its kernel calls), in one kernel call per
+    batch. At 3 nodes the first task's Push to node 2
     captures rows of node 0's array that the batch does not write, so the
     batch is not evaluated before it and stays one kernel call."""
     nb = Neighborhood((1,))
@@ -155,7 +157,7 @@ def test_two_reads_of_a_rewritten_buffer_share_one_snapshot():
         assert len(seen) == {1: 2, 2: 2, 3: 2}[nodes]
         for views in seen:
             assert sorted(views) == ["hi", "lo"]
-            for (lo, _rows), (hi, _hi_rows) in zip(views["lo"].members, views["hi"].members):
+            for lo, hi in zip(views["lo"].arrays, views["hi"].arrays, strict=True):
                 assert lo is hi
 
 
@@ -225,6 +227,30 @@ def test_two_write_accessors_that_swap_two_buffers():
         up, down = np.minimum(np.arange(12) + 1, 11), np.maximum(np.arange(12) - 1, 0)
         a, b = b[up] - a[down], a[up] * 2.0 + b
     assert got["a"].tobytes() == a.tobytes() and got["b"].tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["float64", "int64"])
+def test_swap_by_bare_reads_stores_after_the_batch(kind, nodes):
+    # Each body is a bare read of the other buffer, so a kernel result can
+    # be a view of an array the batch writes next: every store must land
+    # the values read before the batch. The task runs three times.
+    if kind == "int64":
+        a0, b0 = np.arange(12) * -(2 ** 59), np.arange(12) + 2 ** 62
+    else:
+        b0 = np.array([math.inf, -math.inf, math.nan, -0.0, 1e308] + [0.5] * 7)
+        a0 = np.arange(12.0)
+    bufs = {"a": Buffer("a", Box.from_shape((12,)), kind, BufferInit.explicit(a0.tolist())),
+            "b": Buffer("b", Box.from_shape((12,)), kind, BufferInit.explicit(b0.tolist()))}
+    task = Task("swap", Box.from_shape((12,)), [
+        Accessor("a", AccessMode.READ, name="ra"), Accessor("b", AccessMode.READ, name="rb"),
+        Accessor("a", AccessMode.WRITE, name="wa"), Accessor("b", AccessMode.WRITE, name="wb"),
+    ], {"wa": body("rb[i]", ["ra", "rb"], 1), "wb": body("ra[i]", ["ra", "rb"], 1)})
+    got, _calls, same = batch_outcome(plan_for(bufs, [task] * 3, nodes))
+    assert same
+    assert got["a"].dtype == got["b"].dtype == np.dtype(kind)
+    assert got["a"].tobytes() == b0.astype(kind).tobytes()
+    assert got["b"].tobytes() == a0.astype(kind).tobytes()
 
 
 def test_division_by_zero_in_two_chunks_names_the_first_in_replay_order():
