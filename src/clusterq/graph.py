@@ -1,31 +1,32 @@
-"""Task dependency graph with region-precise conflict edges.
+"""Task dependency graph: the dependencies each submission finds.
 
 Submitting a task checks it (validate_task, static_footprint_check) once
 per shape: model.shape_key, the bodies by identity, the params and beta, all
 that the checks read but the name. It maps every accessor over the full
-kernel range and finds its predecessors through two region maps per buffer,
+kernel range and finds its dependencies through two region maps per buffer,
 as Celerity does (Knorr, Thoman, Fahringer, IJPP 2023): the last writer of
 each region, and the readers of each region since its last write. A read
-depends on the last writers it overlaps; a write depends on the last writers
-and on the readers since. Both maps are (region, task id) lists that
-region.overlapping queries and region.cut cuts, as it cuts the scheduler's
-region map; a task's lookups in a map and its cut of that map share one
-region.SpanIndex. A write cuts both maps. A read cuts the reader entries of
-the tasks it already depends on: a later write there depends on it, and so
-reaches them. So a task touches only the entries its regions overlap, never
-the whole history. A task that conflicts with an earlier one reaches it
-through these predecessors, so the ancestor bitset (a Python int with bit p
-set for every task p it transitively depends on) is the one a scan of every
-earlier task gives, and the predecessors that no other predecessor already
-implies are found from it without walking the graph.
+depends on the last writers it overlaps (RAW); a write depends on the last
+writers (WAW) and on the readers since (WAR). Both maps are (region, task id)
+lists that region.overlapping queries and region.cut cuts, as it cuts the
+scheduler's region map; a task's lookups in a map and its cut of that map
+share one region.SpanIndex. A write cuts both maps. A read cuts the reader
+entries of the tasks it already depends on: a later write there depends on
+it, and so reaches them. So a task touches only the entries its regions
+overlap, never the whole history, and each map holds at most one entry per
+task and buffer.
 
-The full conflict edges are a view computed on demand by that scan: RAW for
-an earlier write overlapping a new read, WAR for an earlier read overlapping a
-new write, WAW for overlapping writes, with the conflict region on the edge.
-Edges always point from an earlier to a later submission, so the graph is
-acyclic by construction and submission order is a topological order. Host
-initialization is a virtual task with id 0; it seeds the scheduler's region
-table rather than appearing as a graph node.
+Each dependency is recorded as it is found, keyed by (source, buffer, kind),
+with the map entry's region and the accessed region; the edges are read off
+that record, the conflict region being their intersection. A task that
+conflicts with an earlier one reaches it through these dependencies, so the
+ancestor bitset (a Python int with bit p set for every task p it
+transitively depends on) is the one a scan of every earlier task gives, and
+the predecessors that no other predecessor already implies are found from it
+without walking the graph. Edges always point from an earlier to a later
+submission, so the graph is acyclic by construction and submission order is
+a topological order. Host initialization is a virtual task with id 0; it
+seeds the scheduler's region table rather than appearing as a graph node.
 """
 
 import enum
@@ -40,6 +41,9 @@ class DepKind(enum.Enum):
     RAW = "RAW"
     WAR = "WAR"
     WAW = "WAW"
+
+
+KINDS = tuple(DepKind)  # RAW, WAR, WAW: the order of a pair's edges on one buffer
 
 
 class Edge(Frozen):
@@ -62,16 +66,14 @@ class TaskGraph:
     def __init__(self, buffers):
         self.buffers = dict(buffers)
         self.tasks: list[Task] = []
-        # Full-range mapped regions per task id, split by mode.
-        self._reads: dict[int, dict[str, Region]] = {}
-        self._writes: dict[int, dict[str, Region]] = {}
         # Per buffer, pairwise disjoint (region, last writer) entries, and
         # (region, reader) entries for the reads since those regions' last write.
         self._last_writers: dict[str, list] = {}
         self._readers: dict[str, list] = {}
-        # Predecessor ids found through those maps and ancestor bitset per
-        # task id; index 0 is unused.
-        self._preds: list[set[int]] = [set()]
+        # Per task id, {(source id, buffer, kind index into KINDS): (map entry
+        # region, accessed region)} for each dependency found, and the ancestor
+        # bitset; index 0 is unused.
+        self._deps: list[dict] = [{}]
         self._ancestors: list[int] = [0]
         self._checked = set()  # the keys of the task shapes that passed the checks
 
@@ -103,15 +105,15 @@ class TaskGraph:
         # them, as no map changes before its lookups are done.
         writer_index = {b: SpanIndex(self._last_writers.get(b, ())) for b in {**reads, **writes}}
         reader_index = {b: SpanIndex(self._readers.get(b, ())) for b in writes}
-        preds = set()
-        for table, index, regions in ((self._last_writers, writer_index, reads),
-                                      (self._last_writers, writer_index, writes),
-                                      (self._readers, reader_index, writes)):
+        deps = {}  # kind indexes KINDS
+        for kind, table, index, regions in ((0, self._last_writers, writer_index, reads),
+                                            (1, self._readers, reader_index, writes),
+                                            (2, self._last_writers, writer_index, writes)):
             for buffer, region in regions.items():
-                preds.update(p for _, (_r, p) in overlapping(
-                    table.get(buffer, ()), region, index[buffer]))
+                for _, (entry, p) in overlapping(table.get(buffer, ()), region, index[buffer]):
+                    deps[p, buffer, kind] = entry, region
         ancestors = 0
-        for p in preds:
+        for p, _, _ in deps:
             ancestors |= (1 << p) | self._ancestors[p]
 
         for buffer, region in writes.items():
@@ -128,39 +130,20 @@ class TaskGraph:
 
         self.tasks.append(task)
         self._checked.add(checked)
-        self._reads[tid] = reads
-        self._writes[tid] = writes
-        self._preds.append(preds)
+        self._deps.append(deps)
         self._ancestors.append(ancestors)
         return tid
 
     def task(self, tid: int) -> Task:
         return self.tasks[tid - 1]
 
-    def _edges_into(self, tid: int) -> list[Edge]:
-        """Conflict edges from every earlier task into tid, by a scan of the
-        earlier tasks' mapped regions."""
-        reads, writes = self._reads[tid], self._writes[tid]
-        edges = []
-        for eid in range(1, tid):
-            for buffer in sorted(set(self._reads[eid]) | set(self._writes[eid])):
-                ew = self._writes[eid].get(buffer)
-                er = self._reads[eid].get(buffer)
-                for kind, old, new in (
-                    (DepKind.RAW, ew, reads), (DepKind.WAR, er, writes), (DepKind.WAW, ew, writes)
-                ):
-                    if old is not None and buffer in new and old.overlaps(new[buffer]):
-                        edges.append(Edge(eid, tid, kind, buffer, old.intersect(new[buffer])))
-        return edges
-
     @property
     def edges(self) -> list[Edge]:
-        """Every conflict edge, grouped by destination in submission order."""
-        return [e for t in self.tasks for e in self._edges_into(t.id)]
-
-    def predecessors(self, tid: int) -> list[int]:
-        """Every earlier task that tid conflicts with."""
-        return sorted({e.src for e in self._edges_into(tid)})
+        """One edge per recorded dependency, by destination, source, buffer
+        and then RAW, WAR, WAW, with the conflict region on it."""
+        return [Edge(src, tid, KINDS[kind], buffer, entry.intersect(region))
+                for tid in range(1, len(self._deps))
+                for (src, buffer, kind), (entry, region) in sorted(self._deps[tid].items())]
 
     def reduced_predecessors(self, tid: int) -> list[int]:
         """Predecessors that are not an ancestor of another predecessor: the
@@ -169,7 +152,7 @@ class TaskGraph:
         kept = []
         # Edges point forward, so a predecessor can only be reached through
         # one with a higher id: walk them from the highest down.
-        for p in sorted(self._preds[tid], reverse=True):
+        for p in sorted({src for src, _, _ in self._deps[tid]}, reverse=True):
             if not (covered >> p) & 1:
                 kept.append(p)
                 covered |= self._ancestors[p]

@@ -373,6 +373,11 @@ def full_scan_graph(graph):
     return edges, preds, ancestors
 
 
+def predecessors(graph, tid):
+    """Every earlier task that task tid conflicts with, sorted, by the scan."""
+    return sorted(full_scan_graph(graph)[1][tid])
+
+
 def full_scan_table(graph, node_count):
     """The pushes and the region map of command generation, with the table
     updated one transferred piece and one written chunk at a time, each by a

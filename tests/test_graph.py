@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from clusterq import graph as graph_module
 from clusterq.errors import ValidationError
-from clusterq.graph import DepKind, TaskGraph
+from clusterq.graph import KINDS, DepKind, TaskGraph
 from clusterq.kernel import parse_kernel
 from clusterq.model import (
     Accessor,
@@ -25,7 +25,7 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 
-from helpers import full_scan_graph, random_workload
+from helpers import full_scan_graph, predecessors, random_workload
 
 
 def buf(name, n=8, kind="float64", init=None):
@@ -127,8 +127,9 @@ def test_predecessors_sorted_unique():
     g.submit(task("p1", writes=("a",)))
     g.submit(task("p2", writes=("b",)))
     g.submit(task("c", reads=("a", "b"), writes=("z",)))
-    assert g.predecessors(3) == [1, 2]
-    assert g.predecessors(1) == []
+    assert predecessors(g, 3) == [1, 2]
+    assert predecessors(g, 1) == []
+    assert g.reduced_predecessors(3) == [1, 2]
 
 
 def test_stencil_ping_pong_chain():
@@ -216,9 +217,9 @@ def test_reduced_predecessors_drop_implied_edges():
     g.submit(task("t2", reads=("b",), writes=("c",)))
     g.submit(task("t3", reads=("b", "c"), writes=("a",)))
     g.submit(task("t4", reads=("b", "a"), writes=("c",)))
-    assert g.predecessors(3) == [1, 2]
+    assert predecessors(g, 3) == [1, 2]
     assert g.reduced_predecessors(3) == [2]
-    assert g.predecessors(4) == [1, 2, 3]
+    assert predecessors(g, 4) == [1, 2, 3]
     assert g.reduced_predecessors(4) == [3]
     assert g.reduced_predecessors(1) == []
 
@@ -230,8 +231,8 @@ def test_reduced_predecessors_follow_ancestors_transitively():
     g.submit(task("t2", reads=("a",), writes=("b",)))
     g.submit(task("t3", reads=("b",), writes=("c",)))
     g.submit(task("t4", reads=("c", "a"), writes=("d",)))
-    assert g.predecessors(3) == [2]
-    assert g.predecessors(4) == [1, 3]
+    assert predecessors(g, 3) == [2]
+    assert predecessors(g, 4) == [1, 3]
     assert g.reduced_predecessors(4) == [3]
 
 
@@ -239,17 +240,29 @@ def test_reduced_predecessors_follow_ancestors_transitively():
 @given(seed=st.integers(0, 2 ** 32 - 1), repeats=st.integers(1, 3))
 def test_last_writer_maps_match_full_scan(seed, repeats):
     # The workload's queue submitted `repeats` times over, so that later
-    # tasks meet partly overwritten last-writer and reader entries.
+    # tasks meet partly overwritten last-writer and reader entries. The
+    # recorded edges are a subset of the scan's conflicts that reaches all
+    # of them.
     buffers, tasks = random_workload(random.Random(seed))
     g = TaskGraph(buffers)
     for t in tasks * repeats:
         g.submit(copy.copy(t))
     edges, preds, ancestors = full_scan_graph(g)
-    assert [(e.src, e.dst, e.kind.value, e.buffer, e.region.boxes) for e in g.edges] == edges
+    scanned = {(src, dst, kind, buffer): boxes for src, dst, kind, buffer, boxes in edges}
+    keys = [(e.dst, e.src, e.buffer, KINDS.index(e.kind)) for e in g.edges]
+    assert keys == sorted(set(keys))
+    sources = {t.id: set() for t in g.tasks}
+    for e in g.edges:
+        boxes = scanned.get((e.src, e.dst, e.kind.value, e.buffer))
+        assert boxes is not None, e
+        assert not e.region.is_empty()
+        assert Region(e.region.dims, boxes).contains_region(e.region)
+        sources[e.dst].add(e.src)
     for t in g.tasks:
-        assert g._ancestors[t.id] == ancestors[t.id]
-        assert g._preds[t.id] <= preds[t.id]
-        assert g.predecessors(t.id) == sorted(preds[t.id])
+        reached = 0
+        for p in sources[t.id]:
+            reached |= (1 << p) | ancestors[p]
+        assert g._ancestors[t.id] == reached == ancestors[t.id]
         want, covered = [], 0
         for p in sorted(preds[t.id], reverse=True):
             if not (covered >> p) & 1:
@@ -261,16 +274,41 @@ def test_last_writer_maps_match_full_scan(seed, repeats):
 def test_stored_predecessors_stay_linear_on_a_long_chain():
     # A bench-shaped chain: 400 tasks ping-pong a radius-1 stencil between
     # two 64-cell buffers. Each task conflicts with every earlier one (the
-    # full scan finds 119,800 edges); through the last-writer maps it stores
-    # only the previous task and the last writer of its output.
+    # full scan finds 119,800 edges); through the last-writer maps it records
+    # only RAW and WAR from the previous task and WAW from the last writer
+    # of its output, so at most 3 edges.
     g = TaskGraph({"a": buf("a", n=64), "b": buf("b", n=64)})
     for k in range(400):
         src, dst = ("a", "b") if k % 2 == 0 else ("b", "a")
         g.submit(task(f"step{k}", reads=(src,), writes=(dst,), n=64,
                       read_mappers={src: Neighborhood((1,))},
                       body_src=f"r_{src}[i-1] + r_{src}[i] + r_{src}[i+1]"))
-    assert sum(len(p) for p in g._preds) <= 3 * len(g.tasks)
+    assert len(g.edges) == 3 * 400 - 4
     assert g.reduced_predecessors(400) == [399]
+
+
+def test_to_dot_lists_the_recorded_dependencies_of_a_ping_pong_chain():
+    # The scan also listed RAW b and WAR a from T1 to T4; T4 reaches T1
+    # through T3 and T2, whose writes cut T1's entries.
+    g = TaskGraph({"a": buf("a", n=4), "b": buf("b", n=4)})
+    for k in range(4):
+        src, dst = ("a", "b") if k % 2 == 0 else ("b", "a")
+        g.submit(task(f"step{k}", reads=(src,), writes=(dst,), n=4))
+    assert g.to_dot() == """digraph tasks {
+  T1 [label="T1: step0"];
+  T2 [label="T2: step1"];
+  T3 [label="T3: step2"];
+  T4 [label="T4: step3"];
+  T1 -> T2 [label="WAR a {[0,4)}"];
+  T1 -> T2 [label="RAW b {[0,4)}"];
+  T1 -> T3 [label="WAW b {[0,4)}"];
+  T2 -> T3 [label="RAW a {[0,4)}"];
+  T2 -> T3 [label="WAR b {[0,4)}"];
+  T2 -> T4 [label="WAW a {[0,4)}"];
+  T3 -> T4 [label="WAR a {[0,4)}"];
+  T3 -> T4 [label="RAW b {[0,4)}"];
+}
+"""
 
 
 def test_reader_entries_stay_bounded_on_a_long_chain():
@@ -284,7 +322,7 @@ def test_reader_entries_stay_bounded_on_a_long_chain():
         g.submit(task(f"step{k}", reads=(src, "x"), writes=(dst,), n=64))
     assert len(g._readers["x"]) <= 1
     overwrite = g.submit(task("overwrite", writes=("x",), n=64))
-    assert g.predecessors(overwrite) == list(range(1, 201))
+    assert predecessors(g, overwrite) == list(range(1, 201))
     assert g.reduced_predecessors(overwrite) == [200]
 
 
