@@ -19,7 +19,7 @@ import numpy as np
 from . import kernel
 from .errors import ValidationError
 from .kernel import Expr
-from .region import Box, Region, clamped
+from .region import Box, Region, clamped, inside
 from .value import Frozen, Value
 
 ELEMENT_KINDS = ("float64", "int64")
@@ -367,12 +367,8 @@ def _reads_inside(chunk: Box, offsets, extent: Box, region: Region) -> bool:
     for lo, hi, off, elo, ehi in zip(chunk.mins, chunk.maxs, offsets, extent.mins, extent.maxs):
         lows.append(min(max(lo + off, elo), ehi - 1))
         highs.append(min(max(hi - 1 + off, elo), ehi - 1) + 1)
-    if any(all(blo <= lo and hi <= bhi
-               for blo, lo, hi, bhi in zip(box.mins, lows, highs, box.maxs))
-           for box in region.boxes):
-        return True
-    return len(region.boxes) > 1 and region.contains_region(
-        Region.from_box(Box(tuple(lows), tuple(highs))))
+    reads = Region.from_box(Box(tuple(lows), tuple(highs)))
+    return inside(reads, region) or len(region.boxes) > 1 and region.contains_region(reads)
 
 
 def validate_task(task: Task, buffers) -> None:

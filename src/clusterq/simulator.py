@@ -1,10 +1,12 @@
 """Discrete-event replay of a command plan: a timing walk, then a data walk.
 
 A plan whose ids are not its positions, with a dependency outside itself, an
-AwaitPush that does not depend on the Push at that Push's id, a command of
-unknown type or a cycle is a ValidationError, raised before any data moves.
-The timing walk orders the commands by dependencies (Kahn's algorithm, lowest
-id first among the ready set), keeping their state in lists indexed by id.
+AwaitPush that does not depend on the Push at that Push's id, an Execute with
+a write region other than its chunk box, a command of unknown type or a cycle
+is a ValidationError, raised before any data moves; the scheduler's
+one_to_one writes give each Execute its box. The timing walk orders the
+commands by dependencies (Kahn's algorithm, lowest id first among the ready
+set), keeping their state in lists indexed by id.
 Each node owns one execute lane: an Execute starts at max(dependency finish
 times, lane free time) and occupies the lane for its duration. A Push starts
 as soon as its dependencies are done and takes latency + bytes / bandwidth.
@@ -19,18 +21,17 @@ instances share, and a finish per start and duration.
 The data walk moves real data in the same order, through a backing array per
 node and buffer: a Push copies its region's boxes out, and its AwaitPush lands
 them. Executes are deferred into a batch: consecutive ones of one task, each
-on a different node, whose write boxes continue one another along axis 0. The
+on a different node, whose boxes continue one another along axis 0. The
 batch is evaluated before a Push whose region meets what it writes on the
 Push's source node, an AwaitPush that lands on a (buffer, node) it reads or
 writes, an Execute of another task, of a node in it or that does not continue
 it, and at the end, so each Execute sees the data it would see replayed alone.
 It calls each body, compiled once per run and element kind, once per write
 accessor over the union of its members' boxes, each member's rows read from
-its node's array (a lone member's region box by box) through indexes made
-once per run. Each result is made canonical and copied once, and all are
-stored after the last call, so in-place updates see pre-task data. The final
-contents are gathered from zeros, each final region map entry from its
-lowest-id holder.
+its node's array through indexes made once per run. Each result is made
+canonical and copied once, and all are stored by the members' rows after the
+last call, so in-place updates see pre-task data. The final contents are
+gathered from zeros, each final region map entry from its lowest-id holder.
 
 Reads are not checked: submit's footprint check keeps them inside their
 mapped regions. The only runtime error is an int64 division by zero; a batch
@@ -163,8 +164,8 @@ def _triple(time: Fraction) -> tuple:
 
 class _Batch:
     """Executes whose evaluation is deferred: consecutive ones of one task,
-    which share its accessors, each on a different node, and each write
-    region one box that continues the previous member's along axis 0."""
+    which share its accessors, each on a different node, and each box
+    continuing the previous member's along axis 0."""
 
     def __init__(self, graph, storage):
         self.graph, self.storage = graph, storage
@@ -182,11 +183,10 @@ class _Batch:
 
     def _joins(self, cmd) -> bool:
         last = self.members[-1]
+        box, prev = cmd.box, last.box
         return cmd.task_id == last.task_id and cmd.node not in self.nodes and \
-            all(len(b := w[2].boxes) == len(p := pw[2].boxes) == 1 and
-                (b[0].mins[0], b[0].mins[1:], b[0].maxs[1:]) ==
-                (p[0].maxs[0], p[0].mins[1:], p[0].maxs[1:])
-                for w, pw in zip(cmd.writes, last.writes))
+            (box.mins[0], box.mins[1:], box.maxs[1:]) == \
+            (prev.maxs[0], prev.mins[1:], prev.maxs[1:])
 
     def evaluate(self):
         """Evaluate and drop the members."""
@@ -209,27 +209,24 @@ class _Batch:
             raise EvalError(f"{exc} in task '{task.name}'") from None
 
     def _call(self, members, task, arrays):
-        """Compute each write accessor's values, from one kernel call over
-        the union of the members' boxes, or a lone member's box by box; then
-        store them all, so in-place updates read pre-task data."""
+        """Compute each write accessor's values from one kernel call over the
+        union of the members' boxes, then store them all, so in-place updates
+        read pre-task data."""
         buffers = self.graph.buffers
+        rows = tuple((m.box.mins[0], m.box.maxs[0]) for m in members)
+        box = Box(members[0].box.mins, members[-1].box.maxs)
+        views = {name: ReadView(buffers[b].extent, arrays[b], rows, self.indexes[b])
+                 for name, b, _r in members[0].reads}
         stores = []
-        for j, (wname, bufname, region, _v) in enumerate(members[0].writes):
+        for wname, bufname, _region, _v in members[0].writes:
             integer = buffers[bufname].element_kind == "int64"
             key = (id(task.body[wname]), integer)
             if key not in self.kernels:
                 self.kernels[key] = compile_kernel(task.body[wname], integer)
-            for boxes in [[m.writes[j][2].boxes[0] for m in members]] if len(members) > 1 \
-                    else [[box] for box in region]:
-                rows = tuple((box.mins[0], box.maxs[0]) for box in boxes)
-                views = {b: ReadView(buffers[b].extent, data, rows, self.indexes[b])
-                         for b, data in arrays.items()}
-                values = self.kernels[key](Box(boxes[0].mins, boxes[-1].maxs),
-                                           {name: views[b] for name, b, _r in members[0].reads},
-                                           task.params)
-                stores.append((bufname, boxes[0], rows, _canonical(values, integer)))
-        for bufname, box, rows, values in stores:
-            rest, base = _index(box)[1:], rows[0][0]  # members differ along axis 0 only
+            values = self.kernels[key](box, views, task.params)
+            stores.append((bufname, _canonical(values, integer)))
+        rest, base = _index(box)[1:], rows[0][0]  # members differ along axis 0 only
+        for bufname, values in stores:
             for member, (lo, hi) in zip(members, rows):
                 self.storage[bufname, member.node][(slice(lo, hi),) + rest] = \
                     values[lo - base:hi - base]
@@ -282,6 +279,10 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             start = lane_free[node]
             if start is ready or ready[1] * start[2] >= start[1] * ready[2]:
                 start = ready
+            for _name, buffer, region, _v in cmd.writes:
+                if region.boxes != (cmd.box,):
+                    raise ValidationError(f"Execute {cid} writes {region} of buffer "
+                                          f"'{buffer}', not its box {cmd.box}")
             key = (node, id(cmd.box), task.beta, cmd.frequency_ghz)
             if key not in executes:
                 device = plan.devices[node]

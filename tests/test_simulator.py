@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -164,8 +165,8 @@ def test_two_reads_of_a_rewritten_buffer_share_one_snapshot():
 # ------------------------------------------------------------- batch edges
 
 def batch_outcome(plan):
-    """run's final buffers, its kernel call count, and whether the
-    per-command reference replay gives the same bytes."""
+    """run's final buffers, the box of each of its kernel calls, and whether
+    the per-command reference replay gives the same bytes."""
     calls = []
 
     def counting(expr, integer):
@@ -176,7 +177,7 @@ def batch_outcome(plan):
         got = run(plan).buffers
     want = reference_run(plan)
     same = {n: a.tobytes() for n, a in got.items()} == {n: a.tobytes() for n, a in want.items()}
-    return got, len(calls), same
+    return got, calls, same
 
 
 def body(text, reads, dims):
@@ -194,10 +195,11 @@ def test_in_place_task_batches_match_reference(nodes):
 
 
 @pytest.mark.parametrize("nodes", [2, 3, 4])
-def test_write_region_clamped_by_the_extent_batches(nodes):
+def test_execute_writing_other_than_its_box_is_rejected(nodes):
     # The range exceeds z along axis 0 and axis 1, which submit rejects, so
-    # this plan is built with validation off: each chunk writes its box
-    # clamped to z, and a chunk wholly beyond z writes nothing.
+    # this plan is built with validation off: each chunk's write region is
+    # its box clamped to z, and run rejects the first such Execute before
+    # any data moves.
     bufs = {"x": Buffer("x", Box.from_shape((8, 5)), "float64", BufferInit.iota()),
             "z": Buffer("z", Box.from_shape((6, 3)), "float64", BufferInit.zeros())}
     task = Task("wide", Box.from_shape((8, 5)), [
@@ -205,9 +207,30 @@ def test_write_region_clamped_by_the_extent_batches(nodes):
     ], {"z": body("x[i.0, i.1] * 2.0 + i.0", ["x"], 2)})
     with mock.patch.object(graph_module, "validate_task"):
         plan = plan_for(bufs, [task], nodes)
-    got, calls, same = batch_outcome(plan)
-    want = np.arange(40.0).reshape(8, 5)[:6, :3] * 2 + np.arange(6.0)[:, None]
-    assert same and calls == 1 and got["z"].tobytes() == want.tobytes()
+    rows = {2: 4, 3: 3, 4: 2}[nodes]
+    with mock.patch.object(simulator, "_Storage") as storage, \
+            pytest.raises(ValidationError, match=re.escape(
+                f"Execute 0 writes {{[0,{rows})x[0,3)}} of buffer 'z', "
+                f"not its box [0,{rows})x[0,5)")):
+        run(plan)
+    storage.assert_not_called()
+
+
+def test_ping_pong_chain_replays_in_one_kernel_call_per_task():
+    # The bench chain shape: 30 radius-1 ping-pong tasks over 64 cells on 8
+    # nodes. Each task's 8 Executes continue one another, so they form one
+    # batch: a join rule that splits batches makes more calls.
+    a = np.random.default_rng(1).random(64)
+    bufs = {"a": Buffer("a", Box.from_shape((64,)), "float64", BufferInit.explicit(a.tolist())),
+            "b": fbuf("b", 64, BufferInit.zeros())}
+    tasks = [make_task(f"step{k}", f"w * (r_{src}[i-1] + r_{src}[i] + r_{src}[i+1])",
+                       reads=(src,), writes=(dst,), n=64, params={"w": 1.0 / 3.0},
+                       mappers={src: Neighborhood((1,))})
+             for k, (src, dst) in enumerate([("a", "b"), ("b", "a")] * 15)]
+    plan = plan_for(bufs, tasks, 8)
+    assert sum(isinstance(c, ExecuteCommand) for c in plan.commands) == 240
+    _got, calls, same = batch_outcome(plan)
+    assert same and calls == [Box.from_shape((64,))] * 30
 
 
 def test_two_write_accessors_that_swap_two_buffers():
@@ -220,8 +243,10 @@ def test_two_write_accessors_that_swap_two_buffers():
     ], {"wa": body("rb[i+1] - ra[i-1]", ["ra", "rb"], 1),
         "wb": body("ra[i+1] * 2.0 + rb[i]", ["ra", "rb"], 1)})
     for nodes in (1, 2, 3):
-        got, _calls, same = batch_outcome(plan_for(bufs, [task, task], nodes))
+        got, calls, same = batch_outcome(plan_for(bufs, [task, task], nodes))
         assert same, nodes
+        # one batch per task, and one call per write accessor per batch
+        assert calls == [Box.from_shape((12,))] * 4, nodes
     a, b = np.arange(12.0), np.full(12, 5.0)
     for _ in range(2):
         up, down = np.minimum(np.arange(12) + 1, 11), np.maximum(np.arange(12) - 1, 0)
@@ -320,6 +345,34 @@ def test_hand_built_plans_evaluate_the_batch_where_its_data_is_seen_or_changed()
     ]
     for plan in plans:
         assert batch_outcome(plan)[2]
+
+
+def spans(*bounds):
+    return Region(1, [Box((lo,), (hi,)) for lo, hi in bounds])
+
+
+@pytest.mark.parametrize("y, z, named", [
+    (spans(), spans((0, 4)), "{} of buffer 'y'"),
+    (spans((1, 5)), spans((0, 4)), "{[1,5)} of buffer 'y'"),
+    (spans((0, 4), (6, 8)), spans((0, 4)), "{[0,4) [6,8)} of buffer 'y'"),
+    (spans((0, 4)), spans((0, 3)), "{[0,3)} of buffer 'z'"),
+], ids=["empty", "shifted", "two_boxes", "second_write"])
+def test_hand_built_execute_writing_other_than_its_box_is_rejected(y, z, named):
+    # Execute 1 runs after a well-formed Execute 0, over the box [0, 4), and
+    # writes y and z; one of the two regions is not exactly its box. run
+    # names it before any data moves.
+    bufs = {"a": fbuf("a"), "y": fbuf("y", init=BufferInit.zeros()),
+            "z": fbuf("z", init=BufferInit.zeros())}
+    task = make_task("inc", "r_a[i] + 1.0", reads=("a",), writes=("y", "z"))
+    bad = ExecuteCommand(1, (), 1, Box((0,), (4,)), 0, 1.0, (("r_a", "a", spans((0, 4))),),
+                         (("y", "y", y, 2), ("z", "z", z, 2)))
+    plan = hand_built(bufs, task, 2, [execute(0, (), 4, 8, 1, [("r_a", "a")], ["y", "z"]), bad],
+                      {"y": [(0, 4, {0}), (4, 8, {1})], "z": [(0, 4, {0}), (4, 8, {1})]})
+    with mock.patch.object(simulator, "_Storage") as storage, \
+            pytest.raises(ValidationError,
+                          match=re.escape(f"Execute 1 writes {named}, not its box [0,4)")):
+        run(plan)
+    storage.assert_not_called()
 
 
 def test_await_push_without_its_push_is_rejected():
