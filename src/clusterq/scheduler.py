@@ -10,9 +10,10 @@ order, a chunk's need of a buffer is one region.overlapping query of the
 buffer's region.SpanIndex, built once per task: each entry's part of the need
 counts toward coverage, and a part the chunk's node does not hold gets a Push
 from the lowest-id holder plus an AwaitPush holding that Push. Cells no entry
-covers are an uninitialized read. Then comes an Execute per chunk, with its
-task id, box and node; a command's id is its position in the plan. A task
-bumps the version of each buffer it writes once. Transferred pieces gain the
+covers are an uninitialized read. After all of the task's transfers comes an
+Execute per chunk, with its task id, box and node. A command's id is its
+position in the plan, and every dependency has a lower id. A task bumps the
+version of each buffer it writes once. Transferred pieces gain the
 destination as holder, so resident data is never sent twice: each remembers
 the entry it was cut from, and stays pending until the buffer's next read or
 the final snapshot splits that entry in place, or its next write, which drops
@@ -220,7 +221,8 @@ class RegionMapTable:
 
 
 class Plan(Value):
-    """Output of command generation, consumed by the simulator."""
+    """Output of command generation, consumed by the simulator: commands at
+    the positions of their ids, each depending on lower ids only."""
 
     __slots__ = _fields = ("graph", "node_count", "commands", "devices", "final_locations",
                            "target")
@@ -276,20 +278,22 @@ def _chunk_shapes(task: Task, node_count: int, buffers) -> list:
 
 def _plan_task(table: RegionMapTable, task: Task, tid: int, chunks: list, version: dict,
                base: int, pred: tuple, levels: list) -> list[Command]:
-    """Plan task tid on table: its commands, with ids from base. Each Execute
-    runs at its node's level in levels and depends first on pred, the
-    ascending Execute ids below base it waits for; each buffer b the task
-    writes gets version[b]."""
+    """Plan task tid on table: its commands, with ids from base, its
+    Push/AwaitPush pairs before its Executes. Each Execute runs at its node's
+    level in levels and depends on pred, the ascending Execute ids below base
+    it waits for, then on its AwaitPushes and on the task's Pushes out of its
+    node whose region meets its writes; each buffer b the task writes gets
+    version[b]."""
     commands: list[Command] = []
     pushes_from: dict[int, list[PushCommand]] = {}  # source node -> pushes
-    task_execs: list[ExecuteCommand] = []
+    awaits: list[list[int]] = []  # per chunk, its AwaitPush ids
     # buffer -> entry index -> (piece, dst node, awaitpush id) cut from it
     gains: dict[str, dict[int, list]] = {}
     # The entries change only after the chunks, so each is indexed once per task.
     indexes = {b: SpanIndex(table.read(b)) for b in {acc.buffer for acc in task.reads()}}
 
-    for node, (box, reads, needs, writes) in enumerate(chunks):
-        await_ids = []
+    for node, (_box, _reads, needs, _writes) in enumerate(chunks):
+        awaits.append(await_ids := [])
         for buffer, need in needs:
             held = []  # (entry region, its part of need) of each entry that holds some
             entries = table.entries[buffer]
@@ -319,29 +323,23 @@ def _plan_task(table: RegionMapTable, task: Task, tid: int, chunks: list, versio
                     f"'{buffer}' which was never written or host-initialized"
                 )
 
-        exe = ExecuteCommand(
-            base + len(commands), pred + tuple(await_ids), tid, box, node, levels[node], reads,
-            tuple((name, b, region, version[b]) for name, b, region in writes))
-        commands.append(exe)
-        task_execs.append(exe)
-
-    # In-place hazard: data pushed out of a node must leave before the
-    # node's own Execute overwrites it within the same task.
-    for exe in task_execs:
-        extra = set()
-        for push in pushes_from.get(exe.node, ()):
-            for _, buffer, region, _v in exe.writes:
-                if buffer == push.buffer and region.overlaps(push.region):
-                    extra.add(push.id)
-                    break
-        if extra:
-            exe.deps = pred + tuple(sorted(set(exe.deps[len(pred):]) | extra))
+    executes: list[ExecuteCommand] = []
+    for node, ((box, reads, _needs, writes), await_ids) in enumerate(zip(chunks, awaits)):
+        writes = tuple((name, b, region, version[b]) for name, b, region in writes)
+        # In-place hazard: data pushed out of a node must leave before the
+        # node's own Execute overwrites it within the same task.
+        hazards = [push.id for push in pushes_from.get(node, ())
+                   if any(b == push.buffer and region.overlaps(push.region)
+                          for _n, b, region, _v in writes)]
+        deps = pred + tuple(await_ids + hazards)
+        executes.append(ExecuteCommand(base + len(commands) + node, deps, tid, box, node,
+                                       levels[node], reads, writes))
 
     table.pending.update(gains)  # the task read those buffers, so none has gains pending
     for buffer, v in version.items():
-        table.write(buffer, v, [(region, exe.node, exe.id) for exe in task_execs
+        table.write(buffer, v, [(region, exe.node, exe.id) for exe in executes
                                 for _, b, region, _v in exe.writes if b == buffer])
-    return commands
+    return commands + executes
 
 
 def _layout(table: RegionMapTable, buffer: str) -> tuple:

@@ -1,37 +1,37 @@
 """Discrete-event replay of a command plan: a timing walk, then a data walk.
 
-A plan whose ids are not its positions, with a dependency outside itself, an
-AwaitPush that does not depend on the Push at that Push's id, an Execute with
-a write region other than its chunk box, a command of unknown type or a cycle
-is a ValidationError, raised before any data moves; the scheduler's
-one_to_one writes give each Execute its box. The timing walk orders the
-commands by dependencies (Kahn's algorithm, lowest id first among the ready
-set), keeping their state in lists indexed by id.
+Both walks visit the commands in id order, the replay order: the scheduler
+numbers each task's transfers before its Executes, so every dependency has a
+lower id. The timing walk checks the plan before any data moves. Ids that are
+not positions, a dependency on a command not before it (a cycle has one), a
+node outside [0, node_count), a task or buffer the graph lacks, an AwaitPush
+that does not depend on the Push at that Push's id, an Execute with a write
+region other than its chunk box (the scheduler's one_to_one writes give each
+its box) and a command of unknown type are each a ValidationError.
 Each node owns one execute lane: an Execute starts at max(dependency finish
 times, lane free time) and occupies the lane for its duration. A Push starts
 as soon as its dependencies are done and takes latency + bytes / bandwidth.
 Time is exact rationals end to end, floats only at serialization; maxima
 compare integer cross-products of numerators and denominators, and the
-makespan is the latest finish of a command nothing depends on. Each value is
-computed once per run: an Execute's duration and box text per (node, chunk
-box object, beta, frequency), a Push's duration per byte count, its label
-text, bytes and box indexes per (buffer, region object), which template
-instances share, and a finish per start and duration.
+makespan is the latest finish. Each value is computed once per run: an
+Execute's duration and box text per (node, chunk box object, beta,
+frequency), a Push's duration per byte count, its label text, bytes and box
+indexes per (buffer, region object), which template instances share, and a
+finish per start and duration.
 
-The data walk moves real data in the same order, through a backing array per
-node and buffer: a Push copies its region's boxes out, and its AwaitPush lands
-them. Executes are deferred into a batch: consecutive ones of one task, each
-on a different node, whose boxes continue one another along axis 0. The
-batch is evaluated before a Push whose region meets what it writes on the
-Push's source node, an AwaitPush that lands on a (buffer, node) it reads or
-writes, an Execute of another task, of a node in it or that does not continue
-it, and at the end, so each Execute sees the data it would see replayed alone.
-It calls each body, compiled once per run and element kind, once per write
-accessor over the union of its members' boxes, each member's rows read from
-its node's array through indexes made once per run. Each result is made
-canonical and copied once, and all are stored by the members' rows after the
-last call, so in-place updates see pre-task data. The final contents are
-gathered from zeros, each final region map entry from its lowest-id holder.
+The data walk moves real data through a backing array per node and buffer:
+a Push copies its region's boxes out, and its AwaitPush lands them. Executes
+are deferred into a batch: consecutive ones of one task, each on a different
+node, whose boxes continue one another along axis 0. The batch is evaluated
+before every Push and AwaitPush, before an Execute of another task, of a node
+in it or that does not continue it, and at the end, so each Execute sees the
+data it would see replayed alone. It calls each body, compiled once per run
+and element kind, once per write accessor over the union of its members'
+boxes, each member's rows read from its node's array through indexes made
+once per run. Each result is made canonical and copied once, and all are
+stored by the members' rows after the last call, so in-place updates see
+pre-task data. The final contents are gathered from zeros, each final region
+map entry from its lowest-id holder.
 
 Reads are not checked: submit's footprint check keeps them inside their
 mapped regions. The only runtime error is an int64 division by zero; a batch
@@ -42,7 +42,6 @@ in canonical form.
 """
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -171,15 +170,13 @@ class _Batch:
         self.graph, self.storage = graph, storage
         self.kernels = {}  # (id of a body, integer) -> compiled body; tasks of one text share it
         self.indexes = {name: {} for name in graph.buffers}  # buffer -> its ReadViews' indexes
-        self.members, self.nodes, self.reads, self.writes = [], set(), set(), {}
+        self.members, self.nodes = [], set()
 
     def add(self, cmd):
         if self.members and not self._joins(cmd):
             self.evaluate()
         self.members.append(cmd)
         self.nodes.add(cmd.node)
-        self.reads.update((buffer, cmd.node) for _name, buffer, _region in cmd.reads)
-        self.writes.update(((buffer, cmd.node), region) for _n, buffer, region, _v in cmd.writes)
 
     def _joins(self, cmd) -> bool:
         last = self.members[-1]
@@ -190,11 +187,9 @@ class _Batch:
 
     def evaluate(self):
         """Evaluate and drop the members."""
-        members, self.members, self.nodes = self.members, [], set()
-        # the (buffer, node) pairs members read; (buffer, node) -> the region written there
-        self.reads, self.writes = set(), {}
-        if not members:
+        if not self.members:
             return
+        members, self.members, self.nodes = self.members, [], set()
         task = self.graph.task(members[0].task_id)
         arrays = {b: [self.storage[b, m.node] for m in members]  # the array each member reads
                   for b in dict.fromkeys(b for _n, b, _r in members[0].reads)}
@@ -235,54 +230,48 @@ class _Batch:
 def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
     if link is None:
         link = LinkModel()
-    commands, size = plan.commands, len(plan.commands)
-    indegree = [len(c.deps) for c in commands]
-    dependents: list[list[int]] = [[] for _ in commands]
-    for cid, c in enumerate(commands):
-        if c.id != cid:
-            raise ValidationError(f"command {c.id} is at position {cid}, not at its id")
-        if c.deps and not 0 <= min(c.deps) <= max(c.deps) < size:
-            dep = next(d for d in c.deps if not 0 <= d < size)
-            raise ValidationError(f"command {cid} depends on id {dep}, not in the plan")
-        for dep in c.deps:
-            dependents[dep].append(cid)
-        if isinstance(c, AwaitPushCommand) and not (
-                c.push.id in c.deps and commands[c.push.id] is c.push):
-            raise ValidationError(f"AwaitPush {cid} does not depend on its Push {c.push.id}")
+    commands, node_count = plan.commands, plan.node_count
+    buffers, tasks = plan.graph.buffers, plan.graph.tasks
 
-    # The timing walk: replay order, exact times and the trace.
-    heap = [cid for cid, deg in enumerate(indegree) if deg == 0]  # ascending: a heap
-    order = []
-    finished: list = [None] * size  # command id -> its finish as a (Fraction, num, den) triple
-    lane_free = [_ZERO] * plan.node_count
-    tasks = plan.graph.tasks
+    # The timing walk, in id order: the plan checks, exact times and the trace.
+    finished: list = [None] * len(commands)  # id -> its finish as a (Fraction, num, den) triple
+    lane_free = [_ZERO] * node_count
     executes = {}  # (node, id of a chunk box, beta, frequency) -> (duration triple, box text)
     pushes = {}  # (buffer, id of a region) -> (label text, bytes, duration triple, box indexes)
     push_durs = {}  # bytes -> duration triple
     sums = {}  # start and duration, as numerators and denominators -> finish triple
     trace: list[TraceEvent] = []
 
-    while heap:
-        cid = heappop(heap)
-        order.append(cid)
-        cmd = commands[cid]
-        kind = type(cmd)
+    for cid, cmd in enumerate(commands):
+        if cmd.id != cid:
+            raise ValidationError(f"command {cmd.id} is at position {cid}, not at its id")
+        if cmd.deps and not 0 <= min(cmd.deps) <= max(cmd.deps) < cid:
+            dep = next(d for d in cmd.deps if not 0 <= d < cid)
+            raise ValidationError(f"command {cid} depends on id {dep}, not an earlier command")
         ready = _ZERO
         for dep in cmd.deps:  # many share one finish triple, which needs no products
             time = finished[dep]
             if time is not ready and time[1] * ready[2] > ready[1] * time[2]:
                 ready = time
+        kind = type(cmd)
 
         if kind is ExecuteCommand:
-            task = tasks[cmd.task_id - 1]
             node = cmd.node
-            start = lane_free[node]
-            if start is ready or ready[1] * start[2] >= start[1] * ready[2]:
-                start = ready
+            if not 0 <= node < node_count:
+                raise ValidationError(f"Execute {cid} is on node {node}, outside [0, {node_count})")
+            if not 0 < cmd.task_id <= len(tasks):
+                raise ValidationError(f"Execute {cid} names task {cmd.task_id}, not in the graph")
+            task = tasks[cmd.task_id - 1]
+            for _name, b, *_region in cmd.reads + cmd.writes:
+                if b not in buffers:
+                    raise ValidationError(f"Execute {cid} names buffer '{b}', not in the graph")
             for _name, buffer, region, _v in cmd.writes:
                 if region.boxes != (cmd.box,):
                     raise ValidationError(f"Execute {cid} writes {region} of buffer "
                                           f"'{buffer}', not its box {cmd.box}")
+            start = lane_free[node]
+            if start is ready or ready[1] * start[2] >= start[1] * ready[2]:
+                start = ready
             key = (node, id(cmd.box), task.beta, cmd.frequency_ghz)
             if key not in executes:
                 device = plan.devices[node]
@@ -297,8 +286,14 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                                     finish[0]))
 
         elif kind is PushCommand:
+            if not (0 <= cmd.src < node_count and 0 <= cmd.dst < node_count):
+                raise ValidationError(f"Push {cid} goes from node {cmd.src} to node {cmd.dst}, "
+                                      f"outside [0, {node_count})")
             key = (cmd.buffer, id(cmd.region))
             if key not in pushes:
+                if cmd.buffer not in buffers:
+                    raise ValidationError(f"Push {cid} names buffer '{cmd.buffer}', "
+                                          f"not in the graph")
                 nbytes = cmd.bytes
                 if nbytes not in push_durs:
                     push_durs[nbytes] = _triple(link.transfer_time(nbytes))
@@ -310,56 +305,42 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                                     None, f"{text} n{cmd.src}->n{cmd.dst}", finish[0]))
 
         elif kind is AwaitPushCommand:
-            finished[cid] = ready
-            start = ready[0]
             push = cmd.push
+            if not (push.id in cmd.deps and commands[push.id] is push):
+                raise ValidationError(f"AwaitPush {cid} does not depend on its Push {push.id}")
+            finished[cid] = ready
             text, nbytes, _dur, _indexes = pushes[push.buffer, id(push.region)]
-            trace.append(TraceEvent("await_push", push.dst, cid, start, _ZERO[0], nbytes, None,
-                                    None, None, f"{text} n{push.dst}", start))
+            trace.append(TraceEvent("await_push", push.dst, cid, ready[0], _ZERO[0], nbytes, None,
+                                    None, None, f"{text} n{push.dst}", ready[0]))
         else:
             raise ValidationError(f"unknown command type {type(cmd).__name__}")
 
-        for nxt in dependents[cid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heappush(heap, nxt)
+    # Each Execute's and Push's finish is a value of sums, and an AwaitPush
+    # finishes with one of its dependencies.
+    makespan = max((finish[0] for finish in sums.values()), default=_ZERO[0])
 
-    stuck = [cid for cid, deg in enumerate(indegree) if deg]
-    if stuck:
-        raise ValidationError(f"command graph has a cycle involving ids {stuck}")
-
-    makespan = max((finished[cid][0] for cid, after in enumerate(dependents) if not after),
-                   default=_ZERO[0])
-
-    # The data walk, in the same order; the batch is evaluated before any
-    # command that would see or change its data.
-    storage = _Storage(plan.graph.buffers)
+    # The data walk, in id order; the batch is evaluated before every transfer.
+    storage = _Storage(buffers)
     batch = _Batch(plan.graph, storage)
     payloads: dict[int, list] = {}  # push id -> [(box index, values)]
-    for cid in order:
-        cmd = commands[cid]
-        kind = type(cmd)
-        if kind is ExecuteCommand:
+    for cmd in commands:
+        if type(cmd) is ExecuteCommand:
             batch.add(cmd)
-        elif kind is PushCommand:
-            written = batch.writes.get((cmd.buffer, cmd.src))
-            if written is not None and written.overlaps(cmd.region):
-                batch.evaluate()
+            continue
+        batch.evaluate()
+        if type(cmd) is PushCommand:
             src_arr = storage[cmd.buffer, cmd.src]
-            payloads[cid] = [(index, src_arr[index].copy())
-                             for index in pushes[cmd.buffer, id(cmd.region)][3]]
+            payloads[cmd.id] = [(index, src_arr[index].copy())
+                                for index in pushes[cmd.buffer, id(cmd.region)][3]]
         else:
-            key = (cmd.push.buffer, cmd.push.dst)
-            if key in batch.reads or key in batch.writes:
-                batch.evaluate()
-            dst_arr = storage[key]
+            dst_arr = storage[cmd.push.buffer, cmd.push.dst]
             for index, values in payloads.pop(cmd.push.id):
                 dst_arr[index] = values
     batch.evaluate()
 
     final = {}
     for name, entries in plan.final_locations.items():
-        buf = plan.graph.buffers[name]
+        buf = buffers[name]
         out = np.zeros(buf.extent.shape, dtype=buf.dtype)
         for region, _version, holders in entries:
             arr = storage[name, min(holders)]

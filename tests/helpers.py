@@ -16,7 +16,7 @@ import copy
 import json
 import math
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import product
 from unittest import mock
 
@@ -102,8 +102,10 @@ def check_plan(plan, buffers):
     """Replay a command plan against dense per-node, per-cell version grids.
 
     Asserts, independently of the scheduler's own bookkeeping:
-      - each command's id is its position and every dep id exists,
-      - the command DAG is acyclic,
+      - each command's id is its position and every dep id is lower, so
+        the command DAG is acyclic and id order is a replay order,
+      - each task's commands are contiguous, its transfers before its
+        Executes,
       - Push/AwaitPush pairing is a bijection: each AwaitPush holds the Push
         at its Push's position and depends on it alone,
       - every Push captures exactly the version it claims from its source,
@@ -114,15 +116,30 @@ def check_plan(plan, buffers):
       - each buffer's final_locations entries are pairwise disjoint, and an
         initialized buffer's entries tile its extent.
 
-    Replay order is Kahn's algorithm with lowest command id first, matching
-    the simulator, so in-place overwrites interact with capture correctly:
-    a missing anti-dependency shows up as a version mismatch at the source.
+    The replay is in id order, as the simulator's, so in-place overwrites
+    interact with capture correctly: a missing anti-dependency shows up as a
+    version mismatch at the source.
     """
     commands = plan.commands
     for position, c in enumerate(commands):
         assert c.id == position, f"C{c.id} is at position {position}"
         for d in c.deps:
-            assert 0 <= d < len(commands), f"C{c.id} depends on missing C{d}"
+            assert 0 <= d < c.id, f"C{c.id} depends on C{d}, not an earlier command"
+
+    # The task of each run of Executes, a transfer starting a new run: a task
+    # seen twice has commands of another task or transfers among its Executes.
+    runs, transfers = [], False
+    for c in commands:
+        if isinstance(c, ExecuteCommand):
+            if transfers or not runs or runs[-1] != c.task_id:
+                runs.append(c.task_id)
+            transfers = False
+        else:
+            transfers = True
+    assert not transfers, "the plan ends in transfers no Execute follows"
+    assert len(runs) == len(set(runs)), \
+        f"tasks in command order {runs}: a task's commands are not contiguous, " \
+        f"its transfers before its Executes"
 
     pushes = [c.id for c in commands if isinstance(c, PushCommand)]
     awaits = [c for c in commands if isinstance(c, AwaitPushCommand)]
@@ -162,19 +179,8 @@ def check_plan(plan, buffers):
         if buf.init.is_initialized:
             ver(name, 0)[...] = 1
 
-    indegree = {c.id: len(c.deps) for c in plan.commands}
-    dependents = {c.id: [] for c in plan.commands}
-    for c in plan.commands:
-        for d in c.deps:
-            dependents[d].append(c.id)
-    heap = [cid for cid, deg in indegree.items() if deg == 0]
-    heapify(heap)
     payload_cells = {}
-    processed = 0
-
-    while heap:
-        cid = heappop(heap)
-        cmd = commands[cid]
+    for cid, cmd in enumerate(commands):
         if isinstance(cmd, PushCommand):
             cells = region_bitmap(cmd.region, buffers[cmd.buffer].extent.shape)
             assert (ver(cmd.buffer, cmd.src)[cells] == cmd.version).all(), \
@@ -200,13 +206,6 @@ def check_plan(plan, buffers):
                 assert region == Region.from_box(cmd.box)
                 ver(bufname, cmd.node)[
                     region_bitmap(region, buffers[bufname].extent.shape)] = v
-        processed += 1
-        for nxt in dependents[cid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heappush(heap, nxt)
-
-    assert processed == len(plan.commands), "command graph has a cycle"
 
     for name, entries in plan.final_locations.items():
         for i, (a, _va, _ha) in enumerate(entries):
@@ -224,8 +223,9 @@ def check_plan(plan, buffers):
 # ------------------------------------------------------ per-command data replay
 
 def replay_order(plan):
-    """The plan's commands in the simulator's order: Kahn's algorithm,
-    lowest command id first among the ready set."""
+    """The plan's commands in Kahn's order, lowest command id first among
+    the ready set: id order, the simulator's, for a plan whose every
+    dependency has a lower id."""
     indegree = [len(c.deps) for c in plan.commands]
     dependents = [[] for _ in plan.commands]
     for c in plan.commands:
@@ -384,7 +384,8 @@ def full_scan_table(graph, node_count):
     scan of every entry of the buffer.
 
     Returns the pushes as (id, deps, src, dst, buffer, boxes, version) and,
-    after each task, every buffer's entries as (boxes, version, holders).
+    after each task, every buffer's entries as (boxes, version, holders). A
+    task's Push/AwaitPush pairs are numbered first, then its Executes.
     """
     entries = {}  # buffer -> [[region, version, {node: producer}]]
     versions = {}
@@ -424,8 +425,9 @@ def full_scan_table(graph, node_count):
         for acc in task.writes():
             versions[acc.buffer] += 1
             version[acc.buffer] = versions[acc.buffer]
-        gains, execs = [], []
-        for node, box in enumerate(split_task(task, node_count)):
+        gains = []
+        boxes = split_task(task, node_count)
+        for node, box in enumerate(boxes):
             need = {}
             for acc in task.reads():
                 region = acc.mapper.map_chunk(box, graph.buffers[acc.buffer].extent)
@@ -441,14 +443,14 @@ def full_scan_table(graph, node_count):
                     pushes.append((next_id, deps, src, node, buffer, part.boxes, v))
                     gains.append((buffer, part, node, next_id + 1))
                     next_id += 2
-            execs.append((node, box, next_id))
-            next_id += 1
         for gain in gains:
             add_holder(*gain)
-        for node, box, exe_id in execs:
+        for node, box in enumerate(boxes):
+            exe_id = next_id + node
             for acc in task.writes():
                 region = acc.mapper.map_chunk(box, graph.buffers[acc.buffer].extent)
                 write(acc.buffer, region, version[acc.buffer], node, exe_id)
+        next_id += len(boxes)
         after_task.append({name: [(reg.boxes, v, dict(holders)) for reg, v, holders in es]
                            for name, es in entries.items()})
     return pushes, after_task

@@ -49,12 +49,18 @@ from clusterq.model import (
 )
 from clusterq.region import Box, Region
 from clusterq.scenario import write_buffer, write_trace
-from clusterq.scheduler import assign_frequencies, export_command_graph, generate_commands
+from clusterq.scheduler import (
+    PushCommand,
+    assign_frequencies,
+    export_command_graph,
+    generate_commands,
+)
 from clusterq.simulator import LinkModel, TraceEvent
 
 from helpers import (
     PointView,
     buffer_dump,
+    check_plan,
     chunk_time,
     compile_reference,
     direct_plan,
@@ -67,6 +73,7 @@ from helpers import (
     predecessors,
     random_workload,
     reference_run,
+    replay_order,
     trace_to_chrome,
     unchecked_plan,
 )
@@ -482,8 +489,9 @@ def test_replay_times_and_energy_match_fresh_computation(seed, nodes, link, data
 
 def _ancestors(plan):
     """Every command's transitive dependencies as a bitset over command ids.
-    An Execute may wait on a Push of its own task with a higher id, so the
-    commands are visited in dependency order rather than by id."""
+    The commands are visited in dependency order, found afresh rather than
+    read from the ids, so that this oracle does not rest on the plan's
+    numbering."""
     deps = {c.id: c.deps for c in plan.commands}
     reach = {}
     while len(reach) < len(deps):
@@ -590,6 +598,36 @@ def test_templates_match_direct_planning(seed, nodes, repeats, shuffled):
         assert got_run.trace == want_run.trace and got_run.makespan == want_run.makespan
         assert {n: (a.dtype.str, a.tobytes()) for n, a in got_run.buffers.items()} == \
             {n: (a.dtype.str, a.tobytes()) for n, a in want_run.buffers.items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(1, 5), repeats=st.integers(1, 2))
+def test_plans_are_numbered_in_replay_order(seed, nodes, repeats):
+    # Kahn's algorithm, lowest id first, visits every plan in id order: a
+    # task's transfers come before its Executes, so an in-place Execute's
+    # Pushes out of its node have lower ids too. The queue ends in three
+    # in-place relax sweeps of one buffer: from the second on, each node
+    # pushes a halo row it then overwrites, and the third is planned from
+    # the second's template.
+    rng = random.Random(seed)
+    buffers, tasks = random_workload(rng)
+    name = rng.choice(sorted(buffers))
+    extent = buffers[name].extent
+    offset = [(k,) + (0,) * (extent.dims - 1) for k in (-1, 1)]
+    relax = Task("relax", extent, [
+        Accessor(name, AccessMode.READ, Neighborhood(offset[1]), name="r"),
+        Accessor(name, AccessMode.WRITE, name="w"),
+    ], {"w": BinOp("+", Read("r", offset[0]), Read("r", offset[1]))})
+    graph = TaskGraph(buffers)
+    for task in (tasks + [relax] * 3) * repeats:
+        graph.submit(copy.copy(task))
+    for plan in (generate_commands(graph, nodes), direct_plan(graph, nodes)):
+        assert [c.id for c in replay_order(plan)] == list(range(len(plan.commands)))
+        check_plan(plan, graph.buffers)
+        hazards = [c for c in plan.executes()
+                   if any(isinstance(plan.commands[d], PushCommand) for d in c.deps)]
+        if min(extent.maxs[0] - extent.mins[0], nodes) > 1:
+            assert hazards
 
 
 def replayed(replay, plan):

@@ -4,8 +4,9 @@ Runs `clusterq run`, `graph --kind task` and `graph --kind command` for each
 bundled scenario at 1 and 3 nodes and compares the sha256 of every output
 file against the digests below. A change that alters an output on purpose
 updates the digests and says so in CHANGES.md. No bundled scenario has a
-per-task target or more than one device model, so an inline scenario pins
-those paths too, and a second one with no tasks pins the empty trace.
+per-task target, more than one device model or a task that rewrites its
+buffer in place, so inline scenarios pin those paths too, and one with no
+tasks pins the empty trace.
 """
 
 import hashlib
@@ -30,10 +31,10 @@ GOLDEN = {
         "buf_x.json": "71de00c23c5efccc624874f94be39e5b9ece8655635949ca664efb446dda8769",
         "buf_y.json": "ac4fd76c86394e8e26cf12bc019c7dfab4b6df9f3526c14644987b7d78e06310",
         "buf_z.json": "143830408fc02a783f167413a5492a2076225ebbcb773150449e8785bb63e431",
-        "command.dot": "f40d9935488f52f8d750acbc0fde6451dda828189e2f8c0126825cf9a8c53e3c",
+        "command.dot": "da948f3bc21dd2dbe16e82c31a10598340e3fabd32fcc82bc9de5a20bd296ff4",
         "report.json": "4b76ebb34e7092915ed9964176b43957023f43013a0aa56cc5c235a3dfb708f0",
         "task.dot": "b16cfcb2ea3358135dd4e29060303cf78132a43f5c84fc3acfe682e6d435ec6a",
-        "trace.json": "7f666b2091a5c063007667f1a52c953d5482997a195f6d9a33f1499a6e437743",
+        "trace.json": "772c62aff5f82919ceb5ffaaafa1332a9c3bde4c80fc3273c7afaeebe6ad6081",
     },
     ("stencil", 1): {
         "buf_a.json": "e66fd466523da96fd172f9bd1b543fb4470861a1f25fa056e324136d1b995535",
@@ -46,10 +47,10 @@ GOLDEN = {
     ("stencil", 3): {
         "buf_a.json": "e66fd466523da96fd172f9bd1b543fb4470861a1f25fa056e324136d1b995535",
         "buf_b.json": "8518dc01dc5fb2300bebd217845b0b3b0171da04335fd2a6c8e39ec8c178227d",
-        "command.dot": "f2d108e6d31e8c3f6fae9abd52bed591ace311f4053f5ec92b995015a37b1a59",
+        "command.dot": "a2fd31f691006784351509760d1ae915d869ef209cdfbdf962e9bfd507c06b6f",
         "report.json": "29a94fe6aa1f1c80034300b8b3a5ea8fbf152e27e2ef398278fe0ad840f3c1eb",
         "task.dot": "30d2a40e2f05d3767a261c86f2a88b11404f6ccd66d037c0d1a7991b9f81c18b",
-        "trace.json": "97df142206d8d548393198abadc80cba6156f74ee94835b1764ddc9275033ef5",
+        "trace.json": "4c0c6a4b3c597ce7bddc81be0030cb51065ae2ca4e0ff187b683bc5a8f062503",
     },
     ("pipeline", 1): {
         "buf_out.json": "02224c33d453a3bd7581f870ae11e3c442ba426ce0b3e38b2fbb871202f5ab2c",
@@ -66,10 +67,10 @@ GOLDEN = {
         "buf_u.json": "b2b8eb93659eaf94b597cf044ec41869663f900b2e7967b16804bbec13ce985f",
         "buf_v.json": "d8f6c6c7dc94809645cc11375e2412eb0f4cd430c8130e0ff5743b519ac385f2",
         "buf_w.json": "cfab72bdc3beaf3c16162e9194abb2d899140b057e05935e297dd8644cc476d2",
-        "command.dot": "5d3bf32390c463ee84f20ee8850bc360f38f10eb909303cafb4c51fb0b4adfa1",
+        "command.dot": "d77ff9be87aaabccca5ccd805378c271589d141bdca2b3ede7ce57138087f0f7",
         "report.json": "4f8b49b08d5a8fdbed5c88c37f3ae0dd1de7bb0517fdca6cbfaf203472ce4e3a",
         "task.dot": "387a654182fc8c625f2b382d8dbb9a599f8254f6062175a25b5943e3fb936608",
-        "trace.json": "2a088fcb5b24e1e95eb860abe0713351f061e7976560ef2a9bdd6ed4e571b944",
+        "trace.json": "4a15e1eb662e0675d1d5eac198d135ce9237aff772ae58bcc2cfb34bd8880c4e",
     },
 }
 
@@ -138,10 +139,10 @@ PER_TASK_TARGET_GOLDEN = {
         "buf_a.json": "8a3a924de6ec5114e7ec256bc1ab8c43098a68a438bededbb5612a2c79cba821",
         "buf_b.json": "de888f031da86eea3df77f2c4862f5074e7dec13c366bbaa06ebe15548849842",
         "buf_c.json": "228818387fb65eb9c1dfedeb741f1fb1280d12f5d28cca1232e75ae44a4010c0",
-        "command.dot": "dcbdf95c6b9702391701e71626176e4e601d3b0dd38c4008bfbf0e4c0f0124c6",
+        "command.dot": "aea84742bdc485da19a35cb991958777b2c02b6d05fa05dbc05bbcef1b509392",
         "report.json": "b0647f9ad057e1b5507bfc3f96344a845e5cafde390c03e479ac273f8defca1e",
         "task.dot": "4106a9169ffb80c1dd8159fcc1932760ef6c906b5065c00d663e940caa813cc7",
-        "trace.json": "70d4fecfdff77d0061d1d451177bc249ac6b6cda05d36c4197ab84c7cb6d7c5b",
+        "trace.json": "93ea9982cdfe78021c84bfe4f4baba197a257ebdf6ab26380b88310c20046530",
     },
 }
 
@@ -153,6 +154,45 @@ def test_per_task_target_outputs_match_golden_digests(tmp_path, capsys, nodes):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     assert output_digests(str(path), nodes, out_dir) == PER_TASK_TARGET_GOLDEN[nodes]
+
+
+# Three in-place relax sweeps of one buffer: at 3 nodes an Execute waits
+# for its task's Pushes out of its node that carry halo rows it overwrites.
+IN_PLACE_SCENARIO = {
+    "buffers": [{"name": "a", "extent": [12], "init": "iota"}],
+    "tasks": [
+        {"name": f"relax{k}", "range": [12],
+         "reads": [{"buffer": "a", "name": "r", "mapper": {"kind": "neighborhood", "radius": 1}}],
+         "writes": ["a"], "body": "(r[i-1] + r[i] + r[i+1]) / 3"}
+        for k in range(3)
+    ],
+}
+
+IN_PLACE_GOLDEN = {
+    1: {
+        "buf_a.json": "78cafedd3468f4f079c5b31470cb358f25687acf70552dccac5c618ab240ed05",
+        "command.dot": "140cc26fdf6c38da1a5b756936f8330e8208b28c32cf768de659450477445f93",
+        "report.json": "aa474f5be9c68e8eb30fcedbd1a1b204609b394f9db2e2dafc6a4a54b672b8ec",
+        "task.dot": "3a6b69cf766047b293c3e90e3ac0883d396cddb664fae469f12331271f8b9e2c",
+        "trace.json": "115c8bfca31196963224f634a5a7df88e930395accc1177e999db9fb918badd5",
+    },
+    3: {
+        "buf_a.json": "78cafedd3468f4f079c5b31470cb358f25687acf70552dccac5c618ab240ed05",
+        "command.dot": "28411d5eec1c4d27aa16e9a3f1efc1d4df53aa2d1fba28bc1b888aa7c6e00930",
+        "report.json": "f9bf155722be15434cf13c6d9e3ed1b2ac15f922fea59b0f1b5b21882d4ee37a",
+        "task.dot": "3a6b69cf766047b293c3e90e3ac0883d396cddb664fae469f12331271f8b9e2c",
+        "trace.json": "5b5aef47b5525714f453a20cf5bc11e1178a9a3fd60d138d22ad3579e86c3e4e",
+    },
+}
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_in_place_outputs_match_golden_digests(tmp_path, capsys, nodes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(IN_PLACE_SCENARIO), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert output_digests(str(path), nodes, out_dir) == IN_PLACE_GOLDEN[nodes]
 
 
 # No tasks, so no commands: trace.json holds an empty event list, and the

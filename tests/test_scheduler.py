@@ -548,7 +548,7 @@ def test_export_command_graph_dot():
     assert dot.count("Execute") == 2
     assert dot.count("Push") == 4  # 2 Push + 2 AwaitPush labels
     assert dot.count("AwaitPush") == 2
-    assert "C1 -> C2;" in dot
+    assert "C0 -> C1;" in dot
     for cmd in plan.commands:
         assert f"C{cmd.id} [label=" in dot
 

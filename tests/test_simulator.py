@@ -130,9 +130,8 @@ def test_two_reads_of_a_rewritten_buffer_share_one_snapshot():
     """A task that rewrites its buffer in place through two read accessors
     reads pre-task data through both, from one array per Execute (the
     batch's stores come after its kernel calls), in one kernel call per
-    batch. At 3 nodes the first task's Push to node 2
-    captures rows of node 0's array that the batch does not write, so the
-    batch is not evaluated before it and stays one kernel call."""
+    batch. Each task's transfers come before its Executes, so at every node
+    count each task is one batch and one kernel call."""
     nb = Neighborhood((1,))
     body = parse_kernel("lo[i-1] * 2.0 + hi[i+1]", {"lo": 1, "hi": 1}, set(), 1)
     tasks = [Task(f"shift{k}", Box.from_shape((16,)), [
@@ -199,7 +198,7 @@ def test_execute_writing_other_than_its_box_is_rejected(nodes):
     # The range exceeds z along axis 0 and axis 1, which submit rejects, so
     # this plan is built with validation off: each chunk's write region is
     # its box clamped to z, and run rejects the first such Execute before
-    # any data moves.
+    # any data moves. It follows the task's Push/AwaitPush pair per other node.
     bufs = {"x": Buffer("x", Box.from_shape((8, 5)), "float64", BufferInit.iota()),
             "z": Buffer("z", Box.from_shape((6, 3)), "float64", BufferInit.zeros())}
     task = Task("wide", Box.from_shape((8, 5)), [
@@ -210,7 +209,7 @@ def test_execute_writing_other_than_its_box_is_rejected(nodes):
     rows = {2: 4, 3: 3, 4: 2}[nodes]
     with mock.patch.object(simulator, "_Storage") as storage, \
             pytest.raises(ValidationError, match=re.escape(
-                f"Execute 0 writes {{[0,{rows})x[0,3)}} of buffer 'z', "
+                f"Execute {2 * (nodes - 1)} writes {{[0,{rows})x[0,3)}} of buffer 'z', "
                 f"not its box [0,{rows})x[0,5)")):
         run(plan)
     storage.assert_not_called()
@@ -231,6 +230,46 @@ def test_ping_pong_chain_replays_in_one_kernel_call_per_task():
     assert sum(isinstance(c, ExecuteCommand) for c in plan.commands) == 240
     _got, calls, same = batch_outcome(plan)
     assert same and calls == [Box.from_shape((64,))] * 30
+
+
+def stencil2d_queue():
+    """The bench stencil2d shape: 4 five-point Jacobi sweeps ping-ponging
+    over 40x40 cells on 4 nodes."""
+    a = np.random.default_rng(1).random(1600)
+    bufs = {"a": Buffer("a", Box.from_shape((40, 40)), "float64",
+                        BufferInit.explicit(a.tolist())),
+            "b": Buffer("b", Box.from_shape((40, 40)), "float64", BufferInit.zeros())}
+    text = "0.2 * (r[i.0-1, i.1] + r[i.0, i.1-1] + r[i.0, i.1] + r[i.0, i.1+1] + r[i.0+1, i.1])"
+    tasks = [Task(f"jacobi{k}", Box.from_shape((40, 40)), [
+        Accessor(src, AccessMode.READ, Neighborhood((1, 1)), name="r"),
+        Accessor(dst, AccessMode.WRITE),
+    ], {dst: body(text, ["r"], 2)}) for k, (src, dst) in enumerate(["ab", "ba"] * 2)]
+    return bufs, tasks, 4
+
+
+def allgather_queue():
+    """The bench allgather shape: 4 int64 rounds over 2048 cells on 8 nodes,
+    each chunk reading all of the other buffer."""
+    x = np.random.default_rng(1).integers(-(1 << 40), 1 << 40, size=2048)
+    bufs = {"x": Buffer("x", Box.from_shape((2048,)), "int64", BufferInit.explicit(x.tolist())),
+            "y": Buffer("y", Box.from_shape((2048,)), "int64", BufferInit.zeros())}
+    rounds = [(3, "+5", 2), (7, "-11", 3), (5, "+17", 5), (9, "-3", 7)]
+    tasks = [Task(f"gather{k}", Box.from_shape((2048,)), [
+        Accessor(src, AccessMode.READ, All(), name="r"), Accessor(dst, AccessMode.WRITE),
+    ], {dst: body(f"(r[i] * {m} - r[i{o}]) / {d}", ["r"], 1)})
+        for k, ((m, o, d), (src, dst)) in enumerate(zip(rounds, ["xy", "yx"] * 2))]
+    return bufs, tasks, 8
+
+
+@pytest.mark.parametrize("queue", [stencil2d_queue, allgather_queue])
+def test_bench_shaped_queues_replay_in_one_kernel_call_per_task(queue):
+    # Each task's transfers come before its Executes, which continue one
+    # another and so form one batch: 4 tasks, 4 kernel calls.
+    bufs, tasks, nodes = queue()
+    plan = plan_for(bufs, tasks, nodes)
+    extent = next(iter(bufs.values())).extent
+    _got, calls, same = batch_outcome(plan)
+    assert same and calls == [extent] * 4
 
 
 def test_two_write_accessors_that_swap_two_buffers():
@@ -371,6 +410,44 @@ def test_hand_built_execute_writing_other_than_its_box_is_rejected(y, z, named):
     with mock.patch.object(simulator, "_Storage") as storage, \
             pytest.raises(ValidationError,
                           match=re.escape(f"Execute 1 writes {named}, not its box [0,4)")):
+        run(plan)
+    storage.assert_not_called()
+
+
+def with_task(cmd, task_id):
+    cmd.task_id = task_id
+    return cmd
+
+
+HALF = Region(1, [Box((4,), (8,))])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (execute(1, (), 4, 8, 2, [("r_a", "a")], ["z"]), "Execute 1 is on node 2, outside [0, 2)"),
+    (execute(1, (), 4, 8, -1, [("r_a", "a")], ["z"]), "Execute 1 is on node -1, outside [0, 2)"),
+    (with_task(execute(1, (), 4, 8, 1, [("r_a", "a")], ["z"]), 0),
+     "Execute 1 names task 0, not in the graph"),
+    (with_task(execute(1, (), 4, 8, 1, [("r_a", "a")], ["z"]), 2),
+     "Execute 1 names task 2, not in the graph"),
+    (execute(1, (), 4, 8, 1, [("r_a", "q")], ["z"]),
+     "Execute 1 names buffer 'q', not in the graph"),
+    (execute(1, (), 4, 8, 1, [("r_a", "a")], ["q"]),
+     "Execute 1 names buffer 'q', not in the graph"),
+    (PushCommand(1, (), 0, 9, "a", HALF, 1), "Push 1 goes from node 0 to node 9, outside [0, 2)"),
+    (PushCommand(1, (), -1, 1, "a", HALF, 1),
+     "Push 1 goes from node -1 to node 1, outside [0, 2)"),
+    (PushCommand(1, (), 0, 1, "q", HALF, 1), "Push 1 names buffer 'q', not in the graph"),
+], ids=["execute_node", "execute_negative_node", "task_0", "task_beyond", "read_buffer",
+        "write_buffer", "push_dst", "push_src", "push_buffer"])
+def test_bad_references_are_rejected_before_any_data_moves(bad, message):
+    # Command 1 of a 2-node plan of task 1 names a node, a task or a buffer
+    # the plan lacks; run names it before any data moves.
+    bufs = {"a": fbuf("a"), "z": fbuf("z", init=BufferInit.zeros())}
+    inc = make_task("inc", "r_a[i] + 1.0", reads=("a",))
+    plan = hand_built(bufs, inc, 2, [execute(0, (), 0, 4, 0, [("r_a", "a")], ["z"]), bad],
+                      {"z": [(0, 4, {0}), (4, 8, {1})]})
+    with mock.patch.object(simulator, "_Storage") as storage, \
+            pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         run(plan)
     storage.assert_not_called()
 
@@ -525,16 +602,21 @@ def test_deterministic_replay():
 
 
 def test_cycle_detection():
-    g = TaskGraph({"x": fbuf("x")})
+    # A cycle, an acyclic dependency on a later command and a command's
+    # dependency on itself: each makes C0 depend on a command not before it.
     region = Region(1, [Box((0,), (4,))])
-    c0 = PushCommand(id=0, deps=(1,), src=0, dst=1, buffer="x",
-                     region=region, version=1)
-    c1 = PushCommand(id=1, deps=(0,), src=1, dst=0, buffer="x",
-                     region=region, version=1)
     plan = plan_for({"x": fbuf("x")}, [], 2)
-    plan.commands = [c0, c1]
-    with pytest.raises(ValidationError, match="cycle"):
-        run(plan)
+    for deps0, deps1 in [((1,), (0,)), ((1,), ()), ((0,), ())]:
+        c0 = PushCommand(id=0, deps=deps0, src=0, dst=1, buffer="x",
+                         region=region, version=1)
+        c1 = PushCommand(id=1, deps=deps1, src=1, dst=0, buffer="x",
+                         region=region, version=1)
+        plan.commands = [c0, c1]
+        with mock.patch.object(simulator, "_Storage") as storage, pytest.raises(
+                ValidationError,
+                match=f"^command 0 depends on id {deps0[0]}, not an earlier command$"):
+            run(plan)
+        storage.assert_not_called()
 
 
 def two_push_plan():
@@ -566,7 +648,7 @@ def test_dependency_outside_the_plan_is_rejected(dep):
 def test_first_dependency_outside_the_plan_is_named(deps, named):
     plan = two_push_plan()
     plan.commands[1].deps = deps
-    with pytest.raises(ValidationError, match=f"^command 1 depends on id {named}, not in"):
+    with pytest.raises(ValidationError, match=f"^command 1 depends on id {named}, not an"):
         run(plan)
 
 
