@@ -55,6 +55,6 @@ from .scheduler import (
     generate_commands,
     split_task,
 )
-from .simulator import LinkModel, RunResult, TraceEvent, run
+from .simulator import LinkModel, RunResult, TraceEvent, run, schedule
 
 __version__ = "0.1.0"

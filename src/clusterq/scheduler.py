@@ -240,9 +240,6 @@ class Plan(Value):
     def executes(self):
         return [c for c in self.commands if isinstance(c, ExecuteCommand)]
 
-    def pushes(self):
-        return [c for c in self.commands if isinstance(c, PushCommand)]
-
 
 def _resolve_devices(devices, node_count) -> list[DeviceModel]:
     if devices is None:

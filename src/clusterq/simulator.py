@@ -1,27 +1,30 @@
-"""Discrete-event replay of a command plan: a timing walk, then a data walk.
+"""Discrete-event replay of a command plan: `schedule` times it, `run` also
+moves its data. Both walk the commands in id order, the replay order: the
+scheduler numbers each task's transfers before its Executes, so every
+dependency has a lower id.
 
-Both walks visit the commands in id order, the replay order: the scheduler
-numbers each task's transfers before its Executes, so every dependency has a
-lower id. The timing walk checks the plan before any data moves. Ids that are
-not positions, a dependency on a command not before it (a cycle has one), a
-node outside [0, node_count), a task or buffer the graph lacks, an AwaitPush
-that does not depend on the Push at that Push's id, an Execute with a write
-region other than its chunk box (the scheduler's one_to_one writes give each
-its box) and a command of unknown type are each a ValidationError.
-Each node owns one execute lane: an Execute starts at max(dependency finish
-times, lane free time) and occupies the lane for its duration. A Push starts
-as soon as its dependencies are done and takes latency + bytes / bandwidth.
-Time is exact rationals end to end, floats only at serialization; maxima
-compare integer cross-products of numerators and denominators, and the
-makespan is the latest finish. Each value is computed once per run: an
-Execute's duration and box text per (node, chunk box object, beta,
-frequency), a Push's duration per byte count, its label text, bytes and box
-indexes per (buffer, region object), which template instances share, and a
-finish per start and duration.
+`schedule(plan, link)` checks the plan and returns the trace, whose event i
+is command i's, and the makespan. Ids that are not positions, a dependency on
+a command not before it (a cycle has one), a node outside [0, node_count), a
+task or Push buffer the graph lacks, an Execute whose reads or writes have
+other (accessor name, buffer) pairs than its task's, in order, or a write
+region other than its chunk box (one_to_one writes give each its box), an
+AwaitPush that does not depend on the Push at that Push's id and a command of
+unknown type are each a ValidationError. Each node owns one execute lane: an
+Execute starts at max(dependency finish times, lane free time) and occupies
+the lane for its duration. A Push starts as soon as its dependencies are done
+and takes latency + bytes / bandwidth. Time is exact rationals, floats only
+at serialization; maxima compare integer cross-products of numerators and
+denominators, and the makespan is the latest finish. Each value is computed
+once per call: a task's accessor pairs, an Execute's duration and box text
+per (node, chunk box object, beta, frequency), a Push's duration per byte
+count and its label text and bytes per (buffer, region object), which
+template instances share, and a finish per start and duration.
 
-The data walk moves real data through a backing array per node and buffer:
-a Push copies its region's boxes out, and its AwaitPush lands them. Executes
-are deferred into a batch: consecutive ones of one task, each on a different
+`run(plan, link)` is `schedule`, then the data walk through a backing array
+per node and buffer: a Push copies its region's boxes out, through indexes
+made once per region object, and its AwaitPush lands them. Executes are
+deferred into a batch: consecutive ones of one task, each on a different
 node, whose boxes continue one another along axis 0. The batch is evaluated
 before every Push and AwaitPush, before an Execute of another task, of a node
 in it or that does not continue it, and at the end, so each Execute sees the
@@ -31,14 +34,12 @@ boxes, each member's rows read from its node's array through indexes made
 once per run. Each result is made canonical and copied once, and all are
 stored by the members' rows after the last call, so in-place updates see
 pre-task data. The final contents are gathered from zeros, each final region
-map entry from its lowest-id holder.
-
-Reads are not checked: submit's footprint check keeps them inside their
-mapped regions. The only runtime error is an int64 division by zero; a batch
-that meets one is evaluated again member by member in replay order, so the
-run raises it for the first failing write box in replay order, naming that
-box's first failing id and its task. Every float result is stored with NaNs
-in canonical form.
+map entry from its lowest-id holder. Reads are not checked: submit's
+footprint check keeps them inside their mapped regions. The only runtime
+error is an int64 division by zero; a batch that meets one is evaluated again
+member by member in replay order, so the run raises it for the first failing
+write box in replay order, naming that box's first failing id and its task.
+Every float result is stored with NaNs in canonical form.
 """
 
 from fractions import Fraction
@@ -163,8 +164,8 @@ def _triple(time: Fraction) -> tuple:
 
 class _Batch:
     """Executes whose evaluation is deferred: consecutive ones of one task,
-    which share its accessors, each on a different node, and each box
-    continuing the previous member's along axis 0."""
+    whose accessors schedule has checked are its task's, each on a different
+    node, and each box continuing the previous member's along axis 0."""
 
     def __init__(self, graph, storage):
         self.graph, self.storage = graph, storage
@@ -227,18 +228,19 @@ class _Batch:
                     values[lo - base:hi - base]
 
 
-def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
+def schedule(plan: Plan, link: Optional[LinkModel] = None) -> tuple[list, Fraction]:
+    """The timing walk of plan under link, in id order: the plan checks, then
+    the trace, whose event i is command i's, and the makespan."""
     if link is None:
         link = LinkModel()
     commands, node_count = plan.commands, plan.node_count
     buffers, tasks = plan.graph.buffers, plan.graph.tasks
-
-    # The timing walk, in id order: the plan checks, exact times and the trace.
     finished: list = [None] * len(commands)  # id -> its finish as a (Fraction, num, den) triple
     lane_free = [_ZERO] * node_count
     executes = {}  # (node, id of a chunk box, beta, frequency) -> (duration triple, box text)
-    pushes = {}  # (buffer, id of a region) -> (label text, bytes, duration triple, box indexes)
+    pushes = {}  # (buffer, id of a region) -> (label text, bytes, duration triple)
     push_durs = {}  # bytes -> duration triple
+    accessors = {}  # task id -> its reads' and writes' (name, buffer)s
     sums = {}  # start and duration, as numerators and denominators -> finish triple
     trace: list[TraceEvent] = []
 
@@ -262,9 +264,14 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             if not 0 < cmd.task_id <= len(tasks):
                 raise ValidationError(f"Execute {cid} names task {cmd.task_id}, not in the graph")
             task = tasks[cmd.task_id - 1]
-            for _name, b, *_region in cmd.reads + cmd.writes:
-                if b not in buffers:
-                    raise ValidationError(f"Execute {cid} names buffer '{b}', not in the graph")
+            want = accessors.get(cmd.task_id)
+            if want is None:
+                want = accessors[cmd.task_id] = [[(a.name, a.buffer) for a in accs]
+                                                 for accs in (task.reads(), task.writes())]
+            got = [[c[:2] for c in cmd.reads], [c[:2] for c in cmd.writes]]
+            if got != want:
+                raise ValidationError(f"Execute {cid} reads {got[0]} and writes {got[1]}, "
+                                      f"not its task's {want[0]} and {want[1]}")
             for _name, buffer, region, _v in cmd.writes:
                 if region.boxes != (cmd.box,):
                     raise ValidationError(f"Execute {cid} writes {region} of buffer "
@@ -297,9 +304,8 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
                 nbytes = cmd.bytes
                 if nbytes not in push_durs:
                     push_durs[nbytes] = _triple(link.transfer_time(nbytes))
-                pushes[key] = (f"{cmd.buffer} {cmd.region}", nbytes, push_durs[nbytes],
-                               [_index(box) for box in cmd.region])
-            text, nbytes, dur, _indexes = pushes[key]
+                pushes[key] = (f"{cmd.buffer} {cmd.region}", nbytes, push_durs[nbytes])
+            text, nbytes, dur = pushes[key]
             finished[cid] = finish = _finish(sums, ready, dur)
             trace.append(TraceEvent("push", cmd.src, cid, ready[0], dur[0], nbytes, None, None,
                                     None, f"{text} n{cmd.src}->n{cmd.dst}", finish[0]))
@@ -309,7 +315,7 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
             if not (push.id in cmd.deps and commands[push.id] is push):
                 raise ValidationError(f"AwaitPush {cid} does not depend on its Push {push.id}")
             finished[cid] = ready
-            text, nbytes, _dur, _indexes = pushes[push.buffer, id(push.region)]
+            text, nbytes, _dur = pushes[push.buffer, id(push.region)]
             trace.append(TraceEvent("await_push", push.dst, cid, ready[0], _ZERO[0], nbytes, None,
                                     None, None, f"{text} n{push.dst}", ready[0]))
         else:
@@ -317,21 +323,27 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
 
     # Each Execute's and Push's finish is a value of sums, and an AwaitPush
     # finishes with one of its dependencies.
-    makespan = max((finish[0] for finish in sums.values()), default=_ZERO[0])
+    return trace, max((finish[0] for finish in sums.values()), default=_ZERO[0])
 
+
+def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
+    """schedule(plan, link), then the data walk and the final gather."""
+    trace, makespan = schedule(plan, link)
     # The data walk, in id order; the batch is evaluated before every transfer.
-    storage = _Storage(buffers)
+    storage = _Storage(plan.graph.buffers)
     batch = _Batch(plan.graph, storage)
+    indexes = {}  # id of a Push's region -> its boxes' array indexes
     payloads: dict[int, list] = {}  # push id -> [(box index, values)]
-    for cmd in commands:
+    for cmd in plan.commands:
         if type(cmd) is ExecuteCommand:
             batch.add(cmd)
             continue
         batch.evaluate()
         if type(cmd) is PushCommand:
+            if id(cmd.region) not in indexes:
+                indexes[id(cmd.region)] = [_index(box) for box in cmd.region]
             src_arr = storage[cmd.buffer, cmd.src]
-            payloads[cmd.id] = [(index, src_arr[index].copy())
-                                for index in pushes[cmd.buffer, id(cmd.region)][3]]
+            payloads[cmd.id] = [(index, src_arr[index].copy()) for index in indexes[id(cmd.region)]]
         else:
             dst_arr = storage[cmd.push.buffer, cmd.push.dst]
             for index, values in payloads.pop(cmd.push.id):
@@ -340,7 +352,7 @@ def run(plan: Plan, link: Optional[LinkModel] = None) -> RunResult:
 
     final = {}
     for name, entries in plan.final_locations.items():
-        buf = buffers[name]
+        buf = plan.graph.buffers[name]
         out = np.zeros(buf.extent.shape, dtype=buf.dtype)
         for region, _version, holders in entries:
             arr = storage[name, min(holders)]

@@ -621,6 +621,10 @@ def save_scenario(scenario: Scenario, path):
     write_json(path, scenario_to_dict(scenario))
 
 
+def push_commands(plan):
+    return [c for c in plan.commands if isinstance(c, PushCommand)]
+
+
 def await_pushes(plan):
     return [c for c in plan.commands if isinstance(c, AwaitPushCommand)]
 

@@ -31,6 +31,7 @@ from clusterq.simulator import run
 from helpers import (
     await_pushes,
     check_plan,
+    push_commands,
     random_region,
     random_workload,
     region_bitmap,
@@ -118,7 +119,7 @@ def test_criterion_3_saxpy_transfers(capsys):
         s1 = load_scenario(bundled_scenario_path("saxpy"))
         g = graph_for({b.name: b for b in s1.buffers}, s1.tasks)
         plan = generate_commands(g, 2)
-        pushes = plan.pushes()
+        pushes = push_commands(plan)
         assert len(pushes) == 2
         for p in pushes:
             assert (p.src, p.dst) == (0, 1)
@@ -131,10 +132,10 @@ def test_criterion_3_saxpy_transfers(capsys):
         g2 = graph_for({b.name: b for b in s2.buffers},
                        [s2.tasks[0], s3.tasks[0]])
         plan2 = generate_commands(g2, 2)
-        assert len(plan2.pushes()) == 2  # both belong to the first submission
+        assert len(push_commands(plan2)) == 2  # both belong to the first submission
         first_exec_of_task2 = min(
             c.id for c in plan2.executes() if c.task_id == 2)
-        assert all(p.id < first_exec_of_task2 for p in plan2.pushes())
+        assert all(p.id < first_exec_of_task2 for p in push_commands(plan2))
         check_plan(plan2, g2.buffers)
 
 
@@ -177,7 +178,7 @@ def test_criterion_4_stencil_halo_exchange(capsys):
         s = load_scenario(bundled_scenario_path("stencil"))
         g = graph_for({b.name: b for b in s.buffers}, s.tasks)
         plan = generate_commands(g, 2)
-        pushes = plan.pushes()
+        pushes = push_commands(plan)
 
         oracle = halo_oracle_volume(16, 2, 3, {"a": True, "b": True})
         assert sum(p.region.volume() for p in pushes) == oracle == 13

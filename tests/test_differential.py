@@ -71,6 +71,7 @@ from helpers import (
     json_dump_text,
     level_oracle,
     predecessors,
+    push_commands,
     random_workload,
     reference_run,
     replay_order,
@@ -455,7 +456,9 @@ TARGETS = st.sampled_from((None,) + tuple(EnergyTarget))
 def test_replay_times_and_energy_match_fresh_computation(seed, nodes, link, data):
     buffers, tasks = random_workload(random.Random(seed))
     graph = TaskGraph(buffers)
-    for task in tasks:
+    # Each task twice, so that chunk boxes shared by tasks of one shape meet
+    # other betas and frequencies.
+    for task in tasks + tasks:
         beta = data.draw(st.sampled_from((0.0, 0.25, 0.5, 0.9)))
         graph.submit(Task(task.name, task.global_range, task.accessors, task.body,
                           task.params, beta, data.draw(TARGETS)))
@@ -463,11 +466,16 @@ def test_replay_times_and_energy_match_fresh_computation(seed, nodes, link, data
     plan = generate_commands(graph, nodes, devices=devices)
     assign_frequencies(plan, data.draw(TARGETS) or EnergyTarget.MAX_PERF)
     result = simulator.run(plan, link)
+    assert simulator.schedule(plan, link) == (result.trace, result.makespan)
+    assert [ev.command_id for ev in result.trace] == list(range(len(plan.commands)))
 
     busy = [Fraction(0)] * nodes
     kernel = [Fraction(0)] * nodes
+    finish = []  # id -> its finish, from a fresh start and the checked duration
+    lane = [Fraction(0)] * nodes  # node -> the finish of its latest Execute so far
     for ev in result.trace:
         cmd = plan.commands[ev.command_id]
+        start = max([finish[d] for d in cmd.deps], default=Fraction(0))
         if ev.kind == "execute":
             device = devices[ev.node]
             t_ref = Fraction(cmd.box.volume()) / Fraction(device.throughput_ref)
@@ -475,11 +483,15 @@ def test_replay_times_and_energy_match_fresh_computation(seed, nodes, link, data
             assert ev.duration == chunk_time(t_ref, beta, device, ev.frequency_ghz)
             busy[ev.node] += ev.duration
             kernel[ev.node] += level_oracle(device, ev.frequency_ghz)[0] * ev.duration
+            start = max(start, lane[ev.node])
+            lane[ev.node] = start + ev.duration
         elif ev.kind == "push":
             assert ev.duration == link.transfer_time(ev.bytes)
         else:
             assert ev.duration == 0
-    assert result.makespan == max((ev.finish for ev in result.trace), default=0)
+        finish.append(start + ev.duration)
+        assert (ev.start, ev.finish) == (start, finish[-1])
+    assert result.makespan == max(finish, default=0)
 
     report = account_energy(result.trace, devices, result.makespan)
     for node, device in enumerate(devices):
@@ -559,7 +571,7 @@ def test_region_map_matches_full_scan(seed, nodes, repeats):
             {name: [(boxes, v, frozenset(h)) for boxes, v, h in entries]
              for name, entries in after_task[count - 1].items()}
     assert [(p.id, p.deps, p.src, p.dst, p.buffer, p.region.boxes, p.version)
-            for p in plan.pushes()] == pushes
+            for p in push_commands(plan)] == pushes
 
 
 def planned(plan_of, graph, nodes):

@@ -36,7 +36,7 @@ from clusterq.scheduler import (
 )
 from clusterq.scenario import Scenario, plan_scenario
 
-from helpers import await_pushes, check_plan, direct_plan, random_workload
+from helpers import await_pushes, check_plan, direct_plan, push_commands, random_workload
 
 
 def simple_task(name="t", n=8, reads=(), writes=("z",), mappers=None, nd_range=None):
@@ -273,7 +273,7 @@ def test_single_node_generates_no_transfers():
     g = graph_of({"x": fbuf("x"), "z": fbuf("z")},
                  simple_task(reads=("x",), writes=("z",)))
     plan = generate_commands(g, 1)
-    assert len(plan.pushes()) == 0
+    assert len(push_commands(plan)) == 0
     assert len(await_pushes(plan)) == 0
     assert len(plan.executes()) == 1
     assert plan.executes()[0].deps == ()
@@ -284,7 +284,7 @@ def test_two_node_saxpy_structure():
     g = graph_of({"x": fbuf("x"), "y": fbuf("y"), "z": fbuf("z")},
                  simple_task(name="saxpy", reads=("x", "y"), writes=("z",)))
     plan = generate_commands(g, 2)
-    pushes = plan.pushes()
+    pushes = push_commands(plan)
     assert len(pushes) == 2
     for p in pushes:
         assert (p.src, p.dst) == (0, 1)
@@ -307,7 +307,7 @@ def test_repeat_task_no_new_transfers():
     t2 = simple_task(name="s2", reads=("x", "y"), writes=("z",))
     g = graph_of({"x": fbuf("x"), "y": fbuf("y"), "z": fbuf("z")}, t1, t2)
     plan = generate_commands(g, 2)
-    assert len(plan.pushes()) == 2  # all for the first task
+    assert len(push_commands(plan)) == 2  # all for the first task
     by_task = {}
     for e in plan.executes():
         by_task.setdefault(e.task_id, []).append(e)
@@ -328,7 +328,7 @@ def test_producer_dependency_on_pushed_data():
                      mappers={"z": All()})
     g = graph_of({"x": fbuf("x"), "z": fbuf("z"), "w": fbuf("w")}, t1, t2)
     plan = generate_commands(g, 2)
-    pushes = {p.dst: p for p in plan.pushes() if p.buffer == "z"}
+    pushes = {p.dst: p for p in push_commands(plan) if p.buffer == "z"}
     assert set(pushes) == {0, 1}
     assert pushes[0].region == Region(1, [Box((4,), (8,))])
     assert pushes[1].region == Region(1, [Box((0,), (4,))])
@@ -351,7 +351,7 @@ def test_stencil_halo_exchange_counts():
     g = graph_of({"a": fbuf("a", 16), "b": fbuf("b", 16, BufferInit.zeros())},
                  t1, t2, t3)
     plan = generate_commands(g, 2)
-    pushes = plan.pushes()
+    pushes = push_commands(plan)
     # task 1: node 1 lacks a entirely -> one bulk push of a[7:16)
     # tasks 2 and 3: one boundary element in each direction
     volumes = [p.region.volume() for p in pushes]
@@ -372,7 +372,7 @@ def test_in_place_stencil_hazard_deps():
                      mappers={"a": nb})
     g = graph_of({"a": fbuf("a", 16)}, t1, t2)
     plan = generate_commands(g, 2)
-    pushes = plan.pushes()
+    pushes = push_commands(plan)
     assert [p.region.volume() for p in pushes] == [9, 1, 1]
     # the reading task rewrites the buffer at version+1, which identifies the
     # execute of the same task on the pushing node
@@ -448,7 +448,7 @@ def test_uninitialized_ok_after_full_write():
             "z": fbuf("z")}
     g = graph_of(bufs, t1, t2)
     plan = generate_commands(g, 2)  # must not raise
-    assert len(plan.pushes()) == 0  # aligned chunks, data stays put
+    assert len(push_commands(plan)) == 0  # aligned chunks, data stays put
     check_plan(plan, g.buffers)
 
 
@@ -463,7 +463,7 @@ def test_partial_write_mixed_versions():
     check_plan(plan, g.buffers)
     # t1 split leaves x as [0,2) v2 on n0, [2,4) v2 on n1, [4,8) v1 on n0;
     # node 1 receives exactly what it lacks, mixing fresh and initial data
-    incoming = [p for p in plan.pushes() if p.dst == 1 and p.buffer == "x"]
+    incoming = [p for p in push_commands(plan) if p.dst == 1 and p.buffer == "x"]
     got = Region.empty(1)
     for p in incoming:
         got = got.union(p.region)

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import clusterq
 from clusterq import graph as graph_module
 from clusterq import simulator
 from clusterq.energy import DeviceModel
@@ -422,6 +423,11 @@ def with_task(cmd, task_id):
 HALF = Region(1, [Box((4,), (8,))])
 
 
+def other_accessors(reads, writes):
+    return (f"Execute 1 reads {reads} and writes {writes}, "
+            "not its task's [('r_a', 'a')] and [('z', 'z')]")
+
+
 @pytest.mark.parametrize("bad, message", [
     (execute(1, (), 4, 8, 2, [("r_a", "a")], ["z"]), "Execute 1 is on node 2, outside [0, 2)"),
     (execute(1, (), 4, 8, -1, [("r_a", "a")], ["z"]), "Execute 1 is on node -1, outside [0, 2)"),
@@ -430,26 +436,37 @@ HALF = Region(1, [Box((4,), (8,))])
     (with_task(execute(1, (), 4, 8, 1, [("r_a", "a")], ["z"]), 2),
      "Execute 1 names task 2, not in the graph"),
     (execute(1, (), 4, 8, 1, [("r_a", "q")], ["z"]),
-     "Execute 1 names buffer 'q', not in the graph"),
+     other_accessors([("r_a", "q")], [("z", "z")])),
     (execute(1, (), 4, 8, 1, [("r_a", "a")], ["q"]),
-     "Execute 1 names buffer 'q', not in the graph"),
+     other_accessors([("r_a", "a")], [("q", "q")])),
+    (execute(1, (), 4, 8, 1, [("r_b", "a")], ["z"]),
+     other_accessors([("r_b", "a")], [("z", "z")])),
+    (ExecuteCommand(1, (), 1, Box((4,), (8,)), 1, 1.0, (("r_a", "a", HALF),),
+                    (("q", "z", HALF, 2),)),
+     other_accessors([("r_a", "a")], [("q", "z")])),
+    (execute(1, (), 4, 8, 1, [("r_a", "z")], ["z"]),
+     other_accessors([("r_a", "z")], [("z", "z")])),
     (PushCommand(1, (), 0, 9, "a", HALF, 1), "Push 1 goes from node 0 to node 9, outside [0, 2)"),
     (PushCommand(1, (), -1, 1, "a", HALF, 1),
      "Push 1 goes from node -1 to node 1, outside [0, 2)"),
     (PushCommand(1, (), 0, 1, "q", HALF, 1), "Push 1 names buffer 'q', not in the graph"),
 ], ids=["execute_node", "execute_negative_node", "task_0", "task_beyond", "read_buffer",
-        "write_buffer", "push_dst", "push_src", "push_buffer"])
+        "write_buffer", "read_name", "write_name", "read_other_buffer", "push_dst", "push_src",
+        "push_buffer"])
 def test_bad_references_are_rejected_before_any_data_moves(bad, message):
     # Command 1 of a 2-node plan of task 1 names a node, a task or a buffer
-    # the plan lacks; run names it before any data moves.
+    # the plan lacks, or accessors other than its task's; run and schedule
+    # name it before any data moves. An Execute there would join Execute 0's
+    # batch, whose data walk reads only the first member's accessors.
     bufs = {"a": fbuf("a"), "z": fbuf("z", init=BufferInit.zeros())}
     inc = make_task("inc", "r_a[i] + 1.0", reads=("a",))
     plan = hand_built(bufs, inc, 2, [execute(0, (), 0, 4, 0, [("r_a", "a")], ["z"]), bad],
                       {"z": [(0, 4, {0}), (4, 8, {1})]})
-    with mock.patch.object(simulator, "_Storage") as storage, \
-            pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        run(plan)
-    storage.assert_not_called()
+    for replay in (run, simulator.schedule):
+        with mock.patch.object(simulator, "_Storage") as storage, \
+                pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replay(plan)
+        storage.assert_not_called()
 
 
 def test_await_push_without_its_push_is_rejected():
@@ -518,6 +535,29 @@ def test_two_node_makespan_hand_computed():
         if ev.kind == "await_push":
             assert ev.duration == Fraction(0)
             assert ev.start == Fraction(5)
+
+
+def test_run_is_schedule_then_the_data_walk():
+    # schedule times the plan without moving data; run takes its trace and
+    # makespan, the same objects, from one schedule call.
+    t = make_task("saxpy", "r_x[i] + r_y[i]", reads=("x", "y"))
+    plan = plan_for({"x": fbuf("x"), "y": fbuf("y"), "z": fbuf("z")}, [t], 2)
+    with mock.patch.object(simulator, "_Storage") as storage:
+        trace, makespan = clusterq.schedule(plan, SLOW_LINK)
+    storage.assert_not_called()
+    assert makespan == Fraction(9)
+    assert [ev.command_id for ev in trace] == list(range(len(plan.commands)))
+    returned, schedule = [], simulator.schedule
+
+    def spy(*args):
+        returned.append(schedule(*args))
+        return returned[-1]
+
+    with mock.patch.object(simulator, "schedule", spy):
+        res = run(plan, link=SLOW_LINK)
+    [(trace2, makespan2)] = returned
+    assert (trace2, makespan2) == (trace, makespan)
+    assert res.trace is trace2 and res.makespan is makespan2
 
 
 @pytest.mark.parametrize("cells", [(8, 16), (16, 8)])
@@ -612,11 +652,12 @@ def test_cycle_detection():
         c1 = PushCommand(id=1, deps=deps1, src=1, dst=0, buffer="x",
                          region=region, version=1)
         plan.commands = [c0, c1]
-        with mock.patch.object(simulator, "_Storage") as storage, pytest.raises(
-                ValidationError,
-                match=f"^command 0 depends on id {deps0[0]}, not an earlier command$"):
-            run(plan)
-        storage.assert_not_called()
+        for replay in (run, simulator.schedule):
+            with mock.patch.object(simulator, "_Storage") as storage, pytest.raises(
+                    ValidationError,
+                    match=f"^command 0 depends on id {deps0[0]}, not an earlier command$"):
+                replay(plan)
+            storage.assert_not_called()
 
 
 def two_push_plan():
